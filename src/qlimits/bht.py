@@ -267,6 +267,7 @@ def bht_sweep_minimum(
         raise DomainError("sweep oracle limited to n <= 48", n)
     k_hi = exp2(n + math.log2(p_success))
     grid = np.exp(np.linspace(0.0, math.log(k_hi), points))
+    grid[-1] = k_hi  # exp(log(k_hi)) can round above 2^n * P_s
     works = np.array([bht_work(n, float(k), t_total, temperature, p_success) for k in grid])
     j = int(np.argmin(works))
     lo = math.log(grid[max(j - 1, 0)])

@@ -542,10 +542,6 @@ def _printable(value):
     return repr(value)
 
 
-# canonical operation name for the programmatic surface
-run = main
-
-
 def entry() -> None:
     sys.exit(main())
 

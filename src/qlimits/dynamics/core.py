@@ -42,6 +42,10 @@ from ..errors import ConsistencyError, DomainError
 
 NORM_TOLERANCE = 1e-9
 
+# Most (scale factor, segment) propagators :func:`propagate` holds at once;
+# its temporaries stay this size whatever the schedule length.
+BLOCK_ELEMENTS = 4096
+
 # n beyond which 2^-n falls under the smallest normal double and the
 # initial success probability loses precision.
 _SUBNORMAL_BITS = 1022
@@ -155,6 +159,15 @@ class ControlSchedule:
     def total_duration(self) -> float:
         return math.fsum(s.duration for s in self.segments)
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(durations, omega_i, omega_s) as float arrays, in segment order."""
+        segs, n = self.segments, len(self.segments)
+        return (
+            np.fromiter((s.duration for s in segs), float, n),
+            np.fromiter((s.omega_i for s in segs), float, n),
+            np.fromiter((s.omega_s for s in segs), float, n),
+        )
+
     def scaled(self, factor: float) -> "ControlSchedule":
         """Uniformly stretch every segment duration by ``factor``."""
         if not factor > 0.0:
@@ -265,19 +278,22 @@ def _rabi_frequency(space: SearchSpace, omega: float, delta_omega: float) -> flo
     return math.sqrt(radicand)
 
 
-def _pauli_components(space: SearchSpace, seg: Segment) -> tuple[float, float, float]:
-    """(mean, x, z) with H/hbar = mean*I + x*sigma_x + z*sigma_z."""
+def _pauli_components(space: SearchSpace, omega_i, omega_s):
+    """(mean, x, z) with H/hbar = mean*I + x*sigma_x + z*sigma_z.
+
+    Elementwise, with the same arithmetic for floats and arrays.
+    """
     g = space.overlap
     gg = g * g
-    x = seg.omega_s * g * math.sqrt(1.0 - gg)
-    z = seg.delta_omega + seg.omega_s * gg
-    return seg.omega, x, z
+    x = omega_s * g * math.sqrt(1.0 - gg)
+    z = 0.5 * (omega_i - omega_s) + omega_s * gg
+    return 0.5 * (omega_i + omega_s), x, z
 
 
 def segment_propagator(space: SearchSpace, seg: Segment, duration: float | None = None) -> np.ndarray:
     """Exact unitary exp(-i (H/hbar) * duration) for one segment."""
     dt = seg.duration if duration is None else duration
-    mean, x, z = _pauli_components(space, seg)
+    mean, x, z = _pauli_components(space, seg.omega_i, seg.omega_s)
     rabi = math.hypot(x, z)
     phase = cmath.exp(-1j * mean * dt)
     cos_t = math.cos(rabi * dt)
@@ -361,7 +377,7 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
     emit(0.0, psi, schedule.segments[0])
     t_start = 0.0
     for seg in schedule.segments:
-        mean, x, z = _pauli_components(space, seg)
+        mean, x, z = _pauli_components(space, seg.omega_i, seg.omega_s)
         rabi = math.hypot(x, z)
         offsets = _segment_sample_offsets(t_start, seg.duration, sample_step)
         angles = rabi * offsets
@@ -381,13 +397,68 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
     return Trace(points=tuple(points), space=space, p0_subnormal=space.p0_subnormal)
 
 
+def _pairwise_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time-ordered product of the matrices [[a, -b*], [b, a*]] along axis 1.
+
+    Neighbours are multiplied pairwise, later on the left, halving the axis
+    each round; an odd last matrix waits for the next round.
+    """
+    while a.shape[1] > 1:
+        m = a.shape[1] // 2 * 2
+        a1, b1, a2, b2 = a[:, 0:m:2], b[:, 0:m:2], a[:, 1:m:2], b[:, 1:m:2]
+        pa = a2 * a1 - b2.conj() * b1
+        pb = b2 * a1 + a2.conj() * b1
+        if m < a.shape[1]:
+            pa = np.concatenate((pa, a[:, m:]), axis=1)
+            pb = np.concatenate((pb, b[:, m:]), axis=1)
+        a, b = pa, pb
+    return a[:, 0], b[:, 0]
+
+
+def propagate(
+    state: EffectiveState,
+    arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
+    factors: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Final amplitudes (c1, c2) after a schedule stretched by each factor.
+
+    ``arrays`` is a schedule's ``(durations, omega_i, omega_s)``; entry k of
+    each result belongs to the schedule with every duration multiplied by
+    ``factors[k]``.  Each segment propagator is the exact exponential
+    exp(-i mean dt) [[alpha, -beta*], [beta, alpha*]].  The SU(2) parts are
+    taken in blocks of at most BLOCK_ELEMENTS // len(factors) segments,
+    reduced pairwise and applied to the whole batch; the phases add up to
+    exp(-i factor * sum(mean * duration)), applied once at the end.  A norm
+    drift beyond 1e-9 in any row raises :class:`ConsistencyError`.
+    """
+    durations, omega_i, omega_s = arrays
+    factors = np.asarray(factors, dtype=float)
+    if not np.all(factors > 0.0):
+        raise DomainError("scale factors must be > 0", float(np.min(factors)))
+    mean, x, z = _pauli_components(state.space, omega_i, omega_s)
+    rabi = np.hypot(x, z)
+    # where rabi == 0, x = z = 0 and sin(rabi dt)/rabi drops out
+    rabi_or_one = np.where(rabi > 0.0, rabi, 1.0)
+    c1 = np.full(factors.shape, state.c1, dtype=complex)
+    c2 = np.full(factors.shape, state.c2, dtype=complex)
+    block = max(1, BLOCK_ELEMENTS // factors.size)
+    for lo in range(0, durations.size, block):
+        part = slice(lo, lo + block)
+        dt = factors[:, None] * durations[part]
+        angle = rabi[part] * dt
+        sin_over = np.sin(angle) / rabi_or_one[part]
+        a, b = _pairwise_product(np.cos(angle) - 1j * (z[part] * sin_over),
+                                 -1j * (x[part] * sin_over))
+        c1, c2 = a * c1 - b.conj() * c2, b * c1 + a.conj() * c2
+    phase = np.exp(-1j * factors * (mean * durations).sum())
+    c1, c2 = phase * c1, phase * c2
+    drift = float(np.max(np.abs(np.sqrt(np.abs(c1) ** 2 + np.abs(c2) ** 2) - 1.0)))
+    if drift > NORM_TOLERANCE:
+        raise ConsistencyError("propagator norm drift exceeded tolerance", drift)
+    return c1, c2
+
+
 def final_state(state: EffectiveState, schedule: ControlSchedule) -> EffectiveState:
     """The state after the full schedule (no sampling; exact propagators)."""
-    space = state.space
-    psi = np.array([state.c1, state.c2], dtype=complex)
-    for seg in schedule.segments:
-        psi = segment_propagator(space, seg) @ psi
-    norm = math.sqrt(float(abs(psi[0]) ** 2 + abs(psi[1]) ** 2))
-    if abs(norm - 1.0) > NORM_TOLERANCE:
-        raise ConsistencyError("propagator norm drift exceeded tolerance", norm)
-    return EffectiveState(complex(psi[0]), complex(psi[1]), space)
+    c1, c2 = propagate(state, schedule.arrays(), np.ones(1))
+    return EffectiveState(complex(c1[0]), complex(c2[0]), state.space)

@@ -12,7 +12,14 @@ import numpy as np
 
 from ..constants import HBAR
 from ..errors import DomainError
-from .core import ControlSchedule, EffectiveState, SearchSpace, Segment, segment_propagator
+from .core import (
+    ControlSchedule,
+    EffectiveState,
+    SearchSpace,
+    Segment,
+    propagate,
+    segment_propagator,
+)
 
 
 def ballistic_schedule(space: SearchSpace, work: float) -> ControlSchedule:
@@ -56,11 +63,8 @@ def grover_pulsed_schedule(
         raise DomainError("iterations must be a positive integer", iterations)
     omega_pulse = pulse_energy / HBAR
     tau = pulse_phase / omega_pulse
-    segs: list[Segment] = []
-    for _ in range(iterations):
-        segs.append(Segment(tau, 0.0, omega_pulse))
-        segs.append(Segment(tau, omega_pulse, 0.0))
-    return ControlSchedule(tuple(segs), declared_duration=2 * iterations * tau)
+    pair = (Segment(tau, 0.0, omega_pulse), Segment(tau, omega_pulse, 0.0))
+    return ControlSchedule(pair * iterations, declared_duration=2 * iterations * tau)
 
 
 def standard_grover_iterations(space: SearchSpace) -> int:
@@ -194,15 +198,16 @@ def runtime_to_infidelity(
     The final infidelity of an adiabatic sweep oscillates under a decaying
     envelope as the sweep slows, so the scan uses the envelope (a reversed
     running maximum over a log-spaced grid of time-scale factors) to get a
-    monotone, well-defined crossing.
+    monotone, well-defined crossing.  All grid points are propagated in one
+    batched :func:`~qlimits.dynamics.core.propagate` call.
     """
     base = adiabatic_schedule(space, energy_scale, error_budget, kind="local")
     factors = np.exp(
         np.linspace(math.log(scale_range[0]), math.log(scale_range[1]), grid_points)
     )
-    infidelity = np.array(
-        [schedule_infidelity(space, base.scaled(f)) for f in factors]
-    )
+    c1, c2 = propagate(EffectiveState.initial(space), base.arrays(), factors)
+    g = space.overlap
+    infidelity = 1.0 - np.abs(g * c1 + math.sqrt(1.0 - g * g) * c2) ** 2
     envelope = np.maximum.accumulate(infidelity[::-1])[::-1]
     below = np.nonzero(envelope <= target_infidelity)[0]
     if len(below) == 0:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._num import ceil_tol, floor_tol, log2_xsq_plus_1
+from ._num import LN2, ceil_tol, exp2, floor_tol, log2_xsq_plus_1
 from .bounds import (
     BoundQuery,
     CLASSICAL_TAG,
@@ -106,14 +106,16 @@ def max_deterministic_keylength(work: float, time: float) -> int:
     """Largest key length whose deterministic ballistic rotation fits in t.
 
     Inverts t_F = (pi/2)(sqrt(2^n) + 1) hbar / W; returns 0 when even one
-    bit does not fit.
+    bit does not fit.  y = 2 W t / (pi hbar) is kept as log2(y), so any
+    finite W and t give a finite length, also where W t overflows.
     """
     if not (work > 0.0 and time > 0.0):
         raise DomainError("work and time must be > 0", (work, time))
-    y = 2.0 * work * time / (math.pi * HBAR)
-    if y <= 2.0:  # sqrt(2^n) = y - 1 needs y > 2 for n >= 1
+    log2_y = 1.0 + math.log2(work) + math.log2(time) - math.log2(math.pi * HBAR)
+    if log2_y <= 1.0:  # sqrt(2^n) = y - 1 needs y > 2 for n >= 1
         return 0
-    bits = 2.0 * math.log2(y - 1.0)
+    # log2(y - 1) = log2(y) + log2(1 - 1/y)
+    bits = 2.0 * (log2_y + math.log1p(-exp2(-log2_y)) / LN2)
     return max(floor_tol(bits), 0)
 
 

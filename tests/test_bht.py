@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlimits.bht import (
     REFERENCE_IMAGE_BITS,
@@ -131,6 +132,20 @@ class TestBhtOptimal:
         plan = bht_optimal(44, 10.0, 300.0, 0.25)
         assert plan.work >= plan.samples * 45 * landauer_energy(300.0)
         assert 0.0 < plan.quantum_time <= plan.total_time
+
+
+class TestSweepMinimum:
+    @given(
+        n=st.floats(min_value=20.0, max_value=48.0).filter(lambda n: not n.is_integer()),
+        p=st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=1.0)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_non_integer_n_stays_within_admissible_k(self, n, p):
+        # the top of the log grid used to round above 2^n * P_s and raise
+        k_min, w_min = bht_sweep_minimum(n, 1.0, 300.0, p, points=64)
+        assert 1.0 <= k_min <= 2.0 ** n * p
+        assert math.isfinite(w_min)
+        assert w_min <= bht_work(n, 1.0, 1.0, 300.0, p) * (1.0 + 1e-12)
 
 
 class TestImageBits:

@@ -5,6 +5,7 @@ import pytest
 
 from qlimits.cli import main
 from qlimits.constants import HBAR
+from qlimits.keylength import max_deterministic_keylength
 
 
 def run(capsys, *argv):
@@ -44,6 +45,15 @@ class TestKeylengthCommand:
             "--psuccess", "1e-12", "--mode", "deterministic",
         )
         assert payload["deterministic_bits"] == 830
+
+    def test_deterministic_mode_past_float_range(self, capsys):
+        code, out, err = run(
+            capsys, "keylength", "--work", "1e300", "--time", "1e300s",
+            "--psuccess", "1", "--mode", "deterministic",
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["deterministic_bits"] == max_deterministic_keylength(1e300, 1e300)
 
     def test_csv_table(self, capsys):
         code, out, _ = run(capsys, "keylength", "--scenario", "dyson", "--format", "csv")

@@ -20,9 +20,13 @@ from qlimits.dynamics import (
     first_peak_iterations,
     grover_pulsed_schedule,
     observables_at,
+    propagate,
+    runtime_to_infidelity,
     schedule_infidelity,
+    segment_propagator,
     standard_grover_iterations,
 )
+from qlimits.dynamics.core import BLOCK_ELEMENTS
 from qlimits.errors import ConsistencyError, DomainError
 
 
@@ -332,3 +336,133 @@ class TestScheduleOps:
             ControlSchedule(())
         with pytest.raises(DomainError):
             Segment(0.0, 1.0, 1.0)
+
+
+def per_segment_amplitudes(state, schedule, factor):
+    """Reference: the product of segment_propagator over the stretched schedule."""
+    psi = np.array([state.c1, state.c2], dtype=complex)
+    for seg in schedule.scaled(factor).segments:
+        psi = segment_propagator(state.space, seg) @ psi
+    return psi
+
+
+def random_schedule(rng, count, zero_every=0):
+    """Random segments with frequencies in [0, 2) and a total phase of order 100 rad."""
+    segs = []
+    for k in range(count):
+        omega_i, omega_s = rng.uniform(0.0, 2.0, size=2)
+        if zero_every and k % zero_every == 0:
+            omega_i = omega_s = 0.0  # rabi == 0: a pure identity segment
+        segs.append(Segment(float(rng.uniform(0.05, 1.0) * 50.0 / count), omega_i, omega_s))
+    return ControlSchedule(tuple(segs))
+
+
+def random_state(rng, space):
+    c = rng.normal(size=2) + 1j * rng.normal(size=2)
+    c /= np.linalg.norm(c)
+    return EffectiveState(complex(c[0]), complex(c[1]), space)
+
+
+class TestPropagateKernel:
+    FACTORS = np.array([0.125, 0.7, 1.0, 2.5, 4.0])
+
+    @pytest.mark.parametrize(
+        "count",
+        # 1, odd, a pairwise tree with leftovers, and counts that are not a
+        # multiple of the block of a five-factor batch
+        [1, 2, 3, 7, 33, BLOCK_ELEMENTS // 5 + 1, 2 * (BLOCK_ELEMENTS // 5) + 37],
+    )
+    def test_batch_matches_per_segment_product(self, count):
+        rng = np.random.default_rng(count)
+        space = SearchSpace(int(rng.integers(1, 21)))
+        schedule = random_schedule(rng, count, zero_every=5)
+        state = random_state(rng, space)
+        c1, c2 = propagate(state, schedule.arrays(), self.FACTORS)
+        for k, factor in enumerate(self.FACTORS):
+            ref = per_segment_amplitudes(state, schedule, factor)
+            assert abs(c1[k] - ref[0]) <= 1e-12
+            assert abs(c2[k] - ref[1]) <= 1e-12
+
+    @pytest.mark.parametrize("count", [1, 5, BLOCK_ELEMENTS + 3])
+    def test_final_state_matches_per_segment_product(self, count):
+        rng = np.random.default_rng(100 + count)
+        space = SearchSpace(7)
+        schedule = random_schedule(rng, count, zero_every=4)
+        state = random_state(rng, space)
+        end = final_state(state, schedule)
+        ref = per_segment_amplitudes(state, schedule, 1.0)
+        assert abs(end.c1 - ref[0]) <= 1e-12
+        assert abs(end.c2 - ref[1]) <= 1e-12
+
+    def test_all_zero_frequency_schedule_is_identity(self):
+        space = SearchSpace(5)
+        schedule = ControlSchedule((Segment(0.4, 0.0, 0.0),) * 9)
+        c1, c2 = propagate(EffectiveState.initial(space), schedule.arrays(), self.FACTORS)
+        assert np.all(c1 == 1.0) and np.all(c2 == 0.0)
+
+    def test_temporaries_do_not_grow_with_batch_times_segments(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        count, batch = 8_000, 97
+        arrays = random_schedule(rng, count).arrays()
+        factors = np.linspace(0.5, 2.0, batch)
+        tracemalloc.start()
+        try:
+            propagate(EffectiveState.initial(SearchSpace(9)), arrays, factors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one complex per (factor, segment) would be 12 MB; per-segment
+        # float arrays and a few blocks of complex temporaries stay far below
+        assert peak < 6 * 8 * count + 16 * 16 * BLOCK_ELEMENTS
+        assert peak < 16 * batch * count / 10
+
+    def test_norm_drift_raises(self):
+        space = SearchSpace(4)
+        state = EffectiveState(1.0 + 1e-7 + 0.0j, 0.0j, space)  # within 1e-6, beyond 1e-9
+        schedule = ControlSchedule((Segment(1.0, 1.0, 0.5),))
+        with pytest.raises(ConsistencyError):
+            propagate(state, schedule.arrays(), self.FACTORS)
+        with pytest.raises(ConsistencyError):
+            final_state(state, schedule)
+
+    def test_rejects_nonpositive_factor(self):
+        schedule = ControlSchedule((Segment(1.0, 1.0, 0.5),))
+        with pytest.raises(DomainError):
+            propagate(EffectiveState.initial(SearchSpace(4)), schedule.arrays(),
+                      np.array([1.0, 0.0]))
+
+
+def runtime_to_infidelity_by_loop(space, energy_scale, error_budget, target_infidelity,
+                                  scale_range=(0.125, 16.0), grid_points=97):
+    """Reference: one schedule_infidelity per stretched copy of the base schedule."""
+    base = adiabatic_schedule(space, energy_scale, error_budget, kind="local")
+    factors = np.exp(
+        np.linspace(math.log(scale_range[0]), math.log(scale_range[1]), grid_points)
+    )
+    infidelity = np.array([schedule_infidelity(space, base.scaled(f)) for f in factors])
+    envelope = np.maximum.accumulate(infidelity[::-1])[::-1]
+    k = int(np.nonzero(envelope <= target_infidelity)[0][0])
+    t_total = base.total_duration
+    if k == 0:
+        return float(factors[0]) * t_total
+    f_lo, f_hi = factors[k - 1], factors[k]
+    e_lo, e_hi = envelope[k - 1], envelope[k]
+    if e_lo <= target_infidelity or e_lo == e_hi:
+        return float(f_hi) * t_total
+    w = (math.log(e_lo) - math.log(target_infidelity)) / (
+        math.log(e_lo) - math.log(max(e_hi, 1e-300))
+    )
+    w = min(max(w, 0.0), 1.0)
+    return float(f_lo ** (1.0 - w) * f_hi ** w) * t_total
+
+
+class TestBatchedRuntimeScan:
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_matches_loop_over_stretched_schedules(self, n):
+        space = SearchSpace(n)
+        for eps in (0.08, 0.12, 0.2):
+            got = runtime_to_infidelity(space, 1.0, eps, eps * eps)
+            ref = runtime_to_infidelity_by_loop(space, 1.0, eps, eps * eps)
+            assert got == pytest.approx(ref, rel=1e-9)

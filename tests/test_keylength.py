@@ -92,6 +92,14 @@ class TestRecoverableAndDeterministic:
         doubled = max_deterministic_keylength(2e-10, 2e3)
         assert doubled - base in (3, 4, 5)  # ~ 2*log2(4) = 4 bits
 
+    def test_deterministic_finite_where_work_times_time_overflows(self):
+        # W t = 1e600 is past double range; log2(2 W t / (pi hbar)) is not,
+        # and at that size sqrt(2^n) = y - 1 is y to double precision
+        log2_y = math.log2(2.0 / (math.pi * HBAR)) + 2.0 * math.log2(1e300)
+        bits = max_deterministic_keylength(1e300, 1e300)
+        assert bits == math.floor(2.0 * log2_y)
+        assert bits <= max_recoverable_keylength(1e300, 1e300, 1.0)
+
     def test_deterministic_never_exceeds_recoverable(self):
         for w, t in [(1e-6, 1.0), (1e3, 1e7), (4.62e69, 1e14 * YEAR)]:
             assert max_deterministic_keylength(w, t) <= max_recoverable_keylength(w, t, 1.0)
