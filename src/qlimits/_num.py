@@ -1,4 +1,4 @@
-"""Small numeric helpers: log2-space arithmetic and tolerant rounding.
+"""Shared numerics: log2-space arithmetic, root-finders and tolerant rounding.
 
 Key-length and collision-search work scales involve factors like 2^n for
 n up to a few thousand bits, far past the double-precision exponent range.
@@ -35,13 +35,52 @@ def log2_add(a: float, b: float) -> float:
     return hi + math.log1p(2.0 ** (lo - hi)) / LN2
 
 
-def log2_xsq_plus_1(log2_x: float) -> float:
-    """log2(x^2 + 1) given log2(x), without forming x^2."""
-    t = 2.0 * log2_x
-    if t > 60.0:
-        # +1 is below double resolution relative to x^2
-        return t + math.log1p(2.0 ** (-t)) / LN2
-    return math.log2(2.0 ** t + 1.0)
+# log2_radical takes 2^x - 1 from expm1 below, from x + log2(1 - 2^-x) above
+RADICAL_CUTOVER = 1.0
+
+
+def log2_radical(x: float) -> float:
+    """log2(sqrt(2^x - 1)) for x >= 0, without forming 2^x; -inf at x = 0."""
+    if x > RADICAL_CUTOVER:
+        return 0.5 * (x + math.log1p(-(2.0 ** -x)) / LN2)
+    if x == 0.0:
+        return -math.inf
+    return 0.5 * math.log2(math.expm1(x * LN2))
+
+
+def bisect(f, lo: float, hi: float) -> float:
+    """Root of a monotone-increasing f, f(lo) <= 0 < f(hi), to 1e-12 relative."""
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        if f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(f, a: float, b: float) -> float:
+    """argmin of a unimodal f on [a, b], to an absolute bracket width 1e-14."""
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(400):
+        if b - a <= 1e-14:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def floor_tol(x: float, tol: float = 1e-9) -> int:

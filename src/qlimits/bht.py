@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import ceil_tol, exp2, log2_add
+from ._num import bisect, ceil_tol, exp2, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR
 from .errors import DomainError
-from .bounds import landauer_energy
+from .bounds import _N_BRACKET, landauer_energy
 
 BHT_TAG = "bht-collision-v1"
 
@@ -42,8 +42,6 @@ BHT_TAG = "bht-collision-v1"
 # kept for cross-checking only; the solver output is authoritative and a
 # known systematic offset against these is reported by the test suite.
 REFERENCE_IMAGE_BITS = {"datacenter": 415, "dyson": 788, "cosmic": 1077}
-
-_N_BRACKET = (1.0, 4096.0)
 
 
 @dataclass(frozen=True)
@@ -92,9 +90,7 @@ def _quantum_root(n: float, p_success: float, k: float) -> float:
         raise DomainError(
             "sample count exceeds 2^n * P_s (negative radicand)", (n, k, p_success)
         )
-    if r_log2 > 60.0:
-        return exp2(0.5 * r_log2)
-    return math.sqrt(exp2(r_log2) - 1.0)
+    return exp2(log2_radical(r_log2))
 
 
 def bht_work(n: float, k: float, t_total: float, temperature: float, p_success: float) -> float:
@@ -114,22 +110,12 @@ def _log2_work_terms(n: float, log2_k: float, t_total: float, temperature: float
                      p_success: float) -> float:
     """log2 of the three-term work expression, fully in log space."""
     e_l = landauer_energy(temperature)
-    terms = []
-    if e_l > 0.0:
-        terms.append(log2_k + math.log2((n + 1.0) * e_l))
-    terms.append(log2_k + math.log2(H / (4.0 * t_total)))
+    landauer_log2 = math.log2((n + 1.0) * e_l) if e_l > 0.0 else -math.inf
+    classical_log2 = log2_add(log2_k + landauer_log2, log2_k + math.log2(H / (4.0 * t_total)))
     r_log2 = n + math.log2(p_success) - log2_k
     if r_log2 < 0.0:
         raise DomainError("sample count exceeds 2^n * P_s", (n, log2_k))
-    if r_log2 > 60.0:
-        q_log2 = 0.5 * r_log2 + math.log2(HBAR / t_total)
-    else:
-        rad = exp2(r_log2) - 1.0
-        q_log2 = 0.5 * math.log2(rad) + math.log2(HBAR / t_total) if rad > 0.0 else -math.inf
-    total = terms[0]
-    for t in terms[1:]:
-        total = log2_add(total, t)
-    return log2_add(total, q_log2)
+    return log2_add(classical_log2, log2_radical(r_log2) + math.log2(HBAR / t_total))
 
 
 def _closed_form_log2(n: float, t_total: float, temperature: float, p_success: float) -> tuple[float, float]:
@@ -197,7 +183,7 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
         k_round = -1  # beyond integer representation; report the continuous plan
         log2_work = _log2_work_terms(n, log2_k, t_total, temperature, p_success)
         work = exp2(log2_work)
-        root_log2 = 0.5 * (n + math.log2(p_success) - log2_k)
+        root_log2 = log2_radical(n + math.log2(p_success) - log2_k)
         ratio_log2 = log2_k + math.log2(2.0 * math.pi / 4.0) - root_log2
         t_s = t_total / (exp2(ratio_log2) + 1.0)
 
@@ -239,15 +225,7 @@ def bht_min_image_bits(
         return 1
     if excess(hi) <= 0.0:
         raise DomainError("budget exceeds the bound at the n = 4096 bracket", work_budget)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return ceil_tol(0.5 * (lo + hi))
+    return ceil_tol(bisect(excess, lo, hi))
 
 
 def bht_sweep_minimum(
@@ -257,11 +235,12 @@ def bht_sweep_minimum(
     p_success: float = 1.0,
     points: int = 10_000,
 ) -> tuple[float, float]:
-    """Brute-force (k_min, W_min) over a log-spaced k grid with ternary refine.
+    """Brute-force (k_min, W_min) over a log-spaced k grid, refined by
+    golden-section search.
 
     Independent check of the closed-form optimizer; the objective is
-    strictly convex in log k, so ternary search converges on the grid cell
-    containing the true minimum.
+    strictly convex in log k, so the search converges inside the two grid
+    cells around the grid minimum.
     """
     if n > 48:
         raise DomainError("sweep oracle limited to n <= 48", n)
@@ -276,15 +255,6 @@ def bht_sweep_minimum(
     def f(u: float) -> float:
         return bht_work(n, math.exp(u), t_total, temperature, p_success)
 
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-        if hi - lo < 1e-14:
-            break
-    u = 0.5 * (lo + hi)
+    u = golden_min(f, lo, hi)
     k_best = max(math.exp(u), 1.0)
     return k_best, bht_work(n, k_best, t_total, temperature, p_success)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._num import LN2, exp2, log2_add
+from ._num import LN2, bisect, exp2, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR, K_B
 from .errors import DomainError, InfeasibleError
 
@@ -48,7 +48,8 @@ GATE_TAG = "gate-clocked-v1"
 BALLISTIC_TAG = "ballistic-rotation-v1"
 
 _N_BRACKET = (1.0, 4096.0)
-_BISECTION_REL_TOL = 1e-12
+# A solved probability this close above 1 is rounding and snaps to 1.
+_PSUCCESS_SNAP = 1e-9
 
 _UNITS = {"work": "J", "time": "s", "psuccess": "probability", "n": "bits"}
 
@@ -92,9 +93,10 @@ class BoundQuery:
             ("work", self.work),
             ("time", self.time),
             ("power", self.power),
+            ("power * time", self.power * self.time if self.power and self.time else None),
         ):
-            if value is not None and not value > 0.0:
-                raise DomainError(f"{name} must be > 0", value)
+            if value is not None and not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be finite and > 0", value)
         if self.temperature is not None and self.temperature < 0.0:
             raise DomainError("temperature must be >= 0", self.temperature)
         if self.success_probability is not None and not (
@@ -162,17 +164,23 @@ def margolus_levitin_energy(orthogonalization_time: float) -> float:
     return H / (4.0 * orthogonalization_time)
 
 
+def _classical_terms_log2(n: float, p_success: float, e_l: float) -> tuple[float, float]:
+    """(log2 A, log2 B) of the classical requirement written as A + B/t.
+
+    A = (2^n P_s + 2n) E_L is the Landauer part, B = 2^n P_s h/4 the
+    Margolus-Levitin part.
+    """
+    guesses = n + math.log2(p_success)
+    log2_e_l = math.log2(e_l) if e_l > 0.0 else -math.inf
+    return log2_add(guesses, math.log2(2.0 * n)) + log2_e_l, guesses + math.log2(H / 4.0)
+
+
 def _classical_requirement_log2(
     n: float, time: float, temperature: float, p_success: float
 ) -> float:
     """log2 of the classical work requirement; -inf when it vanishes."""
-    e_l = landauer_energy(temperature)
-    per_guess = e_l + H / (4.0 * time)
-    term_guess = (
-        n + math.log2(p_success * per_guess) if p_success * per_guess > 0.0 else -math.inf
-    )
-    term_init = math.log2(2.0 * n * e_l) if e_l > 0.0 else -math.inf
-    return log2_add(term_guess, term_init)
+    log2_a, log2_b = _classical_terms_log2(n, p_success, landauer_energy(temperature))
+    return log2_add(log2_a, log2_b - math.log2(time))
 
 
 def classical_work_requirement(
@@ -210,26 +218,31 @@ def classical_bound(query: BoundQuery) -> BoundResult:
                 floor,
                 query,
             )
-        per_guess = e_l + H / (4.0 * query.time)
-        denom_log2 = query.n + math.log2(per_guess)
-        return result((budget - floor) * exp2(-denom_log2))
+        # log2(E_L + h/4t): h/4t underflows for huge t
+        per_guess_log2 = log2_add(
+            math.log2(e_l) if e_l > 0.0 else -math.inf,
+            math.log2(H / 4.0) - math.log2(query.time),
+        )
+        # (budget - floor) 2^-denom; whole powers of two split off never overflow
+        denom_log2 = query.n + per_guess_log2
+        mantissa, exponent = math.frexp(budget - floor)
+        shift = round(denom_log2)
+        p = mantissa * exp2(shift - denom_log2) * exp2(exponent - shift)
+        return result(_probability(p, query))
 
     if query.unknown == "time":
         _require(query, "n", "psuccess")
         if query.power is not None:
             return result(_classical_time_from_power(query, e_l))
-        budget = query.budget()
-        guesses_log2 = query.n + math.log2(query.success_probability)
-        landauer_part = exp2(guesses_log2 + math.log2(e_l)) if e_l > 0.0 else 0.0
-        floor = 2.0 * query.n * e_l + landauer_part
-        if budget <= floor:
+        log2_a, log2_b = _classical_terms_log2(query.n, query.success_probability, e_l)
+        floor = exp2(log2_a)
+        if query.work <= floor:
             raise InfeasibleError(
                 "budget does not clear the Landauer floor; no runtime helps",
                 floor,
                 query,
             )
-        dynamic = exp2(guesses_log2 + math.log2(H / 4.0))
-        return result(dynamic / (budget - floor))
+        return result(exp2(log2_b) / (query.work - floor))
 
     # unknown == "n": monotone bisection on the log-requirement
     _require(query, "time", "psuccess")
@@ -254,23 +267,19 @@ def classical_bound(query: BoundQuery) -> BoundResult:
         )
     if excess(hi) <= 0.0:
         raise DomainError("budget exceeds the requirement at the n = 4096 bracket", query)
-    return result(_bisect(excess, lo, hi))
+    return result(bisect(excess, lo, hi))
 
 
 def _classical_time_from_power(query: BoundQuery, e_l: float) -> float:
-    """Solve P*t = requirement(t) for t (monotone crossing)."""
-    def excess(t: float) -> float:
-        return query.power * t - classical_work_requirement(
-            query.n, t, query.temperature, query.success_probability
-        )
-
-    lo, hi = 1e-300, 1.0
-    while excess(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise InfeasibleError("power too low to ever meet the requirement",
-                                  math.inf, query)
-    return _bisect(excess, lo, hi)
+    """Solve P t = A + B/t for t: t = (A + sqrt(A^2 + 4 P B)) / (2 P), in log2."""
+    log2_a, log2_b = _classical_terms_log2(query.n, query.success_probability, e_l)
+    log2_power = math.log2(query.power)
+    log2_root = 0.5 * log2_add(2.0 * log2_a, 2.0 + log2_power + log2_b)
+    time = exp2(log2_add(log2_a, log2_root) - 1.0 - log2_power)
+    if not 0.0 < time < math.inf:
+        raise InfeasibleError("the power-form time lies past double range",
+                              math.inf, query)
+    return time
 
 
 def quantum_work_requirement(n: float, time: float, p_success: float) -> tuple[float, bool]:
@@ -278,11 +287,18 @@ def quantum_work_requirement(n: float, time: float, p_success: float) -> tuple[f
     log2_np = n + math.log2(p_success)
     if log2_np <= 0.0:
         return 0.0, True
-    if log2_np > 120.0:
-        root = exp2(0.5 * log2_np)
-    else:
-        root = math.sqrt(exp2(log2_np) - 1.0)
-    return root * HBAR / time, False
+    return exp2(log2_radical(log2_np)) * HBAR / time, False
+
+
+def quantum_log2_ratio(work: float, time: float, p_success: float) -> float:
+    """log2(((W t / hbar)^2 + 1) / P_s), the real n at which W and t meet the
+    quantum bound.  W t is kept as log2 W + log2 t, so it never overflows."""
+    if not (work > 0.0 and time > 0.0):
+        raise DomainError("work and time must be > 0", (work, time))
+    if not 0.0 < p_success <= 1.0:
+        raise DomainError("success probability must lie in (0, 1]", p_success)
+    log2_x = math.log2(work) + math.log2(time) - math.log2(HBAR)
+    return log2_add(2.0 * log2_x, 0.0) - math.log2(p_success)
 
 
 def quantum_bound(query: BoundQuery) -> BoundResult:
@@ -302,32 +318,27 @@ def quantum_bound(query: BoundQuery) -> BoundResult:
 
     if query.unknown == "time":
         _require(query, "n", "psuccess")
-        log2_np = query.n + math.log2(query.success_probability)
-        if log2_np <= 0.0:
+        # W t = root * hbar: the requirement at t = 1 s is root * hbar
+        root_hbar, offset = quantum_work_requirement(query.n, 1.0, query.success_probability)
+        if offset:
             return result(0.0, True)
-        root = (
-            exp2(0.5 * log2_np)
-            if log2_np > 120.0
-            else math.sqrt(exp2(log2_np) - 1.0)
-        )
         if query.power is not None:
-            return result(math.sqrt(root * HBAR / query.power))
+            return result(math.sqrt(root_hbar / query.power))
         _require(query, "work")
-        return result(root * HBAR / query.work)
+        return result(root_hbar / query.work)
 
     if query.unknown == "psuccess":
         _require(query, "n", "time")
-        x = query.budget() * query.time / HBAR
-        return result((x * x + 1.0) * exp2(-float(query.n)))
+        ratio = quantum_log2_ratio(query.budget(), query.time, 1.0)
+        return result(_probability(exp2(ratio - query.n), query))
 
     # unknown == "n": largest real n satisfying the bound
     _require(query, "time")
     if query.success_probability is None:
         raise DomainError("success probability is required", query)
-    x = query.budget() * query.time / HBAR
-    from ._num import log2_xsq_plus_1
-
-    return result(log2_xsq_plus_1(math.log2(x)) - math.log2(query.success_probability))
+    return result(
+        quantum_log2_ratio(query.budget(), query.time, query.success_probability)
+    )
 
 
 def gate_bound(
@@ -348,7 +359,7 @@ def gate_bound(
     if corrected_errors < 0:
         raise DomainError("corrected error count must be >= 0", corrected_errors)
     e_l = landauer_energy(temperature)
-    root = math.sqrt(exp2(n + math.log2(p_success))) if n + math.log2(p_success) > -1000 else 0.0
+    root = exp2(0.5 * (n + math.log2(p_success)))
     dynamic = HBAR * (root - 1.0) * (math.pi - 2.0 ** (1.0 - n / 2.0)) / time
     return (2.0 * n + corrected_errors) * e_l + max(dynamic, 0.0)
 
@@ -387,27 +398,13 @@ def prefactor_b(k: float, n: float) -> float:
     return (1.0 + k) / (1.0 + root) ** 2
 
 
-def optimal_k(n: float, bracket: tuple[float, float] = (0.0, 1e-2), tol: float = 1e-14) -> float:
+def optimal_k(n: float) -> float:
     """argmax of the envelope prefactor via golden-section search.
 
-    The maximum sits near 1/sqrt(3*2^n); the search is confined to the
-    bracket where that holds for n >= 14 and clamps to the edge below.
+    The maximum sits near 1/sqrt(3*2^n); the search is confined to
+    [0, 1e-2], where that holds for n >= 14, and clamps to the edge below.
     """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = bracket
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = prefactor_b(c, n), prefactor_b(d, n)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = prefactor_b(c, n)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = prefactor_b(d, n)
-    return 0.5 * (a + b)
+    return golden_min(lambda k: -prefactor_b(k, n), 0.0, 1e-2)
 
 
 def work_floor(spectrum: list[float], overlaps: list[complex], m: int) -> float:
@@ -484,17 +481,8 @@ def _require(query: BoundQuery, *fields: str) -> None:
             raise DomainError(f"field {f!r} is required", query)
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of a monotone-increasing f on [lo, hi] to 1e-12 relative."""
-    f_lo = f(lo)
-    if f_lo == 0.0:
-        return lo
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECTION_REL_TOL * max(abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+def _probability(p: float, query: BoundQuery) -> float:
+    """A solved success probability; above 1 the budget buys more than certainty."""
+    if p > 1.0 + _PSUCCESS_SNAP:
+        raise DomainError("budget exceeds the requirement for P_s = 1", query)
+    return min(p, 1.0)

@@ -32,12 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._num import LN2, ceil_tol, exp2, floor_tol, log2_xsq_plus_1
+from ._num import LN2, ceil_tol, exp2, floor_tol
 from .bounds import (
     BoundQuery,
     CLASSICAL_TAG,
     QUANTUM_TAG,
     classical_bound,
+    quantum_log2_ratio,
     quantum_work_requirement,
 )
 from .constants import (
@@ -82,24 +83,14 @@ class CosmologyParams:
 PLANCK_PARAMS = CosmologyParams.from_km_s_mpc(67.36, 0.6847, 2.69e-27)
 
 
-def _log2_quantum_ratio(work: float, time: float, p_success: float) -> float:
-    """log2(((W t / hbar)^2 + 1) / P_s), overflow-safe."""
-    if not (work > 0.0 and time > 0.0):
-        raise DomainError("work and time must be > 0", (work, time))
-    if not 0.0 < p_success <= 1.0:
-        raise DomainError("success probability must lie in (0, 1]", p_success)
-    log2_x = math.log2(work) + math.log2(time) - math.log2(HBAR)
-    return log2_xsq_plus_1(log2_x) - math.log2(p_success)
-
-
 def equivalent_quantum_keylength(work: float, time: float, p_success: float) -> int:
     """Smallest key length whose quantum work requirement exceeds the budget."""
-    return ceil_tol(_log2_quantum_ratio(work, time, p_success))
+    return ceil_tol(quantum_log2_ratio(work, time, p_success))
 
 
 def max_recoverable_keylength(work: float, time: float, p_success: float) -> int:
     """Largest key length recoverable with at least ``p_success``."""
-    return floor_tol(_log2_quantum_ratio(work, time, p_success))
+    return floor_tol(quantum_log2_ratio(work, time, p_success))
 
 
 def max_deterministic_keylength(work: float, time: float) -> int:

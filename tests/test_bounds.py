@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from qlimits.bounds import (
     work_floor,
 )
 from qlimits.constants import H, HBAR, K_B
-from qlimits.errors import DomainError, InfeasibleError
+from qlimits.errors import DomainError, InfeasibleError, QlimitsError
+from qlimits.keylength import equivalent_quantum_keylength, max_recoverable_keylength
 
 YEAR = 3.15576e7
 LN2 = math.log(2.0)
@@ -406,3 +408,154 @@ class TestQueryValidation:
         payload = result.as_dict()
         assert payload["inputs"]["n"] == 2
         assert payload["unit"] == "J"
+
+
+def _decimal_quantum_psuccess(n: int, work: float, time: float) -> float:
+    """((W t / hbar)^2 + 1) / 2^n to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(work) * Decimal(time) / Decimal(HBAR)
+        return float((x * x + 1) / Decimal(2) ** n)
+
+
+def _decimal_classical_requirement(n: float, time: float, temperature: float, p: float):
+    """2^n P_s (E_L + h/(4t)) + 2n E_L in joules, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e_l = Decimal(K_B) * Decimal(temperature) * Decimal(2).ln()
+        per_guess = e_l + Decimal(H) / (4 * Decimal(time))
+        return Decimal(2) ** Decimal(n) * Decimal(p) * per_guess + 2 * Decimal(n) * e_l
+
+
+class TestSolvedProbabilityRange:
+    @pytest.mark.parametrize("kind", ["quantum", "classical"])
+    def test_budget_past_certainty_raises_domain(self, kind):
+        query = BoundQuery(unknown="psuccess", n=10, work=1e10, time=1.0, temperature=300.0)
+        solve = quantum_bound if kind == "quantum" else classical_bound
+        with pytest.raises(DomainError, match="requirement for P_s = 1"):
+            solve(query)
+
+    def test_power_form_past_certainty_raises_domain(self):
+        with pytest.raises(DomainError):
+            quantum_bound(BoundQuery(unknown="psuccess", n=10, power=1e10, time=1.0))
+
+    def test_budget_at_certainty_snaps_to_one(self):
+        work, _ = quantum_work_requirement(60.0, 2.0, 1.0)
+        for factor in (1.0, 1.0 + 1e-12, 1.0 + 1e-10):
+            result = quantum_bound(
+                BoundQuery(unknown="psuccess", n=60, work=work * factor, time=2.0)
+            )
+            assert result.value == pytest.approx(1.0, abs=1e-9)
+            assert result.value <= 1.0
+        work = classical_work_requirement(40.0, 3.0, 300.0, 1.0)
+        result = classical_bound(
+            BoundQuery(unknown="psuccess", n=40, work=work * (1.0 + 1e-11), time=3.0,
+                       temperature=300.0)
+        )
+        assert result.value == 1.0
+
+    def test_classical_speed_limit_term_below_double_range(self):
+        # T = 0 and t = 1e290 s: h/(4t) is below the smallest double
+        n, work, t = 1100, 1e-9, 1e290
+        result = classical_bound(
+            BoundQuery(unknown="psuccess", n=n, work=work, time=t, temperature=0.0)
+        )
+        with localcontext() as ctx:
+            ctx.prec = 50
+            expected = 4 * Decimal(work) * Decimal(t) / (Decimal(H) * Decimal(2) ** n)
+        assert result.value == pytest.approx(float(expected), rel=1e-12)
+
+    def test_classical_probability_below_double_range_of_two_to_minus_n(self):
+        # 2^-1200 underflows, the probability 1e300 J buys does not
+        n, work, t, temp = 1200, 1e300, 1.0, 300.0
+        result = classical_bound(
+            BoundQuery(unknown="psuccess", n=n, work=work, time=t, temperature=temp)
+        )
+        with localcontext() as ctx:
+            ctx.prec = 50
+            floor = 2 * n * Decimal(K_B) * Decimal(temp) * Decimal(2).ln()
+            expected = (Decimal(work) - floor) / _decimal_classical_requirement(n, t, temp, 1.0)
+        assert result.value == pytest.approx(float(expected), rel=1e-12)
+        assert 0.0 < result.value < 1e-30
+
+    def test_budget_must_be_finite(self):
+        with pytest.raises(DomainError):
+            BoundQuery(unknown="psuccess", n=10, power=1e300, time=1e300)
+        with pytest.raises(DomainError):
+            BoundQuery(unknown="n", work=math.inf, time=1.0, success_probability=1.0)
+
+    @given(
+        kind=st.sampled_from(("quantum", "classical")),
+        n=st.floats(min_value=0.5, max_value=4096.0),
+        log10_work=st.floats(min_value=-60.0, max_value=300.0),
+        log10_time=st.floats(min_value=-30.0, max_value=300.0),
+        temperature=st.sampled_from((0.0, 2.7, 300.0)),
+        power=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_solved_probability_lies_in_unit_interval(
+        self, kind, n, log10_work, log10_time, temperature, power
+    ):
+        budget = {"power": 10.0 ** log10_work} if power else {"work": 10.0 ** log10_work}
+        solve = quantum_bound if kind == "quantum" else classical_bound
+        try:
+            query = BoundQuery(unknown="psuccess", n=n, time=10.0 ** log10_time,
+                               temperature=temperature, **budget)
+            p = solve(query).value
+        except QlimitsError:
+            return
+        assert 0.0 <= p <= 1.0
+
+
+class TestLargeBudgetInversions:
+    def test_solve_n_past_double_range_matches_keylength(self):
+        result = quantum_bound(
+            BoundQuery(unknown="n", work=1e300, time=1e300, success_probability=1.0)
+        )
+        expected = 2.0 * (2.0 * math.log2(1e300) - math.log2(HBAR))
+        assert result.value == pytest.approx(expected, rel=1e-14)
+        assert result.value == pytest.approx(4212.05, abs=0.01)
+        assert math.ceil(result.value) == equivalent_quantum_keylength(1e300, 1e300, 1.0)
+        assert math.floor(result.value) == max_recoverable_keylength(1e300, 1e300, 1.0)
+
+    def test_solve_psuccess_where_work_times_time_overflows(self):
+        result = quantum_bound(BoundQuery(unknown="psuccess", n=3000, work=1e200, time=1e200))
+        assert result.value == pytest.approx(_decimal_quantum_psuccess(3000, 1e200, 1e200),
+                                             rel=1e-12)
+        assert result.value == pytest.approx(7.3e-36, rel=1e-2)
+
+    def test_classical_requirement_where_speed_limit_term_underflows(self):
+        # T = 0, t = 1e300 s: h/(4t) alone is below the smallest double
+        work = classical_work_requirement(2000.0, 1e300, 0.0, 1.0)
+        expected = _decimal_classical_requirement(2000.0, 1e300, 0.0, 1.0)
+        assert work == pytest.approx(float(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [20, 50, 300, 1000])
+    def test_solve_psuccess_matches_decimal_reference(self, n):
+        t = 10.0
+        work, _ = quantum_work_requirement(float(n), t, 1e-3)
+        result = quantum_bound(BoundQuery(unknown="psuccess", n=n, work=work, time=t))
+        assert result.value == pytest.approx(_decimal_quantum_psuccess(n, work, t), rel=1e-13)
+
+
+class TestClassicalPowerFormTime:
+    @pytest.mark.parametrize("temperature", [0.0, 2.7, 300.0])
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 256, 1024])
+    def test_round_trips_over_power_range(self, n, temperature):
+        for log10_power in range(-30, 301, 10):
+            power = 10.0 ** log10_power
+            for p in (1.0, 1e-6):
+                query = BoundQuery(unknown="time", n=n, power=power,
+                                   temperature=temperature, success_probability=p)
+                try:
+                    t = classical_bound(query).value
+                except InfeasibleError:
+                    # only when the root lies past double range
+                    top = 1.7e308
+                    assert classical_work_requirement(n, top, temperature, p) > power * top
+                    continue
+                required = _decimal_classical_requirement(n, t, temperature, p)
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    residual = abs(Decimal(power) * Decimal(t) - required) / required
+                assert residual <= Decimal("1e-12"), (power, p)

@@ -104,6 +104,31 @@ class TestBoundCommand:
         assert payload["value"] == pytest.approx(39.86, abs=0.01)
         assert payload["unit"] == "bits"
 
+    @pytest.mark.parametrize("kind", ["quantum", "classical"])
+    def test_psuccess_past_certainty_is_a_domain_error(self, capsys, kind):
+        code, out, err = run(
+            capsys, "bound", kind, "--solve", "psuccess", "--n", "10", "--time", "1s",
+            "--work", "1e10", "--temp", "300",
+        )
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["kind"] == "domain"
+        assert error["message"] == "budget exceeds the requirement for P_s = 1"
+
+    def test_quantum_solve_n_past_double_range(self, capsys):
+        argv = ("--work", "1e300", "--time", "1e300s", "--psuccess", "1")
+        payload = run_json(capsys, "bound", "quantum", "--solve", "n", *argv)
+        assert payload["value"] == pytest.approx(4212.05, abs=0.01)
+        keylength = run_json(capsys, "keylength", "--mode", "quantum", *argv)
+        assert keylength["quantum_bits"] == math.ceil(payload["value"])
+
+    def test_quantum_solve_psuccess_where_work_times_time_overflows(self, capsys):
+        payload = run_json(
+            capsys, "bound", "quantum", "--solve", "psuccess", "--n", "3000",
+            "--work", "1e200", "--time", "1e200s",
+        )
+        assert payload["value"] == pytest.approx(7.309e-36, rel=1e-3)
+
     def test_scenario_classical_mode(self, capsys):
         payload = run_json(
             capsys, "keylength", "--scenario", "datacenter", "--mode", "classical"
