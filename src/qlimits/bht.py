@@ -27,6 +27,7 @@ space, so image sizes beyond 600 bits are fine.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,13 +120,28 @@ def _log2_work_terms(n: float, log2_k: float, t_total: float, temperature: float
 
 
 def _closed_form_log2(n: float, t_total: float, temperature: float, p_success: float) -> tuple[float, float]:
-    """(log2 k*, log2 W*) of the budget-only closed forms."""
+    """(log2 k*, log2 W*) of the budget-only closed forms.
+
+    x = (n+1) E_L 4 t/hbar + 2 pi and 1.25 hbar/t are taken directly while
+    they are finite normal doubles, which keeps every such value to the last
+    bit, and from their log2 terms past that: 1.25 hbar/t leaves the normal
+    range beyond t = 6e273 s, and x overflows near 1e290 s at 300 K.
+    """
     e_l = landauer_energy(temperature)
     x = (n + 1.0) * e_l * 4.0 * t_total / HBAR + 2.0 * math.pi
-    log2_x = math.log2(x)
+    if x < math.inf:
+        log2_x = math.log2(x)
+    else:
+        log2_x = log2_add(math.log2((n + 1.0) * e_l * 4.0 / HBAR) + math.log2(t_total),
+                          math.log2(2.0 * math.pi))
+    scale = 1.25 * HBAR / t_total
+    if scale >= sys.float_info.min:
+        log2_scale = math.log2(scale)
+    else:
+        log2_scale = math.log2(1.25 * HBAR) - math.log2(t_total)
     base = (n + math.log2(p_success)) / 3.0
     log2_k = base - (2.0 / 3.0) * log2_x
-    log2_w = base + log2_x / 3.0 + math.log2(1.25 * HBAR / t_total)
+    log2_w = base + log2_x / 3.0 + log2_scale
     return log2_k, log2_w
 
 

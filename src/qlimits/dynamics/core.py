@@ -34,17 +34,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
 from ..constants import HBAR
-from ..errors import ConsistencyError, DomainError
+from ..errors import CapacityError, ConsistencyError, DomainError
 
 NORM_TOLERANCE = 1e-9
 
 # Most (scale factor, segment) propagators :func:`propagate` holds at once;
 # its temporaries stay this size whatever the schedule length.
 BLOCK_ELEMENTS = 4096
+
+# Most samples one trace may hold; at about 233 bytes per CSV row this is
+# some 3.9 GB of output.
+MAX_TRACE_SAMPLES = 2 ** 24
 
 # n beyond which 2^-n falls under the smallest normal double and the
 # initial success probability loses precision.
@@ -157,7 +164,11 @@ class ControlSchedule:
 
     @property
     def total_duration(self) -> float:
-        return math.fsum(s.duration for s in self.segments)
+        try:
+            return math.fsum(s.duration for s in self.segments)
+        except OverflowError:
+            raise DomainError("segment durations add up past double range",
+                              len(self.segments)) from None
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(durations, omega_i, omega_s) as float arrays, in segment order."""
@@ -217,29 +228,66 @@ class TracePoint:
     norm_error: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """Time series of observables along a schedule."""
+    """Time series of observables along a schedule, one array per column.
 
-    points: tuple[TracePoint, ...]
+    Row k is the sample at time ``t[k]``: the segment frequencies in force,
+    P_s, P_i, A = <psi|s><i|psi> as (``re_a``, ``im_a``), alpha_ab = arg A
+    and the norm drift.  Every entry is finite: a non-finite norm fails the
+    norm check.
+    """
+
+    t: np.ndarray
+    omega_i: np.ndarray
+    omega_s: np.ndarray
+    prob_s: np.ndarray
+    prob_i: np.ndarray
+    re_a: np.ndarray
+    im_a: np.ndarray
+    alpha_ab: np.ndarray
+    norm_error: np.ndarray
     space: SearchSpace
     p0_subnormal: bool = field(default=False)
 
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The nine columns in the order t, omega_i, omega_s, P_s, P_i,
+        Re A, Im A, alpha_ab, norm error."""
+        return (self.t, self.omega_i, self.omega_s, self.prob_s, self.prob_i,
+                self.re_a, self.im_a, self.alpha_ab, self.norm_error)
+
+    def _points(self, rows) -> Iterator[TracePoint]:
+        energies: dict[tuple[float, float], tuple[float, float]] = {}
+        for t, wi, ws, p_s, p_i, re_a, im_a, alpha, err in rows:
+            e = energies.get((wi, ws))
+            if e is None:
+                e = energies[wi, ws] = eigenenergies(self.space, 0.5 * (wi + ws),
+                                                     0.5 * (wi - ws))
+            yield TracePoint(t, wi, ws, Observables(p_s, p_i, complex(re_a, im_a), alpha, *e),
+                             err)
+
+    @cached_property
+    def points(self) -> tuple[TracePoint, ...]:
+        """The rows as :class:`TracePoint` objects, built on first use."""
+        return tuple(self._points(zip(*(c.tolist() for c in self.columns()))))
+
     @property
     def final(self) -> TracePoint:
-        return self.points[-1]
+        return next(self._points([[c[-1].item() for c in self.columns()]]))
 
     def times(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
+        return self.t
 
     def p_s(self) -> np.ndarray:
-        return np.array([p.obs.p_s for p in self.points])
+        return self.prob_s
 
     def p_i(self) -> np.ndarray:
-        return np.array([p.obs.p_i for p in self.points])
+        return self.prob_i
 
     def a(self) -> np.ndarray:
-        return np.array([p.obs.a for p in self.points])
+        out = np.empty(self.t.size, dtype=complex)
+        out.real, out.imag = self.re_a, self.im_a
+        return out
 
 
 def effective_hamiltonian(space: SearchSpace, omega_i: float, omega_s: float) -> np.ndarray:
@@ -330,51 +378,73 @@ def observables_at(
     )
 
 
+def _check_sample_count(schedule: ControlSchedule, step: float) -> None:
+    """CapacityError when a trace at ``step`` could exceed MAX_TRACE_SAMPLES.
+
+    Each segment holds at most duration/step + 2 samples, so the bound
+    follows from the total duration and the segment count alone, before any
+    array is made.
+    """
+    bound = schedule.total_duration / step + 2 * len(schedule.segments) + 1
+    if not bound <= MAX_TRACE_SAMPLES:
+        raise CapacityError(
+            f"a trace is limited to {MAX_TRACE_SAMPLES} samples; raise the sample step",
+            (bound, step),
+        )
+
+
 def _segment_sample_offsets(t_start: float, duration: float, step: float) -> np.ndarray:
     """Offsets within a segment hit by the global step grid, plus the end."""
     t_end = t_start + duration
     first = math.ceil(t_start / step - 1e-9)
     last = math.floor(t_end / step + 1e-9)
-    offsets = [m * step - t_start for m in range(first, last + 1)]
-    offsets = [o for o in offsets if 1e-12 * max(duration, step) < o < duration * (1.0 - 1e-12)]
-    offsets.append(duration)
-    return np.asarray(offsets)
+    offsets = np.arange(first, last + 1) * step - t_start
+    inside = (1e-12 * max(duration, step) < offsets) & (offsets < duration * (1.0 - 1e-12))
+    return np.append(offsets[inside], duration)
 
 
+def _libm_square(x: np.ndarray) -> np.ndarray:
+    """x**2 through libm ``pow``, as Python's ``float ** 2`` computes it.
+
+    ``x * x`` differs from it in the last bit for a few values in 10^4.
+    """
+    return np.fromiter(map(math.pow, x.tolist(), repeat(2.0)), float, x.size)
+
+
+def _observable_columns(s_re, s_im, i_re, i_im):
+    """(P_s, P_i, Re A, Im A, alpha_ab) from <s|psi> and <i|psi> per sample.
+
+    A = conj(<s|psi>) <i|psi>, with Python's complex product written out in
+    reals, |z| from hypot and the phase from atan2, so every entry equals
+    the scalar complex expression bit for bit.
+    """
+    re_a = s_re * i_re - (-s_im) * i_im
+    im_a = s_re * i_im + (-s_im) * i_re
+    alpha = np.fromiter(map(math.atan2, im_a.tolist(), re_a.tolist()), float, re_a.size)
+    return (_libm_square(np.hypot(s_re, s_im)), _libm_square(np.hypot(i_re, i_im)),
+            re_a, im_a, alpha)
+
+
+# A frequency or time that overflows ends in a non-finite norm, which the
+# norm check reports; numpy's warnings on the way would only add noise.
+@np.errstate(over="ignore", invalid="ignore")
 def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float) -> Trace:
     """Integrate the state through a schedule, sampling observables.
 
     Within each constant segment the propagation is the exact 2x2 matrix
     exponential; samples fall on every multiple of ``sample_step`` plus all
-    segment boundaries, ending exactly at the total duration.  A norm drift
-    beyond 1e-9 raises :class:`ConsistencyError`.
+    segment boundaries, ending exactly at the total duration.  The
+    observables of all samples are then taken at once.  More than
+    MAX_TRACE_SAMPLES samples raise :class:`CapacityError` before any
+    propagation; a norm drift beyond 1e-9 (or a non-finite norm) raises
+    :class:`ConsistencyError`.
     """
     if not sample_step > 0.0:
         raise DomainError("sample_step must be > 0", sample_step)
+    _check_sample_count(schedule, sample_step)
     space = state.space
     psi = np.array([state.c1, state.c2], dtype=complex)
-
-    points: list[TracePoint] = []
-
-    def emit(t: float, vec: np.ndarray, seg: Segment) -> None:
-        norm = math.sqrt(float(abs(vec[0]) ** 2 + abs(vec[1]) ** 2))
-        err = abs(norm - 1.0)
-        if err > NORM_TOLERANCE:
-            raise ConsistencyError(
-                "propagator norm drift exceeded tolerance", (t, err)
-            )
-        st = EffectiveState(complex(vec[0]), complex(vec[1]), space)
-        points.append(
-            TracePoint(
-                t=t,
-                omega_i=seg.omega_i,
-                omega_s=seg.omega_s,
-                obs=observables_at(st, seg.omega_i, seg.omega_s),
-                norm_error=err,
-            )
-        )
-
-    emit(0.0, psi, schedule.segments[0])
+    times, c1s, c2s, counts = [np.zeros(1)], [psi[:1]], [psi[1:]], []
     t_start = 0.0
     for seg in schedule.segments:
         mean, x, z = _pauli_components(space, seg.omega_i, seg.omega_s)
@@ -389,12 +459,32 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
         phases = np.exp(-1j * mean * offsets)
         c1 = phases * ((cos_t - 1j * z * sin_over) * psi[0] - 1j * x * sin_over * psi[1])
         c2 = phases * (-1j * x * sin_over * psi[0] + (cos_t + 1j * z * sin_over) * psi[1])
-        for k, off in enumerate(offsets):
-            emit(t_start + off, np.array([c1[k], c2[k]]), seg)
+        times.append(t_start + offsets)
+        c1s.append(c1)
+        c2s.append(c2)
+        counts.append(offsets.size)
         psi = np.array([c1[-1], c2[-1]])
         t_start += seg.duration
+    counts[0] += 1  # the initial sample, under the first segment's frequencies
 
-    return Trace(points=tuple(points), space=space, p0_subnormal=space.p0_subnormal)
+    t = np.concatenate(times)
+    c1, c2 = np.concatenate(c1s), np.concatenate(c2s)
+    r1, i1, r2, i2 = c1.real, c1.imag, c2.real, c2.imag
+    # <s|psi> = g c1 + sqrt(1 - g^2) c2, as Python's (real * complex) computes it
+    g = space.overlap
+    h = math.sqrt(1.0 - g * g)
+    s_re = (g * r1 - 0.0 * i1) + (h * r2 - 0.0 * i2)
+    s_im = (g * i1 + 0.0 * r1) + (h * i2 + 0.0 * r2)
+    p_s, p_i, re_a, im_a, alpha = _observable_columns(s_re, s_im, r1, i1)
+    norm_error = np.abs(np.sqrt(p_i + _libm_square(np.hypot(r2, i2))) - 1.0)
+    bad = ~(norm_error <= NORM_TOLERANCE)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConsistencyError("propagator norm drift exceeded tolerance",
+                               (float(t[k]), float(norm_error[k])))
+    _, omega_i, omega_s = schedule.arrays()
+    return Trace(t, np.repeat(omega_i, counts), np.repeat(omega_s, counts), p_s, p_i,
+                 re_a, im_a, alpha, norm_error, space, space.p0_subnormal)
 
 
 def _pairwise_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -415,6 +505,7 @@ def _pairwise_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return a[:, 0], b[:, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def propagate(
     state: EffectiveState,
     arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -453,7 +544,7 @@ def propagate(
     phase = np.exp(-1j * factors * (mean * durations).sum())
     c1, c2 = phase * c1, phase * c2
     drift = float(np.max(np.abs(np.sqrt(np.abs(c1) ** 2 + np.abs(c2) ** 2) - 1.0)))
-    if drift > NORM_TOLERANCE:
+    if not drift <= NORM_TOLERANCE:
         raise ConsistencyError("propagator norm drift exceeded tolerance", drift)
     return c1, c2
 

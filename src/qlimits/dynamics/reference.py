@@ -22,13 +22,13 @@ import numpy as np
 
 from ..errors import CapacityError, ConsistencyError, DomainError
 from .core import (
+    NORM_TOLERANCE,
     ControlSchedule,
-    Observables,
     SearchSpace,
     Trace,
-    TracePoint,
+    _check_sample_count,
+    _observable_columns,
     _segment_sample_offsets,
-    eigenenergies,
 )
 
 MAX_FULL_SPACE_BITS = 14
@@ -113,39 +113,18 @@ def full_space_reference(
         raise DomainError("solution index must lie in [0, 2^n)", solution_index)
     if not sample_step > 0.0:
         raise DomainError("sample_step must be > 0", sample_step)
+    _check_sample_count(schedule, sample_step)
 
     uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     psi = uniform.copy()
-
-    points: list[TracePoint] = []
+    rows: list[tuple] = []  # (t, omega_i, omega_s, <s|psi>, <i|psi>, norm error)
 
     def emit(t: float, vec: np.ndarray, omega_i: float, omega_s: float) -> None:
-        norm = float(np.linalg.norm(vec))
-        err = abs(norm - 1.0)
-        if err > 1e-9:
+        err = abs(float(np.linalg.norm(vec)) - 1.0)
+        if not err <= NORM_TOLERANCE:
             raise ConsistencyError("full-space norm drift exceeded tolerance", (t, err))
-        s_amp = vec[solution_index]
-        i_amp = complex(np.vdot(uniform, vec))
-        a = s_amp.conjugate() * i_amp
-        omega = 0.5 * (omega_i + omega_s)
-        delta = 0.5 * (omega_i - omega_s)
-        e_plus, e_minus = eigenenergies(space, omega, delta)
-        points.append(
-            TracePoint(
-                t=t,
-                omega_i=omega_i,
-                omega_s=omega_s,
-                obs=Observables(
-                    p_s=abs(s_amp) ** 2,
-                    p_i=abs(i_amp) ** 2,
-                    a=a,
-                    alpha_ab=float(np.angle(a)),
-                    e_plus=e_plus,
-                    e_minus=e_minus,
-                ),
-                norm_error=err,
-            )
-        )
+        rows.append((t, omega_i, omega_s, complex(vec[solution_index]),
+                     complex(np.vdot(uniform, vec)), err))
 
     first = schedule.segments[0]
     emit(0.0, psi, first.omega_i, first.omega_s)
@@ -161,4 +140,6 @@ def full_space_reference(
             emit(t_start + prev, psi, seg.omega_i, seg.omega_s)
         t_start += seg.duration
 
-    return Trace(points=tuple(points), space=space, p0_subnormal=space.p0_subnormal)
+    t, omega_i, omega_s, s_amp, i_amp, err = (np.array(c) for c in zip(*rows))
+    observables = _observable_columns(s_amp.real, s_amp.imag, i_amp.real, i_amp.imag)
+    return Trace(t, omega_i, omega_s, *observables, err, space, space.p0_subnormal)

@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlimits.bht import (
     REFERENCE_IMAGE_BITS,
+    _closed_form_log2,
     bht_min_image_bits,
     bht_optimal,
     bht_sweep_minimum,
@@ -190,3 +192,38 @@ class TestImageBits:
         hybrid = bht_work(n, 1.0, t_total, temp, p)
         quantum_only, _ = quantum_work_requirement(n, t_total, p)
         assert hybrid >= quantum_only
+
+
+class TestClosedFormPastDoubleRange:
+    """log2 k* and log2 W* on both sides of the cut-overs where the bracket
+    (n+1) E_L 4 t/hbar + 2 pi overflows and 1.25 hbar/t underflows."""
+
+    @staticmethod
+    def reference(n, t_total, temp, p):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            ln2 = Decimal(2).ln()
+            e_l, hbar, t = Decimal(landauer_energy(temp)), Decimal(HBAR), Decimal(t_total)
+            x = (Decimal(n) + 1) * e_l * 4 * t / hbar + Decimal(2.0 * math.pi)
+            log2_x = x.ln() / ln2
+            base = (Decimal(n) + Decimal(p).ln() / ln2) / 3
+            log2_w = base + log2_x / 3 + (Decimal(1.25) * hbar / t).ln() / ln2
+            return float(base - 2 * log2_x / 3), float(log2_w)
+
+    @pytest.mark.parametrize("n", [1.0, 40.0, 700.5, 4096.0])
+    def test_matches_a_50_digit_reference(self, n):
+        for t_total in [1e250, 5e273, 6e273, 1e285, 1e290, 1e292, 1e295, 1e300, 1.7e308]:
+            for temp in (2.7, 300.0):
+                got = _closed_form_log2(n, t_total, temp, 0.25)
+                want = self.reference(n, t_total, temp, 0.25)
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-12)
+
+    def test_in_range_values_unchanged(self):
+        # the direct form, as the closed form was computed before the cut-overs
+        for n, t_total, temp, p in [(128, 1.6e8, 300.0, 1e-2), (40, 1.0, 2.7, 1.0),
+                                    (1000, 1e22, 300.0, 1e-12)]:
+            x = (n + 1.0) * landauer_energy(temp) * 4.0 * t_total / HBAR + 2.0 * math.pi
+            base = (n + math.log2(p)) / 3.0
+            want = (base - (2.0 / 3.0) * math.log2(x),
+                    base + math.log2(x) / 3.0 + math.log2(1.25 * HBAR / t_total))
+            assert _closed_form_log2(n, t_total, temp, p) == want

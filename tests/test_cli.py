@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qlimits.bht import bht_min_image_bits
 from qlimits.cli import main
 from qlimits.constants import HBAR
 from qlimits.keylength import max_deterministic_keylength
@@ -268,6 +269,20 @@ class TestOtherCommands:
             "--temp", "300", "--psuccess", "1e-2",
         )
         assert payload["min_image_bits"] > 400
+
+    def test_bht_invert_past_double_range(self, capsys):
+        # hbar/t underflows and the sampling bracket overflows at t = 1e300 s
+        code, out, err = run(
+            capsys, "bht", "--invert", "--work", "1e300", "--time", "1e300s",
+            "--temp", "300", "--psuccess", "1",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "domain"
+        payload = run_json(
+            capsys, "bht", "--invert", "--work", "1e30", "--time", "1e300s",
+            "--temp", "300", "--psuccess", "1",
+        )
+        assert payload["min_image_bits"] == bht_min_image_bits(1e30, 1e300, 300.0, 1.0)
 
     def test_scenario_list_and_show(self, capsys):
         payload = run_json(capsys, "scenario", "list")

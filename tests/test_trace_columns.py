@@ -1,0 +1,338 @@
+"""Columnar traces against the per-sample code they replaced.
+
+The ``_old_*`` functions below are copies of the per-sample ``evolve`` and
+of the per-cell writers that columnar traces and the row formatter
+replaced.  Both run on the same machine, so the comparisons demand exact
+equality (numpy's SIMD sin/cos differ between CPUs, which rules out pinned
+output hashes).
+"""
+
+import json
+import math
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qlimits.cli import main
+from qlimits.dynamics import (
+    ControlSchedule,
+    EffectiveState,
+    SearchSpace,
+    Segment,
+    evolve,
+    full_space_reference,
+    observables_at,
+    propagate,
+)
+from qlimits.dynamics.core import MAX_TRACE_SAMPLES, _pauli_components
+from qlimits.errors import CapacityError, ConsistencyError, DomainError
+from qlimits.serialize import dumps17, trace_to_csv, trace_to_obj
+
+
+# ------------------------------------------------------- the replaced code
+
+
+def _old_offsets(t_start, duration, step):
+    t_end = t_start + duration
+    first = math.ceil(t_start / step - 1e-9)
+    last = math.floor(t_end / step + 1e-9)
+    offsets = [m * step - t_start for m in range(first, last + 1)]
+    offsets = [o for o in offsets if 1e-12 * max(duration, step) < o < duration * (1.0 - 1e-12)]
+    offsets.append(duration)
+    return np.asarray(offsets)
+
+
+def _old_evolve(state, schedule, sample_step):
+    """Rows (t, omega_i, omega_s, P_s, P_i, re A, im A, alpha_ab, norm error)."""
+    space = state.space
+    psi = np.array([state.c1, state.c2], dtype=complex)
+    rows = []
+
+    def emit(t, vec, seg):
+        norm = math.sqrt(float(abs(vec[0]) ** 2 + abs(vec[1]) ** 2))
+        err = abs(norm - 1.0)
+        if err > 1e-9:
+            raise ConsistencyError("propagator norm drift exceeded tolerance", (t, err))
+        obs = observables_at(EffectiveState(complex(vec[0]), complex(vec[1]), space),
+                             seg.omega_i, seg.omega_s)
+        rows.append((t, seg.omega_i, seg.omega_s, obs.p_s, obs.p_i, obs.a.real, obs.a.imag,
+                     obs.alpha_ab, err))
+
+    emit(0.0, psi, schedule.segments[0])
+    t_start = 0.0
+    for seg in schedule.segments:
+        mean, x, z = _pauli_components(space, seg.omega_i, seg.omega_s)
+        rabi = math.hypot(x, z)
+        offsets = _old_offsets(t_start, seg.duration, sample_step)
+        angles = rabi * offsets
+        cos_t = np.cos(angles)
+        if rabi > 0.0:
+            sin_over = np.sin(angles) / rabi
+        else:
+            sin_over = offsets.copy()
+        phases = np.exp(-1j * mean * offsets)
+        c1 = phases * ((cos_t - 1j * z * sin_over) * psi[0] - 1j * x * sin_over * psi[1])
+        c2 = phases * (-1j * x * sin_over * psi[0] + (cos_t + 1j * z * sin_over) * psi[1])
+        for k, off in enumerate(offsets):
+            emit(t_start + off, np.array([c1[k], c2[k]]), seg)
+        psi = np.array([c1[-1], c2[-1]])
+        t_start += seg.duration
+    return rows
+
+
+_OLD_KEYS = ("t_s", "omega_i", "omega_s", "P_s", "P_i", "re_A", "im_A", "alpha_ab", "norm_error")
+
+
+def _old_trace_to_csv(rows):
+    lines = [",".join(_OLD_KEYS)]
+    for fields in rows:
+        lines.append(",".join(_old_format_float17(f) for f in fields))
+    return "\n".join(lines) + "\n"
+
+
+def _old_trace_to_obj(rows):
+    return [dict(zip(_OLD_KEYS, fields)) for fields in rows]
+
+
+def _old_format_float17(x):
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(x, ".17g")
+
+
+def _old_write(obj, out, indent, level):
+    pad = " " * (indent * (level + 1))
+    closing_pad = " " * (indent * level)
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_old_format_float17(obj))
+    elif isinstance(obj, complex):
+        _old_write({"re": obj.real, "im": obj.imag}, out, indent, level)
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(f"{pad}{json.dumps(str(key))}: ")
+            _old_write(value, out, indent, level + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(closing_pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(obj):
+            out.append(pad)
+            _old_write(value, out, indent, level + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(closing_pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _old_dumps17(obj, indent=2):
+    out = []
+    _old_write(obj, out, indent, 0)
+    return "".join(out)
+
+
+# ------------------------------------------------------------- strategies
+
+_frequency = st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(1e-6, 1e3))
+
+
+@st.composite
+def _traced_runs(draw):
+    """(n, schedule, sample step): 1-40 segments, zero-frequency ones
+    included, sometimes truncated, the step above or below the segments."""
+    n = draw(st.integers(1, 64))
+    count = draw(st.integers(1, 40))
+    segments = tuple(
+        Segment(draw(st.floats(1e-3, 2.0)), draw(_frequency), draw(_frequency))
+        for _ in range(count)
+    )
+    schedule = ControlSchedule(segments)
+    if draw(st.booleans()):
+        schedule = schedule.truncated(draw(st.floats(0.05, 1.0)) * schedule.total_duration)
+    mean_length = schedule.total_duration / len(schedule.segments)
+    step = mean_length * draw(st.one_of(st.floats(0.02, 0.9), st.floats(1.1, 30.0)))
+    return n, schedule, step
+
+
+# ------------------------------------------------------------------ tests
+
+
+def _columns_as_lists(trace):
+    return [column.tolist() for column in trace.columns()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_traced_runs())
+def test_columns_and_text_equal_the_per_sample_code(run):
+    n, schedule, step = run
+    state = EffectiveState.initial(SearchSpace(n))
+    rows = _old_evolve(state, schedule, step)
+    trace = evolve(state, schedule, step)
+    assert _columns_as_lists(trace) == [list(column) for column in zip(*rows)]
+    assert trace_to_csv(trace) == _old_trace_to_csv(rows)
+    assert dumps17(trace_to_obj(trace)) == _old_dumps17(_old_trace_to_obj(rows))
+
+
+def test_points_repeat_the_columns():
+    space = SearchSpace(7)
+    schedule = ControlSchedule((Segment(0.7, 1.3, 0.4), Segment(0.9, 0.0, 0.0),
+                                Segment(0.4, 0.2, 2.5)))
+    trace = evolve(EffectiveState.initial(space), schedule, 0.15)
+    rows = _old_evolve(EffectiveState.initial(space), schedule, 0.15)
+    assert len(trace.points) == len(rows)
+    for p, row in zip(trace.points, rows):
+        assert (p.t, p.omega_i, p.omega_s, p.obs.p_s, p.obs.p_i, p.obs.a.real, p.obs.a.imag,
+                p.obs.alpha_ab, p.norm_error) == row
+        assert type(p.obs.p_s) is float and type(p.t) is float
+    assert trace.final == trace.points[-1]
+    assert trace.a().tolist() == [p.obs.a for p in trace.points]
+
+
+def test_reference_columns_agree_with_evolve():
+    space = SearchSpace(6)
+    schedule = ControlSchedule((Segment(0.5, 2.0, 1.0), Segment(0.8, 0.3, 3.0)))
+    reduced = evolve(EffectiveState.initial(space), schedule, 0.1)
+    full = full_space_reference(space, schedule, 0.1, solution_index=17)
+    assert full.t.tolist() == reduced.t.tolist()
+    assert full.omega_i.tolist() == reduced.omega_i.tolist()
+    for a, b in zip(full.columns()[3:7], reduced.columns()[3:7]):
+        assert np.max(np.abs(a - b)) <= 1e-9
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10**20, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324]),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.tuples(inner, inner),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans()),
+                        inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values, st.integers(0, 4))
+def test_dumps17_equals_the_old_writer(obj, indent):
+    assert dumps17(obj, indent) == _old_dumps17(obj, indent)
+
+
+def test_dumps17_keeps_equal_keys_of_other_types_apart():
+    # 1, 1.0 and True hash alike but print differently
+    for key, text in ((1, '"1"'), (1.0, '"1.0"'), (True, '"True"'), (1, '"1"')):
+        assert dumps17({key: None}) == "{\n  " + text + ": null\n}"
+
+
+def test_dumps17_rejects_unknown_types():
+    with pytest.raises(TypeError):
+        dumps17({"x": object()})
+
+
+# ----------------------------------------------------- input guards
+
+
+def _overflowing_schedule():
+    return ControlSchedule((Segment(1.0, 1.7e308, 1.7e308),))
+
+
+def test_nan_norm_raises_in_evolve_and_propagate():
+    state = EffectiveState.initial(SearchSpace(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError):
+            evolve(state, _overflowing_schedule(), 0.25)
+        with pytest.raises(ConsistencyError):
+            propagate(state, _overflowing_schedule().arrays(), np.ones(1))
+
+
+def test_sample_capacity_is_checked_before_allocation():
+    state = EffectiveState.initial(SearchSpace(5))
+    schedule = ControlSchedule((Segment(1.0, 1.0, 0.5), Segment(2.0, 0.0, 1.0)))
+    tracemalloc.start()
+    try:
+        for step in (3.0 / MAX_TRACE_SAMPLES, 1e-300, 5e-324):
+            with pytest.raises(CapacityError):
+                evolve(state, schedule, step)
+            with pytest.raises(CapacityError):
+                full_space_reference(SearchSpace(3), schedule, step, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a step just inside the bound still runs
+    assert evolve(state, ControlSchedule((Segment(1.0, 1.0, 0.5),)), 1e-4).t.size == 10001
+
+
+def test_duration_overflow_is_a_domain_error():
+    with pytest.raises(DomainError):
+        ControlSchedule((Segment(1e308, 1.0, 1.0), Segment(1e308, 1.0, 1.0)))
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _write_schedule(tmp_path, segments):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps({"segments": [
+        {"duration_s": d, "omega_i_radps": wi, "omega_s_radps": ws} for d, wi, ws in segments
+    ]}))
+    return str(path)
+
+
+def test_cli_nan_norm_is_an_internal_consistency_error(tmp_path, capsys):
+    path = _write_schedule(tmp_path, [(1.0, 1.7e308, 1.7e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # stderr carries the error object only
+        code, out, err = _run(["simulate", "--protocol", "custom", "--schedule-file", path,
+                               "--n", "8"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["kind"] == "internal-consistency"
+
+
+def test_cli_duration_overflow_is_a_domain_error(tmp_path, capsys):
+    path = _write_schedule(tmp_path, [(1e308, 1.0, 1.0), (1e308, 1.0, 1.0)])
+    code, out, err = _run(["simulate", "--protocol", "custom", "--schedule-file", path,
+                           "--n", "8"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["kind"] == "domain"
+
+
+def test_cli_tiny_step_is_a_capacity_error(capsys):
+    code, out, err = _run(["simulate", "--protocol", "ballistic", "--n", "10",
+                           "--work-radps", "1", "--dt", "1e-30s"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["kind"] == "capacity"
