@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import bisect, ceil_tol, exp2, golden_min, log2_add, log2_radical
+from ._num import LN2, bisect, ceil_tol, exp2, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR
 from .errors import DomainError
 from .bounds import _N_BRACKET, landauer_energy
@@ -260,11 +260,17 @@ def bht_sweep_minimum(
     """
     if n > 48:
         raise DomainError("sweep oracle limited to n <= 48", n)
+    # the grid starts at k = 1: bht_work there checks every argument
+    bht_work(n, 1.0, t_total, temperature, p_success)
     k_hi = exp2(n + math.log2(p_success))
     grid = np.exp(np.linspace(0.0, math.log(k_hi), points))
     grid[-1] = k_hi  # exp(log(k_hi)) can round above 2^n * P_s
-    works = np.array([bht_work(n, float(k), t_total, temperature, p_success) for k in grid])
-    j = int(np.argmin(works))
+    works = _work_grid(n, grid, t_total, temperature, p_success)
+    # the array pass may differ from bht_work in the last bits, so bht_work
+    # picks the grid minimum from the points within 1e-9 of the array's
+    near = np.flatnonzero(~(works > works.min() * (1.0 + 1e-9)))
+    j = int(near[np.argmin([bht_work(n, float(grid[i]), t_total, temperature, p_success)
+                            for i in near])])
     lo = math.log(grid[max(j - 1, 0)])
     hi = math.log(grid[min(j + 1, points - 1)])
 
@@ -274,3 +280,21 @@ def bht_sweep_minimum(
     u = golden_min(f, lo, hi)
     k_best = max(math.exp(u), 1.0)
     return k_best, bht_work(n, k_best, t_total, temperature, p_success)
+
+
+def _work_grid(n: float, ks: np.ndarray, t_total: float, temperature: float,
+               p_success: float) -> np.ndarray:
+    """The three-term W(k) of ``bht_work`` at every sample count in ``ks``.
+
+    The arguments other than k must already have passed bht_work's
+    checks.  log2 k comes from libm, as in bht_work, so the counts bht_work
+    rejects are found exactly and the first of them raises its DomainError.
+    The radical sqrt(2^r - 1) is taken directly: n <= 48 keeps 2^r finite.
+    """
+    r_log2 = n + math.log2(p_success) - np.fromiter(map(math.log2, ks.tolist()), float, ks.size)
+    bad = ~(ks >= 1.0) | (r_log2 < 0.0)
+    if bad.any():
+        bht_work(n, float(ks[np.argmax(bad)]), t_total, temperature, p_success)
+    roots = np.sqrt(np.expm1(r_log2 * LN2))
+    e_l = landauer_energy(temperature)
+    return ks * (n + 1.0) * e_l + ks * H / (4.0 * t_total) + roots * HBAR / t_total

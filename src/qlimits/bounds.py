@@ -202,11 +202,12 @@ def classical_bound(query: BoundQuery) -> BoundResult:
 
     if query.unknown == "work":
         _require(query, "n", "time", "psuccess")
-        return result(
+        return result(_in_double_range(
             classical_work_requirement(
                 query.n, query.time, t_kelvin, query.success_probability
-            )
-        )
+            ),
+            query,
+        ))
 
     if query.unknown == "psuccess":
         _require(query, "n", "time")
@@ -242,7 +243,10 @@ def classical_bound(query: BoundQuery) -> BoundResult:
                 floor,
                 query,
             )
-        return result(exp2(log2_b) / (query.work - floor))
+        time = exp2(log2_b) / (query.work - floor)
+        if time == math.inf:  # B alone may overflow where B / (W - A) does not
+            time = exp2(log2_b - math.log2(query.work - floor))
+        return result(_in_double_range(time, query))
 
     # unknown == "n": monotone bisection on the log-requirement
     _require(query, "time", "psuccess")
@@ -283,11 +287,19 @@ def _classical_time_from_power(query: BoundQuery, e_l: float) -> float:
 
 
 def quantum_work_requirement(n: float, time: float, p_success: float) -> tuple[float, bool]:
-    """(W, offset_flag): W = sqrt(2^n P_s - 1) hbar / t, 0 when vacuous."""
+    """(W, offset_flag): W = sqrt(2^n P_s - 1) hbar / t, 0 when vacuous.
+
+    hbar / t joins the root in log2 space only where the root alone
+    overflows, so W stays finite up to the largest double.
+    """
     log2_np = n + math.log2(p_success)
     if log2_np <= 0.0:
         return 0.0, True
-    return exp2(log2_radical(log2_np)) * HBAR / time, False
+    log2_root = log2_radical(log2_np)
+    root = exp2(log2_root)
+    if root < math.inf:
+        return root * HBAR / time, False
+    return exp2(log2_root + math.log2(HBAR) - math.log2(time)), False
 
 
 def quantum_log2_ratio(work: float, time: float, p_success: float) -> float:
@@ -314,18 +326,26 @@ def quantum_bound(query: BoundQuery) -> BoundResult:
         value, offset = quantum_work_requirement(
             query.n, query.time, query.success_probability
         )
-        return result(value, offset)
+        return result(_in_double_range(value, query), offset)
 
     if query.unknown == "time":
         _require(query, "n", "psuccess")
+        p = query.success_probability
         # W t = root * hbar: the requirement at t = 1 s is root * hbar
-        root_hbar, offset = quantum_work_requirement(query.n, 1.0, query.success_probability)
+        root_hbar, offset = quantum_work_requirement(query.n, 1.0, p)
         if offset:
             return result(0.0, True)
         if query.power is not None:
-            return result(math.sqrt(root_hbar / query.power))
-        _require(query, "work")
-        return result(root_hbar / query.work)
+            # P t^2 = root * hbar
+            time = math.sqrt(root_hbar / query.power)
+            if time == math.inf:  # the square may overflow where t does not
+                log2_root_hbar = log2_radical(query.n + math.log2(p)) + math.log2(HBAR)
+                time = exp2(0.5 * (log2_root_hbar - math.log2(query.power)))
+        else:
+            _require(query, "work")
+            # the same product, solved for t: W t = root * hbar
+            time, _ = quantum_work_requirement(query.n, query.work, p)
+        return result(_in_double_range(time, query))
 
     if query.unknown == "psuccess":
         _require(query, "n", "time")
@@ -479,6 +499,14 @@ def _require(query: BoundQuery, *fields: str) -> None:
                 raise DomainError("work (or power) is required", query)
         elif mapping[f] is None:
             raise DomainError(f"field {f!r} is required", query)
+
+
+def _in_double_range(value: float, query: BoundQuery) -> float:
+    """A solved work or time; +inf means the true value lies past double range."""
+    if value == math.inf:
+        raise InfeasibleError(f"the solved {query.unknown} lies past double range",
+                              math.inf, query)
+    return value
 
 
 def _probability(p: float, query: BoundQuery) -> float:

@@ -6,12 +6,23 @@ carries all 2^n amplitudes and the Hamiltonian
     H/hbar = omega_i |i><i| + omega_s |s><s|
 
 is applied as an operator on that full vector (each application costs two
-inner products and two rank-1 updates).  Per-segment propagation uses a
-Lanczos matrix exponential: the Krylov space of this Hamiltonian closes
-after at most three vectors, so the projected exponential reproduces
-exp(-iHt/hbar)|psi> to machine rounding -- no step-size error.
+inner products and two rank-1 updates).  Each segment is propagated by a
+Lanczos matrix exponential, built once at the segment's start state: the
+Krylov space of this Hamiltonian closes after at most three vectors, so
+for every offset tau inside the segment
 
-Memory and time stay O(2^n); a hard guard rejects n > 14.
+    exp(-i (H/hbar) tau)|psi> = |psi| V^T E exp(-i Lambda tau) E^T e_1,
+
+with V the Krylov basis and T = E Lambda E^T the tridiagonal projection,
+holds to machine rounding -- no step-size error.  Every sample is then one
+m x 2^n product, checked for its norm and read off on the full vector;
+the segment's last sample starts the next segment.
+
+The full vectors live in a few buffers allocated once per call and
+overwritten in place: glibc's malloc maps blocks of 128 KiB and more
+(n >= 13) afresh from the kernel, and faulting in a new temporary at every
+vector operation costs more than the arithmetic.  Memory stays O(2^n)
+whatever the sample count; a hard guard rejects n > 14.
 """
 
 from __future__ import annotations
@@ -37,59 +48,71 @@ _KRYLOV_MAX = 8
 _BREAKDOWN = 1e-12
 
 
+def _norm(vec: np.ndarray) -> float:
+    """|vec|, from one complex inner product."""
+    return math.sqrt(np.vdot(vec, vec).real)
+
+
+def _subtract_scaled(w: np.ndarray, coef: complex, vec: np.ndarray, tmp: np.ndarray) -> None:
+    """w -= coef * vec, with the product in the scratch vector ``tmp``."""
+    np.multiply(vec, coef, out=tmp)
+    w -= tmp
+
+
 def _apply_hamiltonian(
-    psi: np.ndarray, uniform: np.ndarray, omega_i: float, omega_s: float, sol: int
-) -> np.ndarray:
-    out = (omega_i * np.vdot(uniform, psi)) * uniform
+    out: np.ndarray, psi: np.ndarray, uniform: np.ndarray, omega_i: float, omega_s: float,
+    sol: int,
+) -> None:
+    """out = (H/hbar)|psi>."""
+    np.multiply(uniform, omega_i * np.vdot(uniform, psi), out=out)
     out[sol] += omega_s * psi[sol]
-    return out
 
 
-def _lanczos_expm_apply(
-    psi: np.ndarray,
-    dt: float,
+def _krylov_decomposition(
+    basis: np.ndarray,
     uniform: np.ndarray,
     omega_i: float,
     omega_s: float,
     sol: int,
-) -> np.ndarray:
-    """exp(-i (H/hbar) dt) |psi> via a (tiny, exactly closing) Lanczos basis."""
-    beta0 = float(np.linalg.norm(psi))
-    basis = [psi / beta0]
+    w: np.ndarray,
+    tmp: np.ndarray,
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Lanczos decomposition of H/hbar from the unit vector ``basis[0]``.
+
+    Returns (m, evals, evecs): rows 0..m-1 of ``basis`` then hold the
+    orthonormal Krylov vectors, and T = evecs diag(evals) evecs^T is the
+    tridiagonal projection of H/hbar on them.  ``w`` and ``tmp`` are
+    scratch vectors.
+    """
     alphas: list[float] = []
     betas: list[float] = []
     scale = max(omega_i, omega_s, 1e-300)
     for j in range(_KRYLOV_MAX):
-        w = _apply_hamiltonian(basis[j], uniform, omega_i, omega_s, sol)
-        alpha = float(np.real(np.vdot(basis[j], w)))
+        _apply_hamiltonian(w, basis[j], uniform, omega_i, omega_s, sol)
+        alpha = float(np.vdot(basis[j], w).real)
         alphas.append(alpha)
-        w -= alpha * basis[j]
+        _subtract_scaled(w, alpha, basis[j], tmp)
         if j > 0:
-            w -= betas[j - 1] * basis[j - 1]
+            _subtract_scaled(w, betas[j - 1], basis[j - 1], tmp)
         # full reorthogonalization; the basis never exceeds a few vectors
-        for b in basis:
-            w -= np.vdot(b, w) * b
-        beta = float(np.linalg.norm(w))
+        for b in basis[: j + 1]:
+            _subtract_scaled(w, np.vdot(b, w), b, tmp)
+        beta = _norm(w)
         if beta <= _BREAKDOWN * scale:
             break
         betas.append(beta)
-        basis.append(w / beta)
+        np.multiply(w, 1.0 / beta, out=basis[j + 1])
     else:
         raise ConsistencyError(
             "Lanczos basis failed to close; Hamiltonian structure violated",
             (omega_i, omega_s),
         )
-    m = len(alphas)
     tri = np.diag(np.array(alphas))
     for j, b in enumerate(betas):
         tri[j, j + 1] = b
         tri[j + 1, j] = b
     evals, evecs = np.linalg.eigh(tri)
-    small = evecs @ (np.exp(-1j * evals * dt) * evecs[0, :].conj())
-    out = np.zeros_like(psi)
-    for j in range(m):
-        out += small[j] * basis[j]
-    return beta0 * out
+    return len(alphas), evals, evecs
 
 
 def full_space_reference(
@@ -117,27 +140,34 @@ def full_space_reference(
 
     uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     psi = uniform.copy()
+    # rows past the closing Krylov vector are never written, so never mapped
+    basis = np.empty((_KRYLOV_MAX + 1, dim), dtype=complex)
+    w, tmp = np.empty(dim, dtype=complex), np.empty(dim, dtype=complex)
     rows: list[tuple] = []  # (t, omega_i, omega_s, <s|psi>, <i|psi>, norm error)
 
-    def emit(t: float, vec: np.ndarray, omega_i: float, omega_s: float) -> None:
-        err = abs(float(np.linalg.norm(vec)) - 1.0)
+    def emit(t: float, omega_i: float, omega_s: float) -> None:
+        err = abs(_norm(psi) - 1.0)
         if not err <= NORM_TOLERANCE:
             raise ConsistencyError("full-space norm drift exceeded tolerance", (t, err))
-        rows.append((t, omega_i, omega_s, complex(vec[solution_index]),
-                     complex(np.vdot(uniform, vec)), err))
+        rows.append((t, omega_i, omega_s, complex(psi[solution_index]),
+                     complex(np.vdot(uniform, psi)), err))
 
     first = schedule.segments[0]
-    emit(0.0, psi, first.omega_i, first.omega_s)
+    emit(0.0, first.omega_i, first.omega_s)
     t_start = 0.0
     for seg in schedule.segments:
         offsets = _segment_sample_offsets(t_start, seg.duration, sample_step)
-        prev = 0.0
-        for off in offsets:
-            psi = _lanczos_expm_apply(
-                psi, off - prev, uniform, seg.omega_i, seg.omega_s, solution_index
-            )
-            prev = float(off)
-            emit(t_start + prev, psi, seg.omega_i, seg.omega_s)
+        beta0 = _norm(psi)
+        np.multiply(psi, 1.0 / beta0, out=basis[0])
+        m, evals, evecs = _krylov_decomposition(
+            basis, uniform, seg.omega_i, seg.omega_s, solution_index, w, tmp
+        )
+        # row k: beta0 evecs exp(-i evals offsets[k]) evecs^T e_1, the Krylov
+        # coordinates of the state at offsets[k]; the last is the segment's end
+        coords = (beta0 * np.exp(-1j * np.outer(offsets, evals)) * evecs[0]) @ evecs.T
+        for t, c in zip((t_start + offsets).tolist(), coords):
+            np.matmul(c, basis[:m], out=psi)
+            emit(t, seg.omega_i, seg.omega_s)
         t_start += seg.duration
 
     t, omega_i, omega_s, s_amp, i_amp, err = (np.array(c) for c in zip(*rows))

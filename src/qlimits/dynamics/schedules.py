@@ -11,8 +11,9 @@ import math
 import numpy as np
 
 from ..constants import HBAR
-from ..errors import DomainError
+from ..errors import CapacityError, DomainError
 from .core import (
+    MAX_TRACE_SAMPLES,
     ControlSchedule,
     EffectiveState,
     SearchSpace,
@@ -43,6 +44,18 @@ def ballistic_frequency(space: SearchSpace, work: float) -> float:
     return work / (HBAR * (1.0 + space.overlap))
 
 
+def _check_segment_count(count: int) -> None:
+    """CapacityError before building a schedule too long to trace.
+
+    Every segment contributes at least one trace sample, so a schedule of
+    more than MAX_TRACE_SAMPLES segments could never be simulated.
+    """
+    if count > MAX_TRACE_SAMPLES:
+        raise CapacityError(
+            f"a schedule is limited to {MAX_TRACE_SAMPLES} segments", count
+        )
+
+
 def grover_pulsed_schedule(
     space: SearchSpace,
     pulse_energy: float,
@@ -61,6 +74,7 @@ def grover_pulsed_schedule(
         raise DomainError("pulse phase must lie in (0, 2*pi]", pulse_phase)
     if not (isinstance(iterations, int) and iterations >= 1):
         raise DomainError("iterations must be a positive integer", iterations)
+    _check_segment_count(2 * iterations)
     omega_pulse = pulse_energy / HBAR
     tau = pulse_phase / omega_pulse
     pair = (Segment(tau, 0.0, omega_pulse), Segment(tau, omega_pulse, 0.0))
@@ -159,6 +173,7 @@ def adiabatic_schedule(
         segments = max(256, 16 * int(math.ceil(2.0 ** (space.n / 2.0))))
     if segments < 256:
         raise DomainError("at least 256 segments are required", segments)
+    _check_segment_count(segments)
 
     total = adiabatic_total_time(space, energy_scale, error_budget)
     h = total / segments

@@ -1,6 +1,8 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from qlimits.bht import (
     bht_work_closed_form,
     optimal_quantum_time,
 )
+from qlimits._num import exp2, golden_min
 from qlimits.bounds import landauer_energy, quantum_work_requirement
 from qlimits.constants import H, HBAR
 from qlimits.errors import DomainError
@@ -148,6 +151,79 @@ class TestSweepMinimum:
         assert 1.0 <= k_min <= 2.0 ** n * p
         assert math.isfinite(w_min)
         assert w_min <= bht_work(n, 1.0, 1.0, 300.0, p) * (1.0 + 1e-12)
+
+
+def scalar_grid_sweep(n, t_total, temperature, p_success, points):
+    """The sweep with one scalar bht_work call per grid point."""
+    k_hi = exp2(n + math.log2(p_success))
+    grid = np.exp(np.linspace(0.0, math.log(k_hi), points))
+    grid[-1] = k_hi
+    works = np.array([bht_work(n, float(k), t_total, temperature, p_success) for k in grid])
+    j = int(np.argmin(works))
+    lo = math.log(grid[max(j - 1, 0)])
+    hi = math.log(grid[min(j + 1, points - 1)])
+    u = golden_min(lambda u: bht_work(n, math.exp(u), t_total, temperature, p_success), lo, hi)
+    k_best = max(math.exp(u), 1.0)
+    return k_best, bht_work(n, k_best, t_total, temperature, p_success)
+
+
+class TestSweepMatchesScalarGrid:
+    @given(
+        n=st.one_of(st.integers(min_value=1, max_value=48),
+                    st.floats(min_value=0.5, max_value=48.0)),
+        p=st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
+        temp=st.sampled_from([0.1, 2.7, 300.0]),
+        log10_t=st.floats(min_value=-9.0, max_value=3.0),
+        points=st.sampled_from([2, 64, 3000]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_identical_minimum(self, n, p, temp, log10_t, points):
+        t_total = 10.0 ** log10_t
+        try:
+            want = scalar_grid_sweep(n, t_total, temp, p, points)
+        except DomainError as exc:  # 2^n P_s < 1, or below by rounding at the top
+            with pytest.raises(DomainError, match=re.escape(str(exc))):
+                bht_sweep_minimum(n, t_total, temp, p, points=points)
+            return
+        assert bht_sweep_minimum(n, t_total, temp, p, points=points) == want
+
+    @pytest.mark.parametrize("n, p, eps", [(1, 0.5, 1e-9), (2, 0.25, 1e-12), (3, 0.125, 1e-6)])
+    def test_identical_where_the_grid_is_nearly_flat(self, n, p, eps):
+        # 2^n P_s just above 1: an interior minimum whose neighbours differ
+        # by about one ulp, where the argmin is most fragile
+        for t_total in (1e-9, 1e-6, 1.0):
+            args = (n, t_total, 300.0, p * (1.0 + eps))
+            assert bht_sweep_minimum(*args, points=3000) == scalar_grid_sweep(*args, 3000)
+
+    @pytest.mark.parametrize("n, t_total, temp, p, message", [
+        (48.5, 1.0, 300.0, 1.0, "sweep oracle limited to n <= 48"),
+        (20, 0.0, 300.0, 0.5, "total time must be > 0"),
+        (20, -1.0, 300.0, 0.5, "total time must be > 0"),
+        (20, 1.0, 300.0, 1.5, "success probability must lie in (0, 1]"),
+        (20, 1.0, 300.0, 0.0, "success probability must lie in (0, 1]"),
+        (20, 1.0, 300.0, -0.5, "success probability must lie in (0, 1]"),
+        (20, 1.0, -1.0, 0.5, "temperature must be >= 0"),
+        (3, 1.0, 300.0, 0.1, "sample count exceeds 2^n * P_s"),
+        (-2000, 1.0, 300.0, 1.0, "sample count exceeds 2^n * P_s"),
+    ])
+    def test_rejected_inputs(self, n, t_total, temp, p, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            bht_sweep_minimum(n, t_total, temp, p, points=3000)
+
+    @pytest.mark.parametrize("n, p", [(5.453062405694146, 0.04874642061094148),
+                                      (2.4011180022828227, 0.24723703121883422),
+                                      # numpy's log2 of the top point rounds down here
+                                      (2.091481196530853, 0.6387684804534405),
+                                      (1.7962314534121646, 0.5270417806967417)])
+    def test_rejects_the_top_point_where_the_scalar_grid_does(self, n, p):
+        # log2 of the top point 2^(n + log2 P_s) rounds one ulp above the
+        # exponent, so its radicand is negative and only that point fails
+        with pytest.raises(DomainError) as want:
+            scalar_grid_sweep(n, 1.0, 300.0, p, 3000)
+        with pytest.raises(DomainError) as got:
+            bht_sweep_minimum(n, 1.0, 300.0, p, points=3000)
+        assert str(got.value) == str(want.value)
+        assert got.value.offending_input == want.value.offending_input
 
 
 class TestImageBits:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlimits._num import exp2, log2_radical
 from qlimits.bounds import (
     BoundQuery,
     ballistic_deterministic_time,
@@ -559,3 +560,100 @@ class TestClassicalPowerFormTime:
                     ctx.prec = 50
                     residual = abs(Decimal(power) * Decimal(t) - required) / required
                 assert residual <= Decimal("1e-12"), (power, p)
+
+
+def _decimal_root_hbar(n: float, p: float) -> Decimal:
+    """sqrt(2^n P_s - 1) hbar, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (Decimal(2) ** Decimal(n) * Decimal(p) - 1).sqrt() * Decimal(HBAR)
+
+
+class TestSolvedPastDoubleRange:
+    @pytest.mark.parametrize("n, t", [(2048.0, 1.0), (2100.0, 1.0), (2200.0, 1e20),
+                                      (1100.0, 1e-300)])
+    def test_quantum_work_past_the_root_overflow(self, n, t):
+        # the root alone overflows, sqrt(2^n - 1) hbar / t does not
+        work, offset = quantum_work_requirement(n, t, 1.0)
+        assert not offset
+        assert work == pytest.approx(float(_decimal_root_hbar(n, 1.0) / Decimal(t)), rel=1e-12)
+
+    def test_quantum_work_in_range_unchanged(self):
+        for n in (11.5, 64.0, 300.0, 2040.0, 2046.0):
+            for t in (1e-30, 1.0, 1e30):
+                for p in (1.0, 1e-3):
+                    root = exp2(log2_radical(n + math.log2(p)))
+                    assert quantum_work_requirement(n, t, p) == (root * HBAR / t, False)
+
+    @pytest.mark.parametrize("fields", [
+        dict(unknown="time", n=5000, work=1.0, success_probability=1.0),
+        dict(unknown="time", n=5000, power=1.0, success_probability=1.0),
+        dict(unknown="work", n=5000, time=1.0, success_probability=1.0),
+        dict(unknown="time", n=2000, work=1e-300, success_probability=1.0),
+    ])
+    def test_quantum_past_double_range_is_infeasible(self, fields):
+        with pytest.raises(InfeasibleError, match="past double range") as exc:
+            quantum_bound(BoundQuery(**fields))
+        assert exc.value.floor == math.inf
+
+    @pytest.mark.parametrize("fields", [
+        dict(unknown="work", n=5000, time=1.0, temperature=300.0, success_probability=1.0),
+        dict(unknown="time", n=1100, work=1e-300, temperature=0.0, success_probability=1.0),
+    ])
+    def test_classical_past_double_range_is_infeasible(self, fields):
+        with pytest.raises(InfeasibleError, match="past double range") as exc:
+            classical_bound(BoundQuery(**fields))
+        assert exc.value.floor == math.inf
+
+    def test_quantum_time_where_the_work_at_one_second_overflows(self):
+        # sqrt(2^2300 - 1) hbar / (1 s) lies past double range, t = that / W does not
+        result = quantum_bound(BoundQuery(unknown="time", n=2300, work=1e10,
+                                          success_probability=1.0))
+        assert result.value == pytest.approx(float(_decimal_root_hbar(2300, 1.0) / Decimal(1e10)),
+                                             rel=1e-12)
+
+    def test_power_form_time_where_its_square_overflows(self):
+        result = quantum_bound(BoundQuery(unknown="time", n=3000, power=1e10,
+                                          success_probability=1.0))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = (_decimal_root_hbar(3000, 1.0) / Decimal(1e10)).sqrt()
+        assert result.value == pytest.approx(float(want), rel=1e-12)
+
+    def test_classical_time_where_the_speed_limit_term_overflows(self):
+        # T = 0: t = 2^n P_s h / (4 W), with 2^n P_s h / 4 past double range
+        result = classical_bound(BoundQuery(unknown="time", n=1200, work=1e300,
+                                            temperature=0.0, success_probability=1.0))
+        required = _decimal_classical_requirement(1200.0, result.value, 0.0, 1.0)
+        assert float(required) == pytest.approx(1e300, rel=1e-12)
+
+    def test_in_range_times_unchanged(self):
+        # W t = root * hbar, as solved from the requirement at t = 1 s
+        for n in (8, 64, 1000, 2000):
+            root_hbar, _ = quantum_work_requirement(n, 1.0, 1.0)
+            for work in (1e-30, 1.0, 1e30):
+                query = BoundQuery(unknown="time", n=n, work=work, success_probability=1.0)
+                assert quantum_bound(query).value == root_hbar / work
+                query = BoundQuery(unknown="time", n=n, power=work, success_probability=1.0)
+                assert quantum_bound(query).value == math.sqrt(root_hbar / work)
+
+    @given(
+        kind=st.sampled_from(["classical", "quantum"]),
+        unknown=st.sampled_from(["work", "time"]),
+        n=st.floats(min_value=1.0, max_value=8000.0),
+        log10_x=st.floats(min_value=-300.0, max_value=300.0),
+        temp=st.sampled_from([0.0, 2.7, 300.0]),
+        p=st.floats(min_value=1e-300, max_value=1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_solved_work_and_time_are_finite_or_infeasible(self, kind, unknown, n, log10_x,
+                                                           temp, p):
+        given_field = {"work": "time", "time": "work"}[unknown]
+        query = BoundQuery(unknown=unknown, n=n, temperature=temp, success_probability=p,
+                           **{given_field: 10.0 ** log10_x})
+        solve = classical_bound if kind == "classical" else quantum_bound
+        try:
+            value = solve(query).value
+        except InfeasibleError:
+            return
+        assert math.isfinite(value) and value >= 0.0

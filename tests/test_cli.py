@@ -123,6 +123,19 @@ class TestBoundCommand:
         keylength = run_json(capsys, "keylength", "--mode", "quantum", *argv)
         assert keylength["quantum_bits"] == math.ceil(payload["value"])
 
+    @pytest.mark.parametrize("argv", [
+        ("quantum", "--solve", "time", "--n", "5000", "--work", "1", "--psuccess", "1"),
+        ("classical", "--solve", "work", "--n", "5000", "--time", "1s", "--temp", "300",
+         "--psuccess", "1"),
+    ])
+    def test_solved_value_past_double_range_is_infeasible(self, capsys, argv):
+        code, out, err = run(capsys, "bound", *argv)
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["kind"] == "infeasible"
+        assert "past double range" in error["message"]
+        assert "Infinity" not in err
+
     def test_quantum_solve_psuccess_where_work_times_time_overflows(self, capsys):
         payload = run_json(
             capsys, "bound", "quantum", "--solve", "psuccess", "--n", "3000",
@@ -180,6 +193,21 @@ class TestBoundCommand:
 
 
 class TestSimulateCommand:
+    def test_grover_past_trace_capacity(self, capsys):
+        # about 1.7e9 segments: refused from the count, before any is built
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "simulate", "--protocol", "grover", "--n", "60",
+                                 "--work", "1e-30")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert json.loads(err)["kind"] == "capacity"
+        assert peak < 1 << 20
+
     def test_ballistic_csv_trace(self, capsys, tmp_path):
         # csv is the default trace format
         out_file = tmp_path / "trace.csv"

@@ -26,8 +26,8 @@ from qlimits.dynamics import (
     segment_propagator,
     standard_grover_iterations,
 )
-from qlimits.dynamics.core import BLOCK_ELEMENTS
-from qlimits.errors import ConsistencyError, DomainError
+from qlimits.dynamics.core import BLOCK_ELEMENTS, MAX_TRACE_SAMPLES
+from qlimits.errors import CapacityError, ConsistencyError, DomainError
 
 
 def ballistic_oracle(n, omega, t):
@@ -267,6 +267,44 @@ class TestGroverPulsed:
         assert pairs_half > pairs_pi
         assert p_half > 0.99
         print(f"first-peak pairs: phase pi -> {pairs_pi}, phase pi/2 -> {pairs_half}")
+
+
+class TestScheduleCapacity:
+    """Schedules longer than any trace raise before a segment is built."""
+
+    @staticmethod
+    def peak_bytes(build):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as exc:
+                build()
+            return exc.value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_grover_at_n_60(self):
+        space = SearchSpace(60)
+        iterations = standard_grover_iterations(space)
+        error, peak = self.peak_bytes(
+            lambda: grover_pulsed_schedule(space, 1e-30, math.pi, iterations))
+        assert error.offending_input == 2 * iterations
+        assert peak < 1 << 20
+
+    def test_grover_one_pair_past_the_limit(self):
+        space = SearchSpace(8)
+        with pytest.raises(CapacityError):
+            grover_pulsed_schedule(space, HBAR, math.pi, MAX_TRACE_SAMPLES // 2 + 1)
+
+    def test_adiabatic_default_count_at_n_41(self):
+        error, peak = self.peak_bytes(lambda: adiabatic_schedule(SearchSpace(41), 1.0, 0.1))
+        assert error.offending_input == 16 * math.ceil(2.0 ** 20.5)
+        assert peak < 1 << 20
+
+    def test_adiabatic_explicit_count(self):
+        with pytest.raises(CapacityError):
+            adiabatic_schedule(SearchSpace(6), 1.0, 0.1, segments=MAX_TRACE_SAMPLES + 1)
 
 
 class TestAdiabatic:
