@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,7 +69,9 @@ def _duration(text: str) -> float:
     return parse_duration(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qlimits",
         description="Thermodynamic work/runtime limits of exhaustive search",

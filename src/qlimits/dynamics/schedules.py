@@ -47,13 +47,13 @@ def ballistic_frequency(space: SearchSpace, work: float) -> float:
 def _check_segment_count(count: int) -> None:
     """CapacityError before building a schedule too long to trace.
 
-    Every segment contributes at least one trace sample, so a schedule of
-    more than MAX_TRACE_SAMPLES segments could never be simulated.
+    ``evolve`` refuses a trace whose bound total/dt + 2*segments + 1 exceeds
+    MAX_TRACE_SAMPLES, so a schedule of more than (MAX_TRACE_SAMPLES - 1)//2
+    segments could never be simulated at any step.
     """
-    if count > MAX_TRACE_SAMPLES:
-        raise CapacityError(
-            f"a schedule is limited to {MAX_TRACE_SAMPLES} segments", count
-        )
+    limit = (MAX_TRACE_SAMPLES - 1) // 2
+    if count > limit:
+        raise CapacityError(f"a schedule is limited to {limit} segments", count)
 
 
 def grover_pulsed_schedule(

@@ -4,17 +4,22 @@ The stdlib JSON encoder formats floats with ``repr`` (shortest
 round-trip), which is deterministic but not fixed-width; results here are
 specified to carry 17 significant digits so reruns are byte-identical and
 consumers can diff files textually.  A small recursive writer keeps full
-control of the float format.
+control of the float format.  Blocks of float rows under fixed keys
+(traces and schedules) are :class:`FloatRows`, written one ``%``-template
+per row in both JSON and CSV.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 from typing import Any
 
-from .errors import ParseError
+import numpy as np
+
+from .errors import ConsistencyError, ParseError
 
 
 def format_float17(x: float) -> str:
@@ -30,6 +35,65 @@ def _encoded_key(key) -> str:
     return json.dumps(str(key))
 
 
+class FloatRows(Sequence):
+    """Rows of finite float columns under fixed keys, formatted in bulk.
+
+    The writers format the columns directly; a row becomes a dict (the
+    JSON-object form of the row) only when a caller indexes or iterates.
+    Every entry must be finite, so plain ``%.17g`` equals
+    :func:`format_float17` cell for cell.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys: tuple[str, ...], columns):
+        keys = tuple(keys)
+        columns = tuple(np.asarray(c, dtype=float) for c in columns)
+        shapes = {c.shape for c in columns}
+        if len(columns) != len(keys) or len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ConsistencyError("one 1-D column of equal length per key is required", keys)
+        if not all(np.isfinite(c).all() for c in columns):
+            raise ConsistencyError("row entries must be finite", keys)
+        self.keys = keys
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return self.columns[0].size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return dict(zip(self.keys, [c[index].item() for c in self.columns]))
+
+    def __iter__(self):
+        return (dict(zip(self.keys, row)) for row in self._tuples())
+
+    def _tuples(self):
+        return zip(*(c.tolist() for c in self.columns))
+
+    def join(self, template: str, sep: str) -> str:
+        """Every row through ``template % row``, joined by ``sep``."""
+        return sep.join(map(template.__mod__, self._tuples()))
+
+
+@lru_cache(maxsize=64)
+def _json_row_template(keys: tuple[str, ...], indent: int, level: int) -> str:
+    """One row of a JSON array at ``level`` as a %-template."""
+    pad = " " * (indent * (level + 1))
+    inner = " " * (indent * (level + 2))
+    fields = ",\n".join(f"{inner}{_encoded_key(k).replace('%', '%%')}: %.17g" for k in keys)
+    return f"{pad}{{\n{fields}\n{pad}}}"
+
+
+def _write_rows(rows: FloatRows, out: list[str], indent: int, level: int) -> None:
+    if not rows:
+        out.append("[]")
+        return
+    out.append("[\n")
+    out.append(rows.join(_json_row_template(rows.keys, indent, level), ",\n"))
+    out.append("\n" + " " * (indent * level) + "]")
+
+
 def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
     kind = type(obj)
     if kind is float:
@@ -38,6 +102,8 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
         _write_dict(obj, out, indent, level)
     elif kind is list:
         _write_list(obj, out, indent, level)
+    elif kind is FloatRows:
+        _write_rows(obj, out, indent, level)
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -101,41 +167,25 @@ def dumps17(obj: Any, indent: int = 2) -> str:
 _TRACE_FIELDS = ("t_s", "omega_i", "omega_s", "P_s", "P_i", "re_A", "im_A", "alpha_ab",
                  "norm_error")
 TRACE_CSV_HEADER = ",".join(_TRACE_FIELDS)
-_TRACE_CSV_ROW = ",".join(["%.17g"] * len(_TRACE_FIELDS))
-
-
-def _trace_rows(trace):
-    """The rows of a trace as tuples of Python floats, in column order."""
-    return zip(*(column.tolist() for column in trace.columns()))
+# each row starts its own line, so a trace without rows is the header alone
+_TRACE_CSV_ROW = "\n" + ",".join(["%.17g"] * len(_TRACE_FIELDS))
+_SCHEDULE_FIELDS = ("duration_s", "omega_i_radps", "omega_s_radps")
 
 
 def trace_to_csv(trace) -> str:
-    """A trace as CSV with the fixed observable column order.
-
-    Trace entries are finite, so plain ``%.17g`` matches
-    :func:`format_float17` cell for cell.
-    """
-    lines = [TRACE_CSV_HEADER]
-    lines.extend(map(_TRACE_CSV_ROW.__mod__, _trace_rows(trace)))
-    return "\n".join(lines) + "\n"
+    """A trace as CSV with the fixed observable column order."""
+    rows = FloatRows(_TRACE_FIELDS, trace.columns())
+    return TRACE_CSV_HEADER + rows.join(_TRACE_CSV_ROW, "") + "\n"
 
 
-def trace_to_obj(trace) -> list[dict]:
+def trace_to_obj(trace) -> FloatRows:
     """The JSON-array form of a trace (same fields as the CSV)."""
-    return [dict(zip(_TRACE_FIELDS, row)) for row in _trace_rows(trace)]
+    return FloatRows(_TRACE_FIELDS, trace.columns())
 
 
 def schedule_to_obj(schedule) -> dict:
-    return {
-        "segments": [
-            {
-                "duration_s": s.duration,
-                "omega_i_radps": s.omega_i,
-                "omega_s_radps": s.omega_s,
-            }
-            for s in schedule.segments
-        ]
-    }
+    """The schedule-file form {"segments": [{duration_s, ...}]}."""
+    return {"segments": FloatRows(_SCHEDULE_FIELDS, schedule.arrays())}
 
 
 def schedule_from_obj(obj: dict):

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from qlimits.bht import bht_min_image_bits
-from qlimits.cli import main
+from qlimits.cli import build_parser, main
 from qlimits.constants import HBAR
 from qlimits.keylength import max_deterministic_keylength
 
@@ -208,6 +208,23 @@ class TestSimulateCommand:
         assert json.loads(err)["kind"] == "capacity"
         assert peak < 1 << 20
 
+    def test_adiabatic_past_trace_capacity(self, capsys):
+        # 2^24 default segments at n = 40: past the (2^24 - 1)//2 segments
+        # that evolve's sample bound admits, so refused from the count
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "simulate", "--protocol", "adiabatic", "--n", "40",
+                                 "--work", "1e-30")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["kind"] == "capacity" and error["offending_input"] == 2 ** 24
+        assert peak < 1 << 20
+
     def test_ballistic_csv_trace(self, capsys, tmp_path):
         # csv is the default trace format
         out_file = tmp_path / "trace.csv"
@@ -353,3 +370,29 @@ class TestOtherCommands:
             capsys, "keylength", "--config", str(config), "--scenario", "dyson"
         )
         assert payload["quantum_bits"] == 667
+
+
+def test_one_parser_serves_every_call(capsys):
+    argvs = [
+        ["simulate", "--protocol", "ballistic", "--n", "8", "--work-radps", "100",
+         "--format", "json"],
+        ["bound", "quantum", "--n", "2", "--time", "1s", "--psuccess", "1"],
+        ["simulate", "--protocol", "ballistic", "--n", "8", "--work-radps", "100"],
+        ["bound", "quantum", "--n", "2", "--solve", "nonsense"],
+        ["--version"],
+        ["bound", "quantum", "--n", "2", "--time", "1s", "--psuccess", "1",
+         "--format", "csv"],
+    ]
+
+    def run_all(fresh):
+        results = []
+        for argv in argvs:
+            if fresh:
+                build_parser.cache_clear()
+            results.append(run(capsys, *argv))
+        return results
+
+    reused = run_all(fresh=False)
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0]
+    assert reused == run_all(fresh=True)
+    assert build_parser() is build_parser()

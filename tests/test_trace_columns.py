@@ -1,8 +1,8 @@
 """Columnar traces against the per-sample code they replaced.
 
-The ``_old_*`` functions below are copies of the per-sample ``evolve`` and
-of the per-cell writers that columnar traces and the row formatter
-replaced.  Both run on the same machine, so the comparisons demand exact
+The ``_old_*`` functions below are copies of the per-sample ``evolve``, of
+the per-cell writers and of the per-row dicts that columnar traces and the
+row-template writer (:class:`FloatRows`) replaced.  Both run on the same machine, so the comparisons demand exact
 equality (numpy's SIMD sin/cos differ between CPUs, which rules out pinned
 output hashes).
 """
@@ -23,14 +23,26 @@ from qlimits.dynamics import (
     EffectiveState,
     SearchSpace,
     Segment,
+    Trace,
+    adiabatic_schedule,
+    ballistic_schedule,
     evolve,
     full_space_reference,
+    grover_pulsed_schedule,
     observables_at,
     propagate,
+    standard_grover_iterations,
 )
 from qlimits.dynamics.core import MAX_TRACE_SAMPLES, _pauli_components
 from qlimits.errors import CapacityError, ConsistencyError, DomainError
-from qlimits.serialize import dumps17, trace_to_csv, trace_to_obj
+from qlimits.serialize import (
+    FloatRows,
+    dumps17,
+    schedule_from_obj,
+    schedule_to_obj,
+    trace_to_csv,
+    trace_to_obj,
+)
 
 
 # ------------------------------------------------------- the replaced code
@@ -96,6 +108,19 @@ def _old_trace_to_csv(rows):
 
 def _old_trace_to_obj(rows):
     return [dict(zip(_OLD_KEYS, fields)) for fields in rows]
+
+
+def _old_schedule_to_obj(schedule):
+    return {
+        "segments": [
+            {
+                "duration_s": s.duration,
+                "omega_i_radps": s.omega_i,
+                "omega_s_radps": s.omega_s,
+            }
+            for s in schedule.segments
+        ]
+    }
 
 
 def _old_format_float17(x):
@@ -257,6 +282,130 @@ def test_dumps17_keeps_equal_keys_of_other_types_apart():
 def test_dumps17_rejects_unknown_types():
     with pytest.raises(TypeError):
         dumps17({"x": object()})
+
+
+# ------------------------------------------------- the row-template writer
+
+_energy = st.floats(0.1, 10.0)
+
+
+@st.composite
+def _protocol_schedules(draw):
+    """(n, schedule) from each protocol and from a schedule file, where
+    -0.0 frequencies are drawn too; sometimes truncated."""
+    n = draw(st.integers(2, 8))
+    space = SearchSpace(n)
+    protocol = draw(st.sampled_from(["ballistic", "grover", "adiabatic", "custom"]))
+    if protocol == "ballistic":
+        schedule = ballistic_schedule(space, draw(_energy))
+    elif protocol == "grover":
+        schedule = grover_pulsed_schedule(space, draw(_energy), draw(st.floats(0.5, 6.28)),
+                                          draw(st.integers(1, standard_grover_iterations(space))))
+    elif protocol == "adiabatic":
+        schedule = adiabatic_schedule(space, draw(_energy), draw(st.floats(0.05, 0.5)),
+                                      kind=draw(st.sampled_from(["local", "linear"])))
+    else:
+        frequency = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 50.0))
+        schedule = schedule_from_obj(json.loads(json.dumps({"segments": [
+            {"duration_s": draw(st.floats(1e-3, 2.0)), "omega_i_radps": draw(frequency),
+             "omega_s_radps": draw(frequency)}
+            for _ in range(draw(st.integers(1, 12)))
+        ]})))
+    if draw(st.booleans()):
+        schedule = schedule.truncated(draw(st.floats(0.05, 1.0)) * schedule.total_duration)
+    return n, schedule
+
+
+def _without_rows(trace):
+    return Trace(*(column[:0] for column in trace.columns()), space=trace.space)
+
+
+@st.composite
+def _row_payloads(draw):
+    """(new payload, old payload): a trace or a schedule, in the row type
+    and in the old dict form, at nesting level 0-3 among other values."""
+    n, schedule = draw(_protocol_schedules())
+    if draw(st.booleans()):
+        new, old = schedule_to_obj(schedule), _old_schedule_to_obj(schedule)
+    else:
+        step = schedule.total_duration / draw(st.integers(1, 200))
+        trace = evolve(EffectiveState.initial(SearchSpace(n)), schedule, step)
+        if draw(st.integers(0, 9)) == 0:
+            trace = _without_rows(trace)
+        new = trace_to_obj(trace)
+        old = _old_trace_to_obj(zip(*_columns_as_lists(trace)))
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            new, old = ({"before": -0.0, "rows": new, "after": [1, None]},
+                        {"before": -0.0, "rows": old, "after": [1, None]})
+        else:
+            new, old = [0.5, new], [0.5, old]
+    return new, old
+
+
+@settings(max_examples=80, deadline=None)
+@given(_row_payloads(), st.integers(0, 4))
+def test_rows_in_payloads_equal_the_old_writer(payloads, indent):
+    new, old = payloads
+    # compared as lines: pytest reports the first differing one, where a
+    # text diff of a long trace takes minutes
+    assert dumps17(new, indent).split("\n") == _old_dumps17(old, indent).split("\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda size: st.lists(
+           st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308])),
+                    min_size=size, max_size=size), min_size=1, max_size=4)),
+       st.integers(0, 3), st.integers(0, 4))
+def test_any_finite_rows_equal_the_old_writer(columns, level, indent):
+    keys = tuple(f"k%{i}\u00e9" for i in range(len(columns)))
+    rows = FloatRows(keys, columns)
+    new, old = rows, [dict(zip(keys, row)) for row in zip(*columns)]
+    for _ in range(level):
+        new, old = {"x": new}, {"x": old}
+    assert dumps17(new, indent).split("\n") == _old_dumps17(old, indent).split("\n")
+
+
+def test_rows_reject_non_finite_columns():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConsistencyError):
+            FloatRows(("a", "b"), (np.array([0.0, bad]), np.zeros(2)))
+    trace = evolve(EffectiveState.initial(SearchSpace(4)),
+                   ControlSchedule((Segment(1.0, 1.0, 0.5),)), 0.25)
+    columns = list(trace.columns())
+    columns[5] = columns[5].copy()
+    columns[5][2] = math.nan
+    broken = Trace(*columns, space=trace.space)
+    for writer in (trace_to_obj, trace_to_csv):
+        with pytest.raises(ConsistencyError):
+            writer(broken)
+    for columns in ((np.zeros(2),), (np.zeros(2), np.zeros(3)), (np.zeros((2, 2)),) * 2):
+        with pytest.raises(ConsistencyError):
+            FloatRows(("a", "b"), columns)
+
+
+def test_rows_index_and_iterate_as_the_old_dicts():
+    space = SearchSpace(6)
+    schedule = ControlSchedule((Segment(0.7, 1.3, -0.0), Segment(0.9, 0.0, 0.0),
+                                Segment(0.4, 0.2, 2.5)))
+    trace = evolve(EffectiveState.initial(space), schedule, 0.15)
+    pairs = [
+        (trace_to_obj(trace), _old_trace_to_obj(zip(*_columns_as_lists(trace)))),
+        (schedule_to_obj(schedule)["segments"], _old_schedule_to_obj(schedule)["segments"]),
+        (trace_to_obj(_without_rows(trace)), []),
+    ]
+    for rows, old in pairs:
+        assert len(rows) == len(old) and bool(rows) == bool(old)
+        assert [rows[i] for i in range(-len(old), len(old))] == \
+            [old[i] for i in range(-len(old), len(old))]
+        assert list(rows) == old and list(rows) == list(rows)
+        assert rows[1:-1] == old[1:-1] and rows[::-2] == old[::-2]
+        assert all(type(v) is float for row in [*rows, *rows[:]] for v in row.values())
+        with pytest.raises(IndexError):
+            rows[len(old)]
+    assert trace_to_csv(_without_rows(trace)) == _old_trace_to_csv([])
+    assert schedule_from_obj(schedule_to_obj(schedule)) == schedule
 
 
 # ----------------------------------------------------- input guards
