@@ -230,6 +230,8 @@ def bht_min_image_bits(
     """Smallest integer image size whose closed-form work floor exceeds the budget."""
     if not work_budget > 0.0:
         raise DomainError("work budget must be > 0", work_budget)
+    if not 0.0 < p_success <= 1.0:
+        raise DomainError("success probability must lie in (0, 1]", p_success)
     target = math.log2(work_budget)
 
     def excess(n: float) -> float:
@@ -262,9 +264,14 @@ def bht_sweep_minimum(
         raise DomainError("sweep oracle limited to n <= 48", n)
     # the grid starts at k = 1: bht_work there checks every argument
     bht_work(n, 1.0, t_total, temperature, p_success)
-    k_hi = exp2(n + math.log2(p_success))
+    # the top of the grid is the largest k whose libm log2 stays within
+    # n + log2 P_s, as bht_work demands; exp2 can round one ulp above it
+    top = n + math.log2(p_success)
+    k_hi = exp2(top)
+    while math.log2(k_hi) > top:
+        k_hi = math.nextafter(k_hi, 0.0)
     grid = np.exp(np.linspace(0.0, math.log(k_hi), points))
-    grid[-1] = k_hi  # exp(log(k_hi)) can round above 2^n * P_s
+    grid[-1] = k_hi  # exp(log(k_hi)) can round above it too
     works = _work_grid(n, grid, t_total, temperature, p_success)
     # the array pass may differ from bht_work in the last bits, so bht_work
     # picks the grid minimum from the points within 1e-9 of the array's
@@ -274,11 +281,13 @@ def bht_sweep_minimum(
     lo = math.log(grid[max(j - 1, 0)])
     hi = math.log(grid[min(j + 1, points - 1)])
 
-    def f(u: float) -> float:
-        return bht_work(n, math.exp(u), t_total, temperature, p_success)
+    def k_at(u: float) -> float:  # exp may round past either end of the grid
+        return min(max(math.exp(u), 1.0), k_hi)
 
-    u = golden_min(f, lo, hi)
-    k_best = max(math.exp(u), 1.0)
+    def f(u: float) -> float:
+        return bht_work(n, k_at(u), t_total, temperature, p_success)
+
+    k_best = k_at(golden_min(f, lo, hi))
     return k_best, bht_work(n, k_best, t_total, temperature, p_success)
 
 

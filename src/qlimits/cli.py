@@ -172,14 +172,17 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def _resolve_budget(args, time: float | None) -> float:
-    """--work, or --power * --time (the documented equivalence)."""
+    """--work, or --power * --time (the documented equivalence), refused
+    unless finite and > 0 as :class:`BoundQuery` refuses it."""
     if getattr(args, "work", None) is not None:
-        return args.work
-    if getattr(args, "power", None) is not None:
+        query = BoundQuery("n", work=args.work, time=time)
+    elif getattr(args, "power", None) is not None:
         if time is None:
             raise UsageError("--power requires --time")
-        return args.power * time
-    raise UsageError("a work budget is required (--work or --power with --time)")
+        query = BoundQuery("n", time=time, power=args.power)
+    else:
+        raise UsageError("a work budget is required (--work or --power with --time)")
+    return query.budget()
 
 
 def _flatten(obj, prefix: str = "") -> dict:

@@ -30,7 +30,6 @@ from .core import (
     EffectiveState,
     Observables,
     SearchSpace,
-    Segment,
     evolve,
     final_state,
 )
@@ -170,7 +169,7 @@ def equator_state(space: SearchSpace, omega: float = 1.0) -> EffectiveState:
     """Mid-run ballistic state with P_i = P_s and A almost purely imaginary."""
     g = space.overlap
     t_eq = (math.pi / 4.0) / (omega * g)
-    sched = ControlSchedule((Segment(t_eq, omega, omega),))
+    sched = ControlSchedule(((t_eq, omega, omega),))
     return final_state(EffectiveState.initial(space), sched)
 
 
@@ -205,12 +204,11 @@ def measure_modulated_suppression(
     state = equator_state(space, omega)
     period = 2.0 * math.pi / omega_c
     tau = period / segments_per_cycle
-    segs = []
-    for k in range(cycles * segments_per_cycle):
-        t_mid = (k + 0.5) * tau
-        delta = delta0 * math.sin(omega_c * t_mid)
-        segs.append(Segment(tau, omega + delta, omega - delta))
-    schedule = ControlSchedule(tuple(segs))
+    count = cycles * segments_per_cycle
+    t_mid = (np.arange(count) + 0.5) * tau
+    delta = delta0 * np.array([math.sin(omega_c * t) for t in t_mid.tolist()])
+    schedule = ControlSchedule(np.column_stack((np.full(count, tau), omega + delta,
+                                                omega - delta)))
     trace = evolve(state, schedule, tau / 4.0)
     t = trace.times()
     a = trace.a()

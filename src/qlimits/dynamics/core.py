@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -114,97 +114,96 @@ class EffectiveState:
         return g * self.c1 + math.sqrt(1.0 - g * g) * self.c2
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A constant-Hamiltonian interval of a control schedule."""
+class Segment(NamedTuple("Segment", [("duration", float), ("omega_i", float),
+                                      ("omega_s", float)])):
+    """One row of a control schedule: a constant-Hamiltonian interval of
+    ``duration`` seconds under ``omega_i`` and ``omega_s`` (rad/s)."""
 
-    duration: float       # s
-    omega_i: float        # rad/s
-    omega_s: float        # rad/s
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.duration > 0.0 and math.isfinite(self.duration)):
-            raise DomainError("segment duration must be finite and > 0", self.duration)
-        for w in (self.omega_i, self.omega_s):
+    def __new__(cls, duration: float, omega_i: float, omega_s: float):
+        if not (duration > 0.0 and math.isfinite(duration)):
+            raise DomainError("segment duration must be finite and > 0", duration)
+        for w in (omega_i, omega_s):
             if not (math.isfinite(w) and w >= 0.0):
                 raise DomainError("segment frequencies must be finite and >= 0", w)
-
-    @property
-    def omega(self) -> float:
-        return 0.5 * (self.omega_i + self.omega_s)
-
-    @property
-    def delta_omega(self) -> float:
-        return 0.5 * (self.omega_i - self.omega_s)
+        return super().__new__(cls, duration, omega_i, omega_s)
 
 
-@dataclass(frozen=True)
 class ControlSchedule:
-    """Piecewise-constant control: an ordered tuple of segments.
+    """Piecewise-constant control: three read-only float columns
+    ``durations``, ``omega_i`` and ``omega_s``, one entry per segment.
 
+    ``rows`` is anything ``np.array`` reads as (k, 3) floats: a (k, 3)
+    array, (duration, omega_i, omega_s) triples or :class:`Segment` rows.
+    A duration must be finite and > 0 and a frequency finite and >= 0; the
+    first value that is not raises :class:`DomainError`.
     ``declared_duration``, when given by a schedule constructor, must match
     the summed segment durations to 1e-12 relative.
     """
 
-    segments: tuple[Segment, ...]
-    declared_duration: float | None = None
-
-    def __post_init__(self):
-        if len(self.segments) == 0:
-            raise DomainError("schedule must contain at least one segment", self)
-        total = self.total_duration
-        if self.declared_duration is not None:
-            if abs(total - self.declared_duration) > 1e-12 * max(
-                abs(self.declared_duration), 1e-300
-            ):
-                raise ConsistencyError(
-                    "segment durations do not add up to the declared runtime",
-                    (total, self.declared_duration),
-                )
-
-    @property
-    def total_duration(self) -> float:
+    def __init__(self, rows, declared_duration: float | None = None):
+        table = np.array(rows, dtype=float)
+        if table.ndim != 2 or table.shape[1] != 3 or table.size == 0:
+            raise DomainError("schedule must contain at least one segment, as "
+                              "(duration, omega_i, omega_s) rows", table.shape)
+        valid = np.isfinite(table) & (table >= 0.0)
+        valid[:, 0] &= table[:, 0] > 0.0
+        if not valid.all():
+            k = int(np.argmin(valid))  # row-major: the first offending value
+            raise DomainError("segment duration must be finite and > 0" if k % 3 == 0
+                              else "segment frequencies must be finite and >= 0",
+                              table.flat[k].item())
+        columns = np.ascontiguousarray(table.T)
+        columns.flags.writeable = False
+        self.durations, self.omega_i, self.omega_s = columns
+        self.declared_duration = declared_duration
         try:
-            return math.fsum(s.duration for s in self.segments)
+            self.total_duration = math.fsum(self.durations.tolist())
         except OverflowError:
             raise DomainError("segment durations add up past double range",
-                              len(self.segments)) from None
+                              self.durations.size) from None
+        if declared_duration is not None and abs(self.total_duration - declared_duration) \
+                > 1e-12 * max(abs(declared_duration), 1e-300):
+            raise ConsistencyError("segment durations do not add up to the declared runtime",
+                                   (self.total_duration, declared_duration))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ControlSchedule):
+            return NotImplemented
+        return (self.declared_duration == other.declared_duration
+                and all(map(np.array_equal, self.arrays(), other.arrays())))
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """The rows as :class:`Segment` tuples, built on first use."""
+        return tuple(map(Segment._make, zip(*(c.tolist() for c in self.arrays()))))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(durations, omega_i, omega_s) as float arrays, in segment order."""
-        segs, n = self.segments, len(self.segments)
-        return (
-            np.fromiter((s.duration for s in segs), float, n),
-            np.fromiter((s.omega_i for s in segs), float, n),
-            np.fromiter((s.omega_s for s in segs), float, n),
-        )
+        """(durations, omega_i, omega_s), in segment order."""
+        return self.durations, self.omega_i, self.omega_s
 
     def scaled(self, factor: float) -> "ControlSchedule":
         """Uniformly stretch every segment duration by ``factor``."""
         if not factor > 0.0:
             raise DomainError("scale factor must be > 0", factor)
-        return ControlSchedule(
-            tuple(Segment(s.duration * factor, s.omega_i, s.omega_s) for s in self.segments)
-        )
+        return ControlSchedule(np.column_stack((self.durations * factor, self.omega_i,
+                                                self.omega_s)))
 
     def truncated(self, duration: float) -> "ControlSchedule":
         """The restriction of this schedule to [0, duration]."""
         if not 0.0 < duration <= self.total_duration * (1.0 + 1e-12):
-            raise DomainError(
-                "truncation time must lie within the schedule", duration
-            )
-        out: list[Segment] = []
-        remaining = duration
-        for seg in self.segments:
-            if remaining >= seg.duration:
-                out.append(seg)
-                remaining -= seg.duration
-            else:
-                if remaining > 0.0:
-                    out.append(Segment(remaining, seg.omega_i, seg.omega_s))
-                remaining = 0.0
-                break
-        return ControlSchedule(tuple(out))
+            raise DomainError("truncation time must lie within the schedule", duration)
+        # the time left before each segment, subtracted in segment order
+        left = np.subtract.accumulate(np.append(duration, self.durations))[:-1]
+        short = left < self.durations
+        k = int(np.argmax(short)) if short.any() else left.size
+        rows = np.column_stack(self.arrays())[:k + 1]
+        if k < left.size:  # segment k is cut to the time left, if any is
+            rows[k, 0] = left[k]
+            if not left[k] > 0.0:
+                rows = rows[:k]
+        return ControlSchedule(rows)
 
 
 @dataclass(frozen=True)
@@ -316,14 +315,9 @@ def eigenenergies(space: SearchSpace, omega: float, delta_omega: float) -> tuple
             "|delta_omega| must not exceed omega (negative frequencies)",
             (omega, delta_omega),
         )
-    split = _rabi_frequency(space, omega, delta_omega)
-    return (HBAR * (omega + split), HBAR * (omega - split))
-
-
-def _rabi_frequency(space: SearchSpace, omega: float, delta_omega: float) -> float:
     gg = space.overlap ** 2
-    radicand = delta_omega * delta_omega * (1.0 - gg) + omega * omega * gg
-    return math.sqrt(radicand)
+    split = math.sqrt(delta_omega * delta_omega * (1.0 - gg) + omega * omega * gg)
+    return (HBAR * (omega + split), HBAR * (omega - split))
 
 
 def _pauli_components(space: SearchSpace, omega_i, omega_s):
@@ -385,7 +379,7 @@ def _check_sample_count(schedule: ControlSchedule, step: float) -> None:
     follows from the total duration and the segment count alone, before any
     array is made.
     """
-    bound = schedule.total_duration / step + 2 * len(schedule.segments) + 1
+    bound = schedule.total_duration / step + 2 * schedule.durations.size + 1
     if not bound <= MAX_TRACE_SAMPLES:
         raise CapacityError(
             f"a trace is limited to {MAX_TRACE_SAMPLES} samples; raise the sample step",
@@ -446,10 +440,10 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
     psi = np.array([state.c1, state.c2], dtype=complex)
     times, c1s, c2s, counts = [np.zeros(1)], [psi[:1]], [psi[1:]], []
     t_start = 0.0
-    for seg in schedule.segments:
-        mean, x, z = _pauli_components(space, seg.omega_i, seg.omega_s)
+    for duration, omega_i, omega_s in zip(*(c.tolist() for c in schedule.arrays())):
+        mean, x, z = _pauli_components(space, omega_i, omega_s)
         rabi = math.hypot(x, z)
-        offsets = _segment_sample_offsets(t_start, seg.duration, sample_step)
+        offsets = _segment_sample_offsets(t_start, duration, sample_step)
         angles = rabi * offsets
         cos_t = np.cos(angles)
         if rabi > 0.0:
@@ -464,7 +458,7 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
         c2s.append(c2)
         counts.append(offsets.size)
         psi = np.array([c1[-1], c2[-1]])
-        t_start += seg.duration
+        t_start += duration
     counts[0] += 1  # the initial sample, under the first segment's frequencies
 
     t = np.concatenate(times)
@@ -482,9 +476,8 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
         k = int(np.argmax(bad))
         raise ConsistencyError("propagator norm drift exceeded tolerance",
                                (float(t[k]), float(norm_error[k])))
-    _, omega_i, omega_s = schedule.arrays()
-    return Trace(t, np.repeat(omega_i, counts), np.repeat(omega_s, counts), p_s, p_i,
-                 re_a, im_a, alpha, norm_error, space, space.p0_subnormal)
+    return Trace(t, np.repeat(schedule.omega_i, counts), np.repeat(schedule.omega_s, counts),
+                 p_s, p_i, re_a, im_a, alpha, norm_error, space, space.p0_subnormal)
 
 
 def _pairwise_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

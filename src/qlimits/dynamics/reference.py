@@ -152,23 +152,22 @@ def full_space_reference(
         rows.append((t, omega_i, omega_s, complex(psi[solution_index]),
                      complex(np.vdot(uniform, psi)), err))
 
-    first = schedule.segments[0]
-    emit(0.0, first.omega_i, first.omega_s)
+    emit(0.0, schedule.omega_i[0].item(), schedule.omega_s[0].item())
     t_start = 0.0
-    for seg in schedule.segments:
-        offsets = _segment_sample_offsets(t_start, seg.duration, sample_step)
+    for duration, omega_i, omega_s in zip(*(c.tolist() for c in schedule.arrays())):
+        offsets = _segment_sample_offsets(t_start, duration, sample_step)
         beta0 = _norm(psi)
         np.multiply(psi, 1.0 / beta0, out=basis[0])
         m, evals, evecs = _krylov_decomposition(
-            basis, uniform, seg.omega_i, seg.omega_s, solution_index, w, tmp
+            basis, uniform, omega_i, omega_s, solution_index, w, tmp
         )
         # row k: beta0 evecs exp(-i evals offsets[k]) evecs^T e_1, the Krylov
         # coordinates of the state at offsets[k]; the last is the segment's end
         coords = (beta0 * np.exp(-1j * np.outer(offsets, evals)) * evecs[0]) @ evecs.T
         for t, c in zip((t_start + offsets).tolist(), coords):
             np.matmul(c, basis[:m], out=psi)
-            emit(t, seg.omega_i, seg.omega_s)
-        t_start += seg.duration
+            emit(t, omega_i, omega_s)
+        t_start += duration
 
     t, omega_i, omega_s, s_amp, i_amp, err = (np.array(c) for c in zip(*rows))
     observables = _observable_columns(s_amp.real, s_amp.imag, i_amp.real, i_amp.imag)

@@ -17,7 +17,6 @@ from .core import (
     ControlSchedule,
     EffectiveState,
     SearchSpace,
-    Segment,
     propagate,
     segment_propagator,
 )
@@ -32,9 +31,7 @@ def ballistic_schedule(space: SearchSpace, work: float) -> ControlSchedule:
     """
     omega = ballistic_frequency(space, work)
     t_final = math.pi / (2.0 * omega * space.overlap)  # pi*sqrt(2^n)/(2 omega)
-    return ControlSchedule(
-        (Segment(t_final, omega, omega),), declared_duration=t_final
-    )
+    return ControlSchedule(((t_final, omega, omega),), declared_duration=t_final)
 
 
 def ballistic_frequency(space: SearchSpace, work: float) -> float:
@@ -77,8 +74,9 @@ def grover_pulsed_schedule(
     _check_segment_count(2 * iterations)
     omega_pulse = pulse_energy / HBAR
     tau = pulse_phase / omega_pulse
-    pair = (Segment(tau, 0.0, omega_pulse), Segment(tau, omega_pulse, 0.0))
-    return ControlSchedule(pair * iterations, declared_duration=2 * iterations * tau)
+    pair = ((tau, 0.0, omega_pulse), (tau, omega_pulse, 0.0))
+    return ControlSchedule(np.tile(pair, (iterations, 1)),
+                           declared_duration=2 * iterations * tau)
 
 
 def standard_grover_iterations(space: SearchSpace) -> int:
@@ -177,26 +175,23 @@ def adiabatic_schedule(
 
     total = adiabatic_total_time(space, energy_scale, error_budget)
     h = total / segments
-    segs: list[Segment] = []
-    for j in range(segments):
-        t_mid = (j + 0.5) * h
-        if kind == "local":
-            c = _local_sweep_position(space, energy_scale, error_budget, t_mid)
-        else:
-            c = t_mid / total
-        omega_i = (1.0 - c) * energy_scale / HBAR
-        omega_s = c * energy_scale / HBAR
-        segs.append(Segment(h, omega_i, omega_s))
-    return ControlSchedule(tuple(segs))
+    t_mid = (np.arange(segments) + 0.5) * h
+    if kind == "local":
+        c = np.array([_local_sweep_position(space, energy_scale, error_budget, t)
+                      for t in t_mid.tolist()])
+    else:
+        c = t_mid / total
+    return ControlSchedule(np.column_stack((np.full(segments, h),
+                                            (1.0 - c) * energy_scale / HBAR,
+                                            c * energy_scale / HBAR)))
 
 
 def schedule_infidelity(space: SearchSpace, schedule: ControlSchedule) -> float:
     """1 - P_s at the end of a schedule started from |i>."""
-    from .core import final_state, observables_at
+    from .core import final_state
 
     st = final_state(EffectiveState.initial(space), schedule)
-    last = schedule.segments[-1]
-    return 1.0 - observables_at(st, last.omega_i, last.omega_s).p_s
+    return 1.0 - abs(st.solution_amplitude()) ** 2
 
 
 def runtime_to_infidelity(

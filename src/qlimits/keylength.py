@@ -65,8 +65,8 @@ class CosmologyParams:
     rho_matter: float | None = None  # kg/m^3
 
     def __post_init__(self):
-        if not self.h0 > 0.0:
-            raise DomainError("H0 must be > 0", self.h0)
+        if not 0.0 < self.h0 < math.inf:
+            raise DomainError("H0 must be finite and > 0", self.h0)
         if not 0.0 < self.omega_lambda < 1.0:
             raise DomainError("Omega_Lambda must lie in (0, 1)", self.omega_lambda)
         if self.rho_matter is not None and not self.rho_matter > 0.0:
@@ -132,20 +132,25 @@ def classical_keylength(
 
 
 def cosmic_energy(params: CosmologyParams, form: str = "fromOmega") -> float:
-    """Mass-energy inside the cosmic event horizon, in joules."""
-    if form == "fromDensity":
-        if params.rho_matter is None:
-            raise DomainError("fromDensity requires a matter density", params)
-        radius = C_LIGHT / (math.sqrt(params.omega_lambda) * params.h0)
-        volume = 4.0 / 3.0 * math.pi * radius**3
-        return volume * params.rho_matter * C_LIGHT**2
-    if form == "fromOmega":
-        return (
-            (1.0 - params.omega_lambda)
-            * C_LIGHT**5
-            / (2.0 * params.h0 * params.omega_lambda**1.5 * G_NEWTON)
-        )
-    raise DomainError("form must be 'fromOmega' or 'fromDensity'", form)
+    """Mass-energy inside the cosmic event horizon, in joules; DomainError
+    where it lies outside the positive doubles."""
+    try:
+        if form == "fromDensity":
+            if params.rho_matter is None:
+                raise DomainError("fromDensity requires a matter density", params)
+            radius = C_LIGHT / (math.sqrt(params.omega_lambda) * params.h0)
+            energy = 4.0 / 3.0 * math.pi * radius**3 * params.rho_matter * C_LIGHT**2
+        elif form == "fromOmega":
+            energy = ((1.0 - params.omega_lambda) * C_LIGHT**5
+                      / (2.0 * params.h0 * params.omega_lambda**1.5 * G_NEWTON))
+        else:
+            raise DomainError("form must be 'fromOmega' or 'fromDensity'", form)
+    except (OverflowError, ZeroDivisionError):
+        energy = math.inf
+    if not 0.0 < energy < math.inf:
+        raise DomainError("the horizon energy lies outside double range",
+                          (params.h0, params.omega_lambda))
+    return energy
 
 
 @dataclass(frozen=True)

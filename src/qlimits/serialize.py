@@ -190,20 +190,14 @@ def schedule_to_obj(schedule) -> dict:
 
 def schedule_from_obj(obj: dict):
     """Parse the schedule-file schema {"segments": [{duration_s, ...}]}."""
-    from .dynamics import ControlSchedule, Segment
+    from .dynamics import ControlSchedule
 
     if not isinstance(obj, dict) or "segments" not in obj:
         raise ParseError("schedule JSON must contain a 'segments' array", obj)
-    segs = []
+    rows = []
     for i, entry in enumerate(obj["segments"]):
         try:
-            segs.append(
-                Segment(
-                    float(entry["duration_s"]),
-                    float(entry["omega_i_radps"]),
-                    float(entry["omega_s_radps"]),
-                )
-            )
+            rows.append([float(entry[key]) for key in _SCHEDULE_FIELDS])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad schedule segment #{i}: {exc}", entry) from None
-    return ControlSchedule(tuple(segs))
+    return ControlSchedule(rows)

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qlimits.bht import (
     REFERENCE_IMAGE_BITS,
@@ -141,30 +141,46 @@ class TestBhtOptimal:
 
 class TestSweepMinimum:
     @given(
-        n=st.floats(min_value=20.0, max_value=48.0).filter(lambda n: not n.is_integer()),
+        n=st.floats(min_value=0.5, max_value=48.0).filter(lambda n: not n.is_integer()),
         p=st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=1.0)),
+        points=st.sampled_from([2, 64, 3000]),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_non_integer_n_stays_within_admissible_k(self, n, p):
+    @settings(max_examples=300, deadline=None)
+    def test_non_integer_n_stays_within_admissible_k(self, n, p, points):
         # the top of the log grid used to round above 2^n * P_s and raise
-        k_min, w_min = bht_sweep_minimum(n, 1.0, 300.0, p, points=64)
-        assert 1.0 <= k_min <= 2.0 ** n * p
-        assert math.isfinite(w_min)
+        top = n + math.log2(p)
+        assume(top >= 0.0)
+        k_min, w_min = bht_sweep_minimum(n, 1.0, 300.0, p, points=points)
+        assert 1.0 <= k_min and math.log2(k_min) <= top  # 1 <= k <= 2^n P_s
+        assert math.isfinite(w_min) and w_min == bht_work(n, k_min, 1.0, 300.0, p)
         assert w_min <= bht_work(n, 1.0, 1.0, 300.0, p) * (1.0 + 1e-12)
 
 
-def scalar_grid_sweep(n, t_total, temperature, p_success, points):
-    """The sweep with one scalar bht_work call per grid point."""
-    k_hi = exp2(n + math.log2(p_success))
+def scalar_grid_sweep(n, t_total, temperature, p_success, points, admissible_top=True):
+    """The sweep with one scalar bht_work call per grid point.
+
+    With ``admissible_top`` the grid tops out at the largest k whose libm
+    log2 stays within n + log2 P_s and the golden section stays below it;
+    without, the grid tops out at exp2(n + log2 P_s), whose log2 can round
+    one ulp above, and the golden section is not clamped.
+    """
+    top = n + math.log2(p_success)
+    k_hi = exp2(top)
+    while admissible_top and math.log2(k_hi) > top:
+        k_hi = math.nextafter(k_hi, 0.0)
     grid = np.exp(np.linspace(0.0, math.log(k_hi), points))
     grid[-1] = k_hi
     works = np.array([bht_work(n, float(k), t_total, temperature, p_success) for k in grid])
     j = int(np.argmin(works))
     lo = math.log(grid[max(j - 1, 0)])
     hi = math.log(grid[min(j + 1, points - 1)])
-    u = golden_min(lambda u: bht_work(n, math.exp(u), t_total, temperature, p_success), lo, hi)
-    k_best = max(math.exp(u), 1.0)
-    return k_best, bht_work(n, k_best, t_total, temperature, p_success)
+
+    def k_at(u):
+        k = max(math.exp(u), 1.0)
+        return min(k, k_hi) if admissible_top else k
+
+    u = golden_min(lambda u: bht_work(n, k_at(u), t_total, temperature, p_success), lo, hi)
+    return k_at(u), bht_work(n, k_at(u), t_total, temperature, p_success)
 
 
 class TestSweepMatchesScalarGrid:
@@ -181,7 +197,7 @@ class TestSweepMatchesScalarGrid:
         t_total = 10.0 ** log10_t
         try:
             want = scalar_grid_sweep(n, t_total, temp, p, points)
-        except DomainError as exc:  # 2^n P_s < 1, or below by rounding at the top
+        except DomainError as exc:  # 2^n P_s < 1
             with pytest.raises(DomainError, match=re.escape(str(exc))):
                 bht_sweep_minimum(n, t_total, temp, p, points=points)
             return
@@ -215,15 +231,26 @@ class TestSweepMatchesScalarGrid:
                                       # numpy's log2 of the top point rounds down here
                                       (2.091481196530853, 0.6387684804534405),
                                       (1.7962314534121646, 0.5270417806967417)])
-    def test_rejects_the_top_point_where_the_scalar_grid_does(self, n, p):
-        # log2 of the top point 2^(n + log2 P_s) rounds one ulp above the
-        # exponent, so its radicand is negative and only that point fails
-        with pytest.raises(DomainError) as want:
-            scalar_grid_sweep(n, 1.0, 300.0, p, 3000)
-        with pytest.raises(DomainError) as got:
-            bht_sweep_minimum(n, 1.0, 300.0, p, points=3000)
-        assert str(got.value) == str(want.value)
-        assert got.value.offending_input == want.value.offending_input
+    def test_admissible_where_exp2_of_the_top_rounds_past_it(self, n, p):
+        # log2 of exp2(n + log2 P_s) rounds one ulp above the exponent, so
+        # that k has a negative radicand; the grid tops out one ulp lower
+        top = n + math.log2(p)
+        assert math.log2(exp2(top)) > top
+        k_min, w_min = bht_sweep_minimum(n, 1.0, 300.0, p, points=3000)
+        assert 1.0 <= k_min and math.log2(k_min) <= top
+        assert math.isfinite(w_min)
+        assert (k_min, w_min) == scalar_grid_sweep(n, 1.0, 300.0, p, 3000)
+
+    @given(n=st.integers(min_value=1, max_value=48),
+           log10_t=st.floats(min_value=-9.0, max_value=3.0),
+           points=st.sampled_from([2, 64, 3000]))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_n_at_certainty_keeps_the_exp2_top(self, n, log10_t, points):
+        # 2^n is exact, so the admissible top is exp2(n) and nothing moves
+        assert math.log2(exp2(float(n))) == n
+        args = (n, 10.0 ** log10_t, 300.0, 1.0)
+        assert bht_sweep_minimum(*args, points=points) == \
+            scalar_grid_sweep(*args, points, admissible_top=False)
 
 
 class TestImageBits:

@@ -396,3 +396,29 @@ def test_one_parser_serves_every_call(capsys):
     assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0]
     assert reused == run_all(fresh=True)
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # Omega_Lambda^1.5 underflows to 0 in the denominator
+    (["cosmic", "--h0", "67", "--omega-lambda", "1e-320"], "outside double range"),
+    # H0 overflows in the unit conversion; the energy would print as 0
+    (["cosmic", "--h0", "1e308", "--omega-lambda", "0.7"], "H0 must be finite"),
+    # the horizon radius cubed overflows
+    (["cosmic", "--h0", "1e-300", "--omega-lambda", "0.7", "--rho-m", "1e-27",
+      "--form", "fromDensity"], "outside double range"),
+    (["keylength", "--mode", "deterministic", "--work", "inf", "--time", "1s",
+      "--psuccess", "1"], "work must be finite and > 0"),
+    (["keylength", "--mode", "quantum", "--power", "inf", "--time", "1s",
+      "--psuccess", "1"], "power must be finite and > 0"),
+    (["keylength", "--mode", "quantum", "--power", "1e308", "--time", "1e10s",
+      "--psuccess", "1"], "power * time must be finite and > 0"),
+    (["bht", "--invert", "--work", "1e16", "--time", "1s", "--temp", "300",
+      "--psuccess", "0"], "success probability must lie in (0, 1]"),
+])
+def test_out_of_range_input_is_one_structured_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    error = json.loads(err)  # exactly one JSON object
+    assert error["kind"] == "domain"
+    assert message in error["message"]
