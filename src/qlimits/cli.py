@@ -541,6 +541,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _printable(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return format_float17(value)  # strict JSON has no NaN or Infinity token
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (list, tuple)):

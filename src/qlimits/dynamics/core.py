@@ -78,10 +78,6 @@ class SearchSpace:
         return 2.0 ** (-0.5 * self.n)
 
     @property
-    def initial_success_probability(self) -> float:
-        return 2.0 ** (-float(self.n))
-
-    @property
     def p0_subnormal(self) -> bool:
         """True when 2^-n is subnormal and loses mantissa precision."""
         return self.n > _SUBNORMAL_BITS
@@ -103,10 +99,6 @@ class EffectiveState:
     @classmethod
     def initial(cls, space: SearchSpace) -> "EffectiveState":
         return cls(1.0 + 0.0j, 0.0 + 0.0j, space)
-
-    @property
-    def norm_error(self) -> float:
-        return abs(math.sqrt(abs(self.c1) ** 2 + abs(self.c2) ** 2) - 1.0)
 
     def solution_amplitude(self) -> complex:
         """<s|psi> in the orthonormal basis."""
@@ -372,29 +364,38 @@ def observables_at(
     )
 
 
-def _check_sample_count(schedule: ControlSchedule, step: float) -> None:
-    """CapacityError when a trace at ``step`` could exceed MAX_TRACE_SAMPLES.
-
-    Each segment holds at most duration/step + 2 samples, so the bound
-    follows from the total duration and the segment count alone, before any
-    array is made.
+# an infinite step puts 0 * inf among the candidates, which the filter drops
+@np.errstate(invalid="ignore")
+def _sample_grid(schedule: ControlSchedule, step: float):
+    """(t, offsets, edges) of a trace: the initial sample at t = 0, then
+    every multiple of ``step`` strictly inside a segment and each segment's
+    end.  ``offsets`` count from each sample's segment start; segment k owns
+    samples edges[k]:edges[k + 1] (``edges`` is a list).  A segment holds
+    at most duration/step + 2 samples, so a trace past MAX_TRACE_SAMPLES
+    raises :class:`CapacityError` before any array is made.
     """
+    if not step > 0.0:
+        raise DomainError("sample_step must be > 0", step)
     bound = schedule.total_duration / step + 2 * schedule.durations.size + 1
     if not bound <= MAX_TRACE_SAMPLES:
-        raise CapacityError(
-            f"a trace is limited to {MAX_TRACE_SAMPLES} samples; raise the sample step",
-            (bound, step),
-        )
-
-
-def _segment_sample_offsets(t_start: float, duration: float, step: float) -> np.ndarray:
-    """Offsets within a segment hit by the global step grid, plus the end."""
-    t_end = t_start + duration
-    first = math.ceil(t_start / step - 1e-9)
-    last = math.floor(t_end / step + 1e-9)
-    offsets = np.arange(first, last + 1) * step - t_start
-    inside = (1e-12 * max(duration, step) < offsets) & (offsets < duration * (1.0 - 1e-12))
-    return np.append(offsets[inside], duration)
+        raise CapacityError(f"a trace is limited to {MAX_TRACE_SAMPLES} samples; "
+                            "raise the sample step", (bound, step))
+    durations = schedule.durations
+    ends = np.cumsum(durations)  # sequential, as a running t_start += duration
+    starts = np.concatenate(([0.0], ends[:-1]))
+    first = np.ceil(starts / step - 1e-9)
+    # segment k's slots: grid points first[k]..last[k], then its end
+    slots = (np.floor(ends / step + 1e-9) - first + 2).astype(np.intp)
+    tail = np.cumsum(slots) - 1
+    segment = np.repeat(np.arange(durations.size), slots)
+    grid_index = (first - (tail - slots + 1))[segment] + np.arange(segment.size)
+    offsets = grid_index * step - starts[segment]
+    duration = durations[segment]
+    keep = (1e-12 * np.maximum(duration, step) < offsets) & (offsets < duration * (1.0 - 1e-12))
+    offsets[tail], keep[tail] = durations, True
+    offsets = np.concatenate(([0.0], offsets[keep]))
+    t = np.concatenate(([0.0], starts[segment[keep]] + offsets[1:]))
+    return t, offsets, [1, *(np.cumsum(keep)[tail] + 1).tolist()]
 
 
 def _libm_square(x: np.ndarray) -> np.ndarray:
@@ -419,6 +420,23 @@ def _observable_columns(s_re, s_im, i_re, i_im):
             re_a, im_a, alpha)
 
 
+def _sampled_trace(space: SearchSpace, schedule: ControlSchedule, t: np.ndarray, edges,
+                   observables, norm_error: np.ndarray, message: str) -> Trace:
+    """The :class:`Trace` of (P_s, P_i, Re A, Im A, alpha_ab) ``observables``
+    at the times ``t`` and segment ``edges`` of :func:`_sample_grid`, the
+    initial sample under the first segment's frequencies.  The first
+    ``norm_error`` beyond NORM_TOLERANCE (or not finite) raises
+    :class:`ConsistencyError` with ``message`` and that sample's (t, error).
+    """
+    bad = ~(norm_error <= NORM_TOLERANCE)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConsistencyError(message, (float(t[k]), float(norm_error[k])))
+    counts = np.diff(edges[1:], prepend=0)
+    return Trace(t, np.repeat(schedule.omega_i, counts), np.repeat(schedule.omega_s, counts),
+                 *observables, norm_error, space, space.p0_subnormal)
+
+
 # A frequency or time that overflows ends in a non-finite norm, which the
 # norm check reports; numpy's warnings on the way would only add noise.
 @np.errstate(over="ignore", invalid="ignore")
@@ -433,51 +451,40 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
     propagation; a norm drift beyond 1e-9 (or a non-finite norm) raises
     :class:`ConsistencyError`.
     """
-    if not sample_step > 0.0:
-        raise DomainError("sample_step must be > 0", sample_step)
-    _check_sample_count(schedule, sample_step)
+    t, all_offsets, edges = _sample_grid(schedule, sample_step)
     space = state.space
     psi = np.array([state.c1, state.c2], dtype=complex)
-    times, c1s, c2s, counts = [np.zeros(1)], [psi[:1]], [psi[1:]], []
-    t_start = 0.0
-    for duration, omega_i, omega_s in zip(*(c.tolist() for c in schedule.arrays())):
+    c1s, c2s = np.empty(t.size, dtype=complex), np.empty(t.size, dtype=complex)
+    c1s[0], c2s[0] = psi
+    for lo, stop, omega_i, omega_s in zip(edges, edges[1:], schedule.omega_i.tolist(),
+                                          schedule.omega_s.tolist()):
         mean, x, z = _pauli_components(space, omega_i, omega_s)
         rabi = math.hypot(x, z)
-        offsets = _segment_sample_offsets(t_start, duration, sample_step)
+        offsets = all_offsets[lo:stop]
         angles = rabi * offsets
         cos_t = np.cos(angles)
         if rabi > 0.0:
             sin_over = np.sin(angles) / rabi
         else:
             sin_over = offsets.copy()
+        # keep the operand order: from 16,384 samples numpy runs phases * (...)
+        # in place as (...) *= phases, and x * y can differ from y * x in the
+        # last bit
         phases = np.exp(-1j * mean * offsets)
-        c1 = phases * ((cos_t - 1j * z * sin_over) * psi[0] - 1j * x * sin_over * psi[1])
-        c2 = phases * (-1j * x * sin_over * psi[0] + (cos_t + 1j * z * sin_over) * psi[1])
-        times.append(t_start + offsets)
-        c1s.append(c1)
-        c2s.append(c2)
-        counts.append(offsets.size)
-        psi = np.array([c1[-1], c2[-1]])
-        t_start += duration
-    counts[0] += 1  # the initial sample, under the first segment's frequencies
+        c1s[lo:stop] = phases * ((cos_t - 1j * z * sin_over) * psi[0] - 1j * x * sin_over * psi[1])
+        c2s[lo:stop] = phases * (-1j * x * sin_over * psi[0] + (cos_t + 1j * z * sin_over) * psi[1])
+        psi = np.array([c1s[stop - 1], c2s[stop - 1]])
 
-    t = np.concatenate(times)
-    c1, c2 = np.concatenate(c1s), np.concatenate(c2s)
-    r1, i1, r2, i2 = c1.real, c1.imag, c2.real, c2.imag
+    r1, i1, r2, i2 = c1s.real, c1s.imag, c2s.real, c2s.imag
     # <s|psi> = g c1 + sqrt(1 - g^2) c2, as Python's (real * complex) computes it
     g = space.overlap
     h = math.sqrt(1.0 - g * g)
     s_re = (g * r1 - 0.0 * i1) + (h * r2 - 0.0 * i2)
     s_im = (g * i1 + 0.0 * r1) + (h * i2 + 0.0 * r2)
-    p_s, p_i, re_a, im_a, alpha = _observable_columns(s_re, s_im, r1, i1)
-    norm_error = np.abs(np.sqrt(p_i + _libm_square(np.hypot(r2, i2))) - 1.0)
-    bad = ~(norm_error <= NORM_TOLERANCE)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ConsistencyError("propagator norm drift exceeded tolerance",
-                               (float(t[k]), float(norm_error[k])))
-    return Trace(t, np.repeat(schedule.omega_i, counts), np.repeat(schedule.omega_s, counts),
-                 p_s, p_i, re_a, im_a, alpha, norm_error, space, space.p0_subnormal)
+    observables = _observable_columns(s_re, s_im, r1, i1)
+    norm_error = np.abs(np.sqrt(observables[1] + _libm_square(np.hypot(r2, i2))) - 1.0)
+    return _sampled_trace(space, schedule, t, edges, observables, norm_error,
+                          "propagator norm drift exceeded tolerance")
 
 
 def _pairwise_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,9 +14,11 @@ for every offset tau inside the segment
     exp(-i (H/hbar) tau)|psi> = |psi| V^T E exp(-i Lambda tau) E^T e_1,
 
 with V the Krylov basis and T = E Lambda E^T the tridiagonal projection,
-holds to machine rounding -- no step-size error.  Every sample is then one
-m x 2^n product, checked for its norm and read off on the full vector;
-the segment's last sample starts the next segment.
+holds to machine rounding -- no step-size error.  The samples are those of
+:func:`qlimits.dynamics.core.evolve`, from the same grid: each is one
+m x 2^n product, read off on the full vector, and the segment's last
+sample starts the next segment.  The same assembly checks the norms and
+builds the trace, so the two line up row for row.
 
 The full vectors live in a few buffers allocated once per call and
 overwritten in place: glibc's malloc maps blocks of 128 KiB and more
@@ -33,13 +35,12 @@ import numpy as np
 
 from ..errors import CapacityError, ConsistencyError, DomainError
 from .core import (
-    NORM_TOLERANCE,
     ControlSchedule,
     SearchSpace,
     Trace,
-    _check_sample_count,
     _observable_columns,
-    _segment_sample_offsets,
+    _sample_grid,
+    _sampled_trace,
 )
 
 MAX_FULL_SPACE_BITS = 14
@@ -134,41 +135,31 @@ def full_space_reference(
     dim = space.dimension
     if not (isinstance(solution_index, int) and 0 <= solution_index < dim):
         raise DomainError("solution index must lie in [0, 2^n)", solution_index)
-    if not sample_step > 0.0:
-        raise DomainError("sample_step must be > 0", sample_step)
-    _check_sample_count(schedule, sample_step)
+    t, all_offsets, edges = _sample_grid(schedule, sample_step)
 
     uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     psi = uniform.copy()
     # rows past the closing Krylov vector are never written, so never mapped
     basis = np.empty((_KRYLOV_MAX + 1, dim), dtype=complex)
     w, tmp = np.empty(dim, dtype=complex), np.empty(dim, dtype=complex)
-    rows: list[tuple] = []  # (t, omega_i, omega_s, <s|psi>, <i|psi>, norm error)
-
-    def emit(t: float, omega_i: float, omega_s: float) -> None:
-        err = abs(_norm(psi) - 1.0)
-        if not err <= NORM_TOLERANCE:
-            raise ConsistencyError("full-space norm drift exceeded tolerance", (t, err))
-        rows.append((t, omega_i, omega_s, complex(psi[solution_index]),
-                     complex(np.vdot(uniform, psi)), err))
-
-    emit(0.0, schedule.omega_i[0].item(), schedule.omega_s[0].item())
-    t_start = 0.0
-    for duration, omega_i, omega_s in zip(*(c.tolist() for c in schedule.arrays())):
-        offsets = _segment_sample_offsets(t_start, duration, sample_step)
+    rows = np.empty((t.size, 3), dtype=complex)  # <s|psi>, <i|psi>, norm error
+    rows[0] = psi[solution_index], np.vdot(uniform, psi), abs(_norm(psi) - 1.0)
+    for lo, stop, omega_i, omega_s in zip(edges, edges[1:], schedule.omega_i.tolist(),
+                                          schedule.omega_s.tolist()):
         beta0 = _norm(psi)
         np.multiply(psi, 1.0 / beta0, out=basis[0])
         m, evals, evecs = _krylov_decomposition(
             basis, uniform, omega_i, omega_s, solution_index, w, tmp
         )
-        # row k: beta0 evecs exp(-i evals offsets[k]) evecs^T e_1, the Krylov
-        # coordinates of the state at offsets[k]; the last is the segment's end
+        # row j: beta0 evecs exp(-i evals offset_j) evecs^T e_1, the Krylov
+        # coordinates of the segment's sample j; the last is the segment's end
+        offsets = all_offsets[lo:stop]
         coords = (beta0 * np.exp(-1j * np.outer(offsets, evals)) * evecs[0]) @ evecs.T
-        for t, c in zip((t_start + offsets).tolist(), coords):
+        for k, c in enumerate(coords, lo):
             np.matmul(c, basis[:m], out=psi)
-            emit(t, omega_i, omega_s)
-        t_start += duration
+            rows[k] = psi[solution_index], np.vdot(uniform, psi), abs(_norm(psi) - 1.0)
 
-    t, omega_i, omega_s, s_amp, i_amp, err = (np.array(c) for c in zip(*rows))
+    s_amp, i_amp, norm_error = rows.T
     observables = _observable_columns(s_amp.real, s_amp.imag, i_amp.real, i_amp.imag)
-    return Trace(t, omega_i, omega_s, *observables, err, space, space.p0_subnormal)
+    return _sampled_trace(space, schedule, t, edges, observables, norm_error.real,
+                          "full-space norm drift exceeded tolerance")

@@ -30,11 +30,6 @@ def format_float17(x: float) -> str:
     return "Infinity" if x > 0 else "-Infinity"
 
 
-@lru_cache(maxsize=256, typed=True)
-def _encoded_key(key) -> str:
-    return json.dumps(str(key))
-
-
 class FloatRows(Sequence):
     """Rows of finite float columns under fixed keys, formatted in bulk.
 
@@ -81,7 +76,7 @@ def _json_row_template(keys: tuple[str, ...], indent: int, level: int) -> str:
     """One row of a JSON array at ``level`` as a %-template."""
     pad = " " * (indent * (level + 1))
     inner = " " * (indent * (level + 2))
-    fields = ",\n".join(f"{inner}{_encoded_key(k).replace('%', '%%')}: %.17g" for k in keys)
+    fields = ",\n".join(f"{inner}{json.dumps(str(k)).replace('%', '%%')}: %.17g" for k in keys)
     return f"{pad}{{\n{fields}\n{pad}}}"
 
 
@@ -95,16 +90,7 @@ def _write_rows(rows: FloatRows, out: list[str], indent: int, level: int) -> Non
 
 
 def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
-    kind = type(obj)
-    if kind is float:
-        out.append(format_float17(obj))
-    elif kind is dict:
-        _write_dict(obj, out, indent, level)
-    elif kind is list:
-        _write_list(obj, out, indent, level)
-    elif kind is FloatRows:
-        _write_rows(obj, out, indent, level)
-    elif obj is None:
+    if obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -118,6 +104,8 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
         _write_dict({"re": obj.real, "im": obj.imag}, out, indent, level)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
+    elif isinstance(obj, FloatRows):
+        _write_rows(obj, out, indent, level)
     elif isinstance(obj, dict):
         _write_dict(obj, out, indent, level)
     elif isinstance(obj, (list, tuple)):
@@ -133,13 +121,10 @@ def _write_dict(obj: dict, out: list[str], indent: int, level: int) -> None:
     pad = " " * (indent * (level + 1))
     out.append("{\n")
     for key, value in obj.items():
-        if type(value) is float:
-            out.append(f"{pad}{_encoded_key(key)}: {format_float17(value)},\n")
-        else:
-            out.append(f"{pad}{_encoded_key(key)}: ")
-            _write(value, out, indent, level + 1)
-            out.append(",\n")
-    out[-1] = out[-1][:-2] + "\n"
+        out.append(f"{pad}{json.dumps(str(key))}: ")
+        _write(value, out, indent, level + 1)
+        out.append(",\n")
+    out[-1] = "\n"
     out.append(" " * (indent * level) + "}")
 
 

@@ -398,6 +398,10 @@ def test_one_parser_serves_every_call(capsys):
     assert build_parser() is build_parser()
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 @pytest.mark.parametrize("argv, message", [
     # Omega_Lambda^1.5 underflows to 0 in the denominator
     (["cosmic", "--h0", "67", "--omega-lambda", "1e-320"], "outside double range"),
@@ -414,11 +418,13 @@ def test_one_parser_serves_every_call(capsys):
       "--psuccess", "1"], "power * time must be finite and > 0"),
     (["bht", "--invert", "--work", "1e16", "--time", "1s", "--temp", "300",
       "--psuccess", "0"], "success probability must lie in (0, 1]"),
+    (["bound", "quantum", "--solve", "psuccess", "--n", "8", "--time", "1s",
+      "--work", "inf"], "work must be finite and > 0"),
 ])
 def test_out_of_range_input_is_one_structured_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert "Traceback" not in err
-    error = json.loads(err)  # exactly one JSON object
+    error = json.loads(err, parse_constant=_reject_constant)  # exactly one strict JSON object
     assert error["kind"] == "domain"
     assert message in error["message"]

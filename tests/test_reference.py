@@ -16,7 +16,6 @@ from qlimits.dynamics import (
     evolve,
     full_space_reference,
 )
-from qlimits.dynamics.core import _segment_sample_offsets
 from qlimits.errors import CapacityError, DomainError
 
 
@@ -145,6 +144,16 @@ def _chain_expm_apply(psi, dt, uniform, omega_i, omega_s, sol):
     for j in range(len(alphas)):
         out += small[j] * basis[j]
     return beta0 * out
+
+
+def _segment_sample_offsets(t_start, duration, step):
+    """Offsets within a segment hit by the global step grid, plus the end."""
+    t_end = t_start + duration
+    first = math.ceil(t_start / step - 1e-9)
+    last = math.floor(t_end / step + 1e-9)
+    offsets = np.arange(first, last + 1) * step - t_start
+    inside = (1e-12 * max(duration, step) < offsets) & (offsets < duration * (1.0 - 1e-12))
+    return np.append(offsets[inside], duration)
 
 
 def chain_reference(space, schedule, step, sol):

@@ -222,6 +222,37 @@ def test_columns_and_text_equal_the_per_sample_code(run):
         _old_dumps17(_old_trace_to_obj(rows)).split("\n")
 
 
+def _grid_edge_cases():
+    grover_space = SearchSpace(10)
+    grover = grover_pulsed_schedule(grover_space, 1.0, math.pi,
+                                    standard_grover_iterations(grover_space))
+    adiabatic = adiabatic_schedule(SearchSpace(16), 1.0, 0.1)
+    ballistic = ballistic_schedule(SearchSpace(12), 1.0)
+    return [
+        # 20 steps a segment: every boundary falls on a grid point
+        pytest.param(10, grover, grover.total_duration / 1000, id="grover-boundaries-on-grid"),
+        # 4,096 segment starts accumulated one after the other
+        pytest.param(16, adiabatic, adiabatic.total_duration / 1000, id="adiabatic-n16"),
+        # the middle segment is shorter than the step and holds t = 1.0
+        pytest.param(6, ControlSchedule(((0.99, 1.3, 0.4), (0.02, 0.5, 2.0), (0.7, 0.2, 0.1))),
+                     0.25, id="segment-shorter-than-step"),
+        # the middle segment spans one step from a grid point: no interior point
+        pytest.param(6, ControlSchedule(((1.0, 1.3, 0.4), (0.25, 0.5, 2.0), (0.6, 0.2, 0.1))),
+                     0.25, id="segment-without-interior-point"),
+        # one segment just below and at the 16,384 samples (256 KiB of
+        # complex temporaries) where numpy starts to evaluate products in place
+        pytest.param(12, ballistic, ballistic.total_duration / 16383, id="ballistic-16383"),
+        pytest.param(12, ballistic, ballistic.total_duration / 16384, id="ballistic-16384"),
+    ]
+
+
+@pytest.mark.parametrize("n, schedule, step", _grid_edge_cases())
+def test_grid_edge_cases_equal_the_per_sample_code(n, schedule, step):
+    state = EffectiveState.initial(SearchSpace(n))
+    rows = _old_evolve(state, schedule, step)
+    assert _columns_as_lists(evolve(state, schedule, step)) == [list(c) for c in zip(*rows)]
+
+
 def test_points_repeat_the_columns():
     space = SearchSpace(7)
     schedule = ControlSchedule((Segment(0.7, 1.3, 0.4), Segment(0.9, 0.0, 0.0),
