@@ -34,7 +34,7 @@ import numpy as np
 
 from ._num import LN2, bisect, ceil_tol, exp2, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR
-from .errors import DomainError
+from .errors import DomainError, InfeasibleError
 from .bounds import _N_BRACKET, landauer_energy
 
 BHT_TAG = "bht-collision-v1"
@@ -49,15 +49,15 @@ REFERENCE_IMAGE_BITS = {"datacenter": 415, "dyson": 788, "cosmic": 1077}
 class BhtPlan:
     """A resolved collision-search plan."""
 
-    image_bits: int
+    image_bits: float         # the n the plan was computed at
     samples: float            # continuous optimizer (clamped)
     samples_rounded: int
     quantum_time: float       # s
     total_time: float         # s
-    work: float               # J (inf when past float range)
+    work: float               # J
     log2_work: float
     log2_samples: float
-    closed_form_work: float   # J, budget-only closed form (inf when huge)
+    closed_form_work: float   # J, budget-only closed form
     log2_closed_form_work: float
     clamped: bool
 
@@ -162,8 +162,11 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
 
     The continuous optimizer is clamped to [1, 2^n P_s]; the reported work
     is the exact three-term expression at the rounded sample count, while
-    the budget-only closed form is carried alongside for inversion.
+    the budget-only closed form is carried alongside for inversion.  A
+    sample count or work past double range raises :class:`InfeasibleError`.
     """
+    if not math.isfinite(n):
+        raise DomainError("image size n must be finite", n)
     if not t_total > 0.0:
         raise DomainError("total time must be > 0", t_total)
     if not temperature > 0.0:
@@ -203,8 +206,10 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
         ratio_log2 = log2_k + math.log2(2.0 * math.pi / 4.0) - root_log2
         t_s = t_total / (exp2(ratio_log2) + 1.0)
 
+    if math.inf in (k_cont, work, exp2(log2_w_star)):
+        raise InfeasibleError("the plan's k or work lies past double range", math.inf, n)
     return BhtPlan(
-        image_bits=int(n),
+        image_bits=n,
         samples=k_cont,
         samples_rounded=int(k_round),
         quantum_time=t_s,

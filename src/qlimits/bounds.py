@@ -206,7 +206,7 @@ def classical_bound(query: BoundQuery) -> BoundResult:
             classical_work_requirement(
                 query.n, query.time, t_kelvin, query.success_probability
             ),
-            query,
+            "work", query,
         ))
 
     if query.unknown == "psuccess":
@@ -246,7 +246,7 @@ def classical_bound(query: BoundQuery) -> BoundResult:
         time = exp2(log2_b) / (query.work - floor)
         if time == math.inf:  # B alone may overflow where B / (W - A) does not
             time = exp2(log2_b - math.log2(query.work - floor))
-        return result(_in_double_range(time, query))
+        return result(_in_double_range(time, "time", query))
 
     # unknown == "n": monotone bisection on the log-requirement
     _require(query, "time", "psuccess")
@@ -326,7 +326,7 @@ def quantum_bound(query: BoundQuery) -> BoundResult:
         value, offset = quantum_work_requirement(
             query.n, query.time, query.success_probability
         )
-        return result(_in_double_range(value, query), offset)
+        return result(_in_double_range(value, "work", query), offset)
 
     if query.unknown == "time":
         _require(query, "n", "psuccess")
@@ -345,7 +345,7 @@ def quantum_bound(query: BoundQuery) -> BoundResult:
             _require(query, "work")
             # the same product, solved for t: W t = root * hbar
             time, _ = quantum_work_requirement(query.n, query.work, p)
-        return result(_in_double_range(time, query))
+        return result(_in_double_range(time, "time", query))
 
     if query.unknown == "psuccess":
         _require(query, "n", "time")
@@ -381,14 +381,15 @@ def gate_bound(
     e_l = landauer_energy(temperature)
     root = exp2(0.5 * (n + math.log2(p_success)))
     dynamic = HBAR * (root - 1.0) * (math.pi - 2.0 ** (1.0 - n / 2.0)) / time
-    return (2.0 * n + corrected_errors) * e_l + max(dynamic, 0.0)
+    landauer = (2.0 * n + corrected_errors) * e_l if e_l > 0.0 else 0.0  # 2n may overflow
+    return _in_double_range(landauer + max(dynamic, 0.0), "work", (n, p_success, time))
 
 
 def ballistic_deterministic_time(n: float, work: float) -> float:
     """t_F = (pi/2)(sqrt(2^n) + 1) hbar / W."""
     if not work > 0.0:
         raise DomainError("work must be > 0", work)
-    return 0.5 * math.pi * (exp2(0.5 * n) + 1.0) * HBAR / work
+    return _in_double_range(0.5 * math.pi * (exp2(0.5 * n) + 1.0) * HBAR / work, "time", n)
 
 
 def ballistic_success(n: float, work: float, time: float) -> float:
@@ -399,7 +400,10 @@ def ballistic_success(n: float, work: float, time: float) -> float:
     """
     if time < 0.0:
         raise DomainError("time must be >= 0", time)
-    t_final = ballistic_deterministic_time(n, work)
+    try:
+        t_final = ballistic_deterministic_time(n, work)
+    except InfeasibleError:  # t_F past double range bounds no finite time
+        t_final = math.inf
     if time > t_final * (1.0 + 1e-12):
         raise DomainError(
             f"ballistic form is valid only up to t_F = {t_final!r} s", time
@@ -501,11 +505,11 @@ def _require(query: BoundQuery, *fields: str) -> None:
             raise DomainError(f"field {f!r} is required", query)
 
 
-def _in_double_range(value: float, query: BoundQuery) -> float:
+def _in_double_range(value: float, unknown: str, offending_input) -> float:
     """A solved work or time; +inf means the true value lies past double range."""
     if value == math.inf:
-        raise InfeasibleError(f"the solved {query.unknown} lies past double range",
-                              math.inf, query)
+        raise InfeasibleError(f"the solved {unknown} lies past double range",
+                              math.inf, offending_input)
     return value
 
 

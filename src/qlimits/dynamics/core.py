@@ -437,6 +437,11 @@ def _sampled_trace(space: SearchSpace, schedule: ControlSchedule, t: np.ndarray,
                  *observables, norm_error, space, space.p0_subnormal)
 
 
+# numpy runs a * b in place as b *= a when b is a temporary of 256 KiB or more, and x * y
+# can differ from y * x in the last bit: segments of this many samples took (...) * phases.
+IN_PLACE_SAMPLES = 16384
+
+
 # A frequency or time that overflows ends in a non-finite norm, which the
 # norm check reports; numpy's warnings on the way would only add noise.
 @np.errstate(over="ignore", invalid="ignore")
@@ -445,45 +450,52 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
 
     Within each constant segment the propagation is the exact 2x2 matrix
     exponential; samples fall on every multiple of ``sample_step`` plus all
-    segment boundaries, ending exactly at the total duration.  The
-    observables of all samples are then taken at once.  More than
+    segment boundaries, ending exactly at the total duration.  Only the
+    segment start states are taken one after the other.  More than
     MAX_TRACE_SAMPLES samples raise :class:`CapacityError` before any
     propagation; a norm drift beyond 1e-9 (or a non-finite norm) raises
     :class:`ConsistencyError`.
     """
-    t, all_offsets, edges = _sample_grid(schedule, sample_step)
-    space = state.space
-    psi = np.array([state.c1, state.c2], dtype=complex)
-    c1s, c2s = np.empty(t.size, dtype=complex), np.empty(t.size, dtype=complex)
-    c1s[0], c2s[0] = psi
-    for lo, stop, omega_i, omega_s in zip(edges, edges[1:], schedule.omega_i.tolist(),
-                                          schedule.omega_s.tolist()):
-        mean, x, z = _pauli_components(space, omega_i, omega_s)
-        rabi = math.hypot(x, z)
-        offsets = all_offsets[lo:stop]
-        angles = rabi * offsets
-        cos_t = np.cos(angles)
-        if rabi > 0.0:
-            sin_over = np.sin(angles) / rabi
-        else:
-            sin_over = offsets.copy()
-        # keep the operand order: from 16,384 samples numpy runs phases * (...)
-        # in place as (...) *= phases, and x * y can differ from y * x in the
-        # last bit
-        phases = np.exp(-1j * mean * offsets)
-        c1s[lo:stop] = phases * ((cos_t - 1j * z * sin_over) * psi[0] - 1j * x * sin_over * psi[1])
-        c2s[lo:stop] = phases * (-1j * x * sin_over * psi[0] + (cos_t + 1j * z * sin_over) * psi[1])
-        psi = np.array([c1s[stop - 1], c2s[stop - 1]])
+    t, offsets, edges = _sample_grid(schedule, sample_step)
+    counts = np.diff(edges)
+    seg = np.repeat(np.arange(counts.size), counts)
+    offsets = offsets[1:]
+    mean, x, z = _pauli_components(state.space, schedule.omega_i, schedule.omega_s)
+    # math.hypot, as per segment before: np.hypot differs from it in the last bit
+    rabi = np.fromiter(map(math.hypot, x.tolist(), z.tolist()), float, x.size)[seg]
+    angles = rabi * offsets
+    cos_t = np.cos(angles)
+    sin_over = np.where(rabi > 0.0, np.sin(angles) / np.where(rabi > 0.0, rabi, 1.0), offsets)
+    # c1 = phases (a1 psi0 - b1 psi1), c2 = phases (b2 psi0 + a2 psi1).  No right
+    # operand of a complex product is a temporary, so each runs as written.
+    iz_sin = (1j * z)[seg] * sin_over
+    a1, a2 = cos_t - iz_sin, cos_t + iz_sin
+    b1, b2 = (1j * x)[seg] * sin_over, (-1j * x)[seg] * sin_over
+    phases = np.exp((-1j * mean)[seg] * offsets)
+    swap, last = counts >= IN_PLACE_SAMPLES, np.cumsum(counts) - 1
+    # the chain of segment start states, as [psi0, psi0, psi1, psi1]
+    psi = np.array([state.c1, state.c1, state.c2, state.c2])
+    starts = np.empty((counts.size, 4), dtype=complex)
+    ends = np.column_stack((a1[last], b2[last], b1[last], a2[last]))
+    for k, (coefficients, phase, swapped) in enumerate(zip(ends, phases[last], swap.tolist())):
+        starts[k] = psi
+        p, q, r, s = (coefficients * psi).tolist()
+        u = np.array([p - r, p - r, q + s, q + s])
+        psi = u * phase if swapped else phase * u
+    psi0, psi1, swapped = starts[seg, 0], starts[seg, 2], swap[seg]
+    u1, u2 = a1 * psi0 - b1 * psi1, b2 * psi0 + a2 * psi1
+    c1s = np.concatenate(([state.c1], np.where(swapped, u1 * phases, phases * u1)))
+    c2s = np.concatenate(([state.c2], np.where(swapped, u2 * phases, phases * u2)))
 
     r1, i1, r2, i2 = c1s.real, c1s.imag, c2s.real, c2s.imag
     # <s|psi> = g c1 + sqrt(1 - g^2) c2, as Python's (real * complex) computes it
-    g = space.overlap
+    g = state.space.overlap
     h = math.sqrt(1.0 - g * g)
     s_re = (g * r1 - 0.0 * i1) + (h * r2 - 0.0 * i2)
     s_im = (g * i1 + 0.0 * r1) + (h * i2 + 0.0 * r2)
     observables = _observable_columns(s_re, s_im, r1, i1)
     norm_error = np.abs(np.sqrt(observables[1] + _libm_square(np.hypot(r2, i2))) - 1.0)
-    return _sampled_trace(space, schedule, t, edges, observables, norm_error,
+    return _sampled_trace(state.space, schedule, t, edges, observables, norm_error,
                           "propagator norm drift exceeded tolerance")
 
 

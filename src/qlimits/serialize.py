@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections.abc import Sequence
 from functools import lru_cache
 from typing import Any
@@ -61,14 +62,22 @@ class FloatRows(Sequence):
         return dict(zip(self.keys, [c[index].item() for c in self.columns]))
 
     def __iter__(self):
-        return (dict(zip(self.keys, row)) for row in self._tuples())
-
-    def _tuples(self):
-        return zip(*(c.tolist() for c in self.columns))
+        return (dict(zip(self.keys, row)) for row in zip(*(c.tolist() for c in self.columns)))
 
     def join(self, template: str, sep: str) -> str:
-        """Every row through ``template % row``, joined by ``sep``."""
-        return sep.join(map(template.__mod__, self._tuples()))
+        """Every row through ``template % row`` (a ``%.17g`` slot per column),
+        joined by ``sep``.  A column with at most half its values distinct (by
+        bit pattern: -0.0 is not 0.0) is formatted once per value, via ``%s``."""
+        cells, specs = [], []
+        for column in self.columns:
+            distinct, index = np.unique(column.view(np.uint64), return_inverse=True)
+            repeated = 2 * distinct.size <= column.size
+            specs.append("%s" if repeated else "%.17g")
+            cells.append(np.array(["%.17g" % v for v in distinct.view(float).tolist()],
+                                  object)[index].tolist() if repeated else column.tolist())
+        specs = iter(specs)  # the slots, left to right past any escaped "%%"
+        template = re.sub(r"%%|%\.17g", lambda m: m[0] if m[0] == "%%" else next(specs), template)
+        return sep.join(map(template.__mod__, zip(*cells)))
 
 
 @lru_cache(maxsize=64)

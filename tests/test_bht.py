@@ -19,7 +19,7 @@ from qlimits.bht import (
 from qlimits._num import exp2, golden_min
 from qlimits.bounds import landauer_energy, quantum_work_requirement
 from qlimits.constants import H, HBAR
-from qlimits.errors import DomainError
+from qlimits.errors import DomainError, InfeasibleError
 from qlimits.scenarios import SCENARIOS
 
 
@@ -126,12 +126,14 @@ class TestBhtOptimal:
         assert math.isfinite(plan.work)
         assert plan.work == pytest.approx(2.0**plan.log2_work, rel=1e-9)
         assert 0.0 < plan.quantum_time <= 1.0
-        # n=3500: work and k overflow doubles; log2 fields must survive
-        plan = bht_optimal(3500, 1.0, 2.7, 1e-12)
-        assert plan.work == math.inf and plan.samples == math.inf
-        assert math.isfinite(plan.log2_work)
-        assert math.isfinite(plan.log2_samples)
+        # n=3000: k lies past 2^53, so the plan is taken in log2 space
+        plan = bht_optimal(3000, 1.0, 300.0, 1.0)
+        assert plan.samples_rounded == -1 and 2.0**53 < plan.samples < math.inf
+        assert plan.work == pytest.approx(2.0**plan.log2_work, rel=1e-9)
         assert 0.0 < plan.quantum_time <= 1.0
+        # n=3500: work and k overflow doubles, which no plan can report
+        with pytest.raises(InfeasibleError):
+            bht_optimal(3500, 1.0, 2.7, 1e-12)
 
     def test_plan_invariants(self):
         plan = bht_optimal(44, 10.0, 300.0, 0.25)

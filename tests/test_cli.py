@@ -420,6 +420,11 @@ def _reject_constant(token):
       "--psuccess", "0"], "success probability must lie in (0, 1]"),
     (["bound", "quantum", "--solve", "psuccess", "--n", "8", "--time", "1s",
       "--work", "inf"], "work must be finite and > 0"),
+    # int(n) once raised OverflowError here; a plan at n = inf is no plan
+    (["bht", "--n", "inf", "--time", "5a", "--temp", "300", "--psuccess", "0.5"],
+     "image size n must be finite"),
+    (["bht", "--n", "inf", "--time", "1e300s", "--temp", "1", "--psuccess", "1e-320"],
+     "image size n must be finite"),
 ])
 def test_out_of_range_input_is_one_structured_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -428,3 +433,33 @@ def test_out_of_range_input_is_one_structured_error(capsys, argv, message):
     error = json.loads(err, parse_constant=_reject_constant)  # exactly one strict JSON object
     assert error["kind"] == "domain"
     assert message in error["message"]
+
+
+@pytest.mark.parametrize("argv, n", [
+    # the plan is computed at n = 48.5 and must say so
+    (["bht", "--n", "48.5", "--time", "1s", "--temp", "300", "--psuccess", "1"], 48.5),
+    (["bht", "--n", "48", "--time", "1s", "--temp", "300", "--psuccess", "1"], 48),
+    # t_F overflows, but any finite time lies within it
+    (["bound", "ballistic", "--solve", "psuccess", "--n", "3000", "--work", "1",
+      "--time", "1s"], 3000),
+])
+def test_results_report_the_n_they_were_computed_at(capsys, argv, n):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload.get("n", payload.get("inputs", {}).get("n")) == n
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "ballistic", "--solve", "time", "--n", "3000", "--work", "1"],
+    ["bound", "gate", "--solve", "work", "--n", "1e300", "--psuccess", "1", "--time", "1s"],
+    # 2n overflows too, which at zero temperature once gave 0 * inf = NaN
+    ["bound", "gate", "--solve", "work", "--n", "1e308", "--psuccess", "1", "--time", "1s"],
+    ["bht", "--n", "5000", "--time", "1s", "--temp", "300", "--psuccess", "1"],
+])
+def test_results_past_double_range_are_infeasible(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    error = json.loads(err, parse_constant=_reject_constant)  # exactly one strict JSON object
+    assert error["kind"] == "infeasible"
+    assert "past double range" in error["message"]

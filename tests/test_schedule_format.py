@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qlimits.dynamics.control as control
@@ -250,6 +250,9 @@ def test_scaled_equals_the_old_loop(rows, factor):
        omega=st.floats(min_value=0.5, max_value=2.0))
 @settings(max_examples=25, deadline=None)
 def test_modulated_schedule_equals_the_old_loop(r, cycles, segments_per_cycle, omega):
+    # the double 0.2 exceeds 1/5, so r * omega_c can pass omega: the function's
+    # own domain check refuses that, which is not what this test compares
+    assume(r * (5.0 * omega) <= omega)
     # the schedule is internal: catch it where the function hands it to evolve
     with mock.patch.object(control, "evolve", wraps=control.evolve) as spy:
         measure_modulated_suppression(SearchSpace(12), r, omega, cycles, segments_per_cycle)

@@ -9,6 +9,7 @@ output hashes).
 
 import json
 import math
+import struct
 import tracemalloc
 import warnings
 
@@ -37,6 +38,7 @@ from qlimits.dynamics.core import MAX_TRACE_SAMPLES, _pauli_components
 from qlimits.errors import CapacityError, ConsistencyError, DomainError
 from qlimits.serialize import (
     FloatRows,
+    _json_row_template,
     dumps17,
     schedule_from_obj,
     schedule_to_obj,
@@ -178,6 +180,11 @@ def _old_dumps17(obj, indent=2):
     return "".join(out)
 
 
+def _old_join(rows, template, sep):
+    """FloatRows.join with ``%.17g`` in every slot: each cell formatted."""
+    return sep.join(map(template.__mod__, zip(*(c.tolist() for c in rows.columns))))
+
+
 # ------------------------------------------------------------- strategies
 
 _frequency = st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(1e-6, 1e3))
@@ -243,6 +250,11 @@ def _grid_edge_cases():
         # complex temporaries) where numpy starts to evaluate products in place
         pytest.param(12, ballistic, ballistic.total_duration / 16383, id="ballistic-16383"),
         pytest.param(12, ballistic, ballistic.total_duration / 16384, id="ballistic-16384"),
+        # short segments around one of 17,000 samples: one trace takes both
+        # operand orders of the phases product
+        pytest.param(9, ControlSchedule(((0.3, 1.3, 0.4), (0.05, 0.0, 2.0), (1.0, 2.0, 0.7),
+                                         (0.4, 0.2, 3.1), (0.02, 0.0, 0.0))),
+                     1.0 / 17000, id="long-segment-between-short-ones"),
     ]
 
 
@@ -398,6 +410,44 @@ def test_any_finite_rows_equal_the_old_writer(columns, level, indent):
     for _ in range(level):
         new, old = {"x": new}, {"x": old}
     assert dumps17(new, indent).split("\n") == _old_dumps17(old, indent).split("\n")
+
+
+# signed zeros, subnormals and the ends of double range
+_ROW_POOL = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310, 1e308, -1e308,
+             1.7976931348623157e308, 1.0, 1.0 / 3.0)
+
+
+@st.composite
+def _row_columns(draw):
+    """Columns of one length: some hold at most half as many distinct values
+    as rows, drawn from a few pool entries; the others hold only distinct
+    values."""
+    size = draw(st.integers(0, 24))
+    columns = []
+    for repeated in draw(st.lists(st.booleans(), min_size=1, max_size=9)):
+        if repeated:
+            picks = draw(st.lists(st.integers(0, len(_ROW_POOL) - 1), min_size=1,
+                                  max_size=max(1, size // 2)))
+            columns.append([_ROW_POOL[draw(st.sampled_from(picks))] for _ in range(size)])
+        else:
+            columns.append(draw(st.lists(
+                st.one_of(st.sampled_from(_ROW_POOL),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=size, max_size=size, unique_by=lambda v: struct.pack("<d", v))))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_columns(), st.integers(0, 3), st.integers(0, 4))
+def test_distinct_values_format_as_every_cell(columns, level, indent):
+    # keys that hold "%" and a whole "%.17g" must stay text in the template
+    keys = ("%.17g", *(f"k%{i}" for i in range(1, len(columns))))
+    rows = FloatRows(keys, columns)
+    csv_row = "\n" + ",".join(["%.17g"] * len(columns))
+    json_row = _json_row_template(keys, indent, level)
+    assert rows.join(csv_row, "").split("\n") == _old_join(rows, csv_row, "").split("\n")
+    assert rows.join(json_row, ",\n").split("\n") == \
+        _old_join(rows, json_row, ",\n").split("\n")
 
 
 def test_rows_reject_non_finite_columns():
