@@ -35,7 +35,7 @@ import numpy as np
 from ._num import LN2, bisect, ceil_tol, exp2, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR
 from .errors import DomainError, InfeasibleError
-from .bounds import _N_BRACKET, landauer_energy
+from .bounds import _N_BRACKET, _in_double_range, landauer_energy
 
 BHT_TAG = "bht-collision-v1"
 
@@ -96,6 +96,8 @@ def _quantum_root(n: float, p_success: float, k: float) -> float:
 
 def bht_work(n: float, k: float, t_total: float, temperature: float, p_success: float) -> float:
     """Work floor for a plan with k classical samples, in joules."""
+    if not math.isfinite(n):
+        raise DomainError("image size n must be finite", n)
     if not k >= 1.0:
         raise DomainError("sample count k must be >= 1", k)
     if not t_total > 0.0:
@@ -104,7 +106,18 @@ def bht_work(n: float, k: float, t_total: float, temperature: float, p_success: 
         raise DomainError("success probability must lie in (0, 1]", p_success)
     e_l = landauer_energy(temperature)
     root = _quantum_root(n, p_success, k)
-    return k * (n + 1.0) * e_l + k * H / (4.0 * t_total) + root * HBAR / t_total
+    landauer = k * (n + 1.0) * e_l if e_l > 0.0 else 0.0  # k (n + 1) may overflow
+    work = landauer + k * H / (4.0 * t_total) + root * HBAR / t_total
+    return _in_double_range(work, "work", (n, k))
+
+
+def _log2_over(numerator: float, t: float) -> float:
+    """log2(numerator / t), from the quotient while it is a normal double,
+    which keeps it to the last bit, and from log2 numerator - log2 t past that."""
+    quotient = numerator / t
+    if quotient >= sys.float_info.min:
+        return math.log2(quotient)
+    return math.log2(numerator) - math.log2(t)
 
 
 def _log2_work_terms(n: float, log2_k: float, t_total: float, temperature: float,
@@ -112,11 +125,19 @@ def _log2_work_terms(n: float, log2_k: float, t_total: float, temperature: float
     """log2 of the three-term work expression, fully in log space."""
     e_l = landauer_energy(temperature)
     landauer_log2 = math.log2((n + 1.0) * e_l) if e_l > 0.0 else -math.inf
-    classical_log2 = log2_add(log2_k + landauer_log2, log2_k + math.log2(H / (4.0 * t_total)))
+    classical_log2 = log2_add(log2_k + landauer_log2, log2_k + _log2_over(H / 4.0, t_total))
     r_log2 = n + math.log2(p_success) - log2_k
     if r_log2 < 0.0:
         raise DomainError("sample count exceeds 2^n * P_s", (n, log2_k))
-    return log2_add(classical_log2, log2_radical(r_log2) + math.log2(HBAR / t_total))
+    return log2_add(classical_log2, log2_radical(r_log2) + _log2_over(HBAR, t_total))
+
+
+def _log2_work(work: float, n: float, k: float, t_total: float, temperature: float,
+               p_success: float) -> float:
+    """log2 of ``work = bht_work(n, k, ...)``, from log space where it underflows to 0."""
+    if work > 0.0:
+        return math.log2(work)
+    return _log2_work_terms(n, math.log2(k), t_total, temperature, p_success)
 
 
 def _closed_form_log2(n: float, t_total: float, temperature: float, p_success: float) -> tuple[float, float]:
@@ -134,11 +155,7 @@ def _closed_form_log2(n: float, t_total: float, temperature: float, p_success: f
     else:
         log2_x = log2_add(math.log2((n + 1.0) * e_l * 4.0 / HBAR) + math.log2(t_total),
                           math.log2(2.0 * math.pi))
-    scale = 1.25 * HBAR / t_total
-    if scale >= sys.float_info.min:
-        log2_scale = math.log2(scale)
-    else:
-        log2_scale = math.log2(1.25 * HBAR) - math.log2(t_total)
+    log2_scale = _log2_over(1.25 * HBAR, t_total)
     base = (n + math.log2(p_success)) / 3.0
     log2_k = base - (2.0 / 3.0) * log2_x
     log2_w = base + log2_x / 3.0 + log2_scale
@@ -155,6 +172,22 @@ def optimal_quantum_time(n: float, k: float, t_total: float, p_success: float) -
     if root == 0.0:
         return 0.0
     return t_total / (k * 2.0 * math.pi / (4.0 * root) + 1.0)
+
+
+def bht_fixed_samples(n: float, k: float, t_total: float, temperature: float,
+                      p_success: float = 1.0) -> dict:
+    """The plan at a given sample count k: time split and work floor."""
+    work = bht_work(n, k, t_total, temperature, p_success)
+    return {
+        "n": n,
+        "k": k,
+        "log2_k": math.log2(k),
+        "t_s_s": optimal_quantum_time(n, k, t_total, p_success),
+        "t_total_s": t_total,
+        "work_J": work,
+        "log2_work_J": _log2_work(work, n, k, t_total, temperature, p_success),
+        "constants_version": CONSTANTS_VERSION,
+    }
 
 
 def bht_optimal(n: float, t_total: float, temperature: float, p_success: float = 1.0) -> BhtPlan:
@@ -196,7 +229,7 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
             if kk >= 1.0 and _radicand_log2(n, p_success, kk) >= 0.0:
                 candidates.append((bht_work(n, kk, t_total, temperature, p_success), kk))
         work, k_round = min(candidates)
-        log2_work = math.log2(work) if work > 0.0 else -math.inf
+        log2_work = _log2_work(work, n, k_round, t_total, temperature, p_success)
         t_s = optimal_quantum_time(n, k_round, t_total, p_success)
     else:
         k_round = -1  # beyond integer representation; report the continuous plan

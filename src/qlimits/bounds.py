@@ -97,8 +97,8 @@ class BoundQuery:
         ):
             if value is not None and not 0.0 < value < math.inf:
                 raise DomainError(f"{name} must be finite and > 0", value)
-        if self.temperature is not None and self.temperature < 0.0:
-            raise DomainError("temperature must be >= 0", self.temperature)
+        if self.temperature is not None:
+            landauer_energy(self.temperature)  # refuses a negative or non-finite one
         if self.success_probability is not None and not (
             0.0 < self.success_probability <= 1.0
         ):
@@ -152,8 +152,10 @@ class BoundResult:
 
 def landauer_energy(temperature: float) -> float:
     """k_B T ln2, the minimum work per irreversible bit reset."""
-    if temperature < 0.0:
+    if not temperature >= 0.0:  # NaN too
         raise DomainError("temperature must be >= 0", temperature)
+    if temperature == math.inf:
+        raise DomainError("temperature must be finite", temperature)
     return K_B * temperature * LN2
 
 
@@ -232,7 +234,7 @@ def classical_bound(query: BoundQuery) -> BoundResult:
         return result(_probability(p, query))
 
     if query.unknown == "time":
-        _require(query, "n", "psuccess")
+        _require(query, "n", "psuccess", "work")
         if query.power is not None:
             return result(_classical_time_from_power(query, e_l))
         log2_a, log2_b = _classical_terms_log2(query.n, query.success_probability, e_l)
@@ -410,6 +412,8 @@ def ballistic_success(n: float, work: float, time: float) -> float:
         )
     p0 = exp2(-float(n))
     angle = work * time / ((exp2(0.5 * n) + 1.0) * HBAR)
+    if math.isnan(angle):  # W t and sqrt(2^n) both overflow: take the ratio in log2
+        angle = exp2(math.log2(work) + math.log2(time) - 0.5 * n - math.log2(HBAR))
     return p0 + (1.0 - p0) * math.sin(angle) ** 2
 
 

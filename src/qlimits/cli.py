@@ -1,9 +1,11 @@
 """qlimits command-line interface.
 
-Subcommands: simulate, bound, keylength, bht, cosmic, scenario.
-Exit codes: 0 success, 1 domain/infeasibility error (structured JSON on
-stderr), 2 usage error.  Output is deterministic: identical argv yields
-byte-identical output.
+Subcommands: simulate, bound, keylength, bht, cosmic, scenario.  Each
+command returns one result document (a dict or a list, or a trace already
+written as CSV); ``main`` alone writes it, as JSON or as dotted-key CSV,
+to ``--out`` or stdout.  Exit codes: 0 success, 1 domain/infeasibility
+error (structured JSON on stderr), 2 usage error.  Output is
+deterministic: identical argv yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import sys
 
 from . import __version__
-from .bht import bht_min_image_bits, bht_optimal, bht_work, optimal_quantum_time
+from .bht import bht_fixed_samples, bht_min_image_bits, bht_optimal
 from .bounds import (
     BALLISTIC_TAG,
     QUANTUM_TAG as QUANTUM_KEY_TAG,
@@ -38,7 +40,7 @@ from .dynamics import (
     grover_pulsed_schedule,
     standard_grover_iterations,
 )
-from .errors import DomainError, ParseError, QlimitsError, UsageError
+from .errors import ParseError, QlimitsError, UsageError
 from .keylength import (
     BALLISTIC_TIME_TAG,
     COSMIC_TAG,
@@ -52,10 +54,11 @@ from .keylength import (
     max_recoverable_keylength,
     solar_budget,
 )
-from .scenarios import SCENARIOS, scenario
+from .scenarios import SCENARIOS, Scenario, scenario
 from .serialize import (
     dumps17,
     format_float17,
+    result_to_csv,
     schedule_from_obj,
     schedule_to_obj,
     trace_to_csv,
@@ -185,62 +188,7 @@ def _resolve_budget(args, time: float | None) -> float:
     return query.budget()
 
 
-def _flatten(obj, prefix: str = "") -> dict:
-    flat: dict = {}
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            flat.update(_flatten(value, f"{prefix}{key}." if prefix else f"{key}."))
-        return flat
-    key = prefix[:-1]
-    if isinstance(obj, (list, tuple)):
-        flat[key] = json.dumps(obj)
-    else:
-        flat[key] = obj
-    return flat
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float17(value)
-    return str(value)
-
-
-def _to_csv(payload) -> str:
-    if isinstance(payload, list):
-        if not payload:
-            return "\n"
-        flats = [_flatten(row) for row in payload]
-        header = list(flats[0])
-        lines = [",".join(header)]
-        for row in flats:
-            lines.append(",".join(_csv_cell(row.get(col)) for col in header))
-        return "\n".join(lines) + "\n"
-    flat = _flatten(payload)
-    lines = [",".join(flat)]
-    lines.append(",".join(_csv_cell(v) for v in flat.values()))
-    return "\n".join(lines) + "\n"
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_payload(payload, args) -> None:
-    if args.format == "csv":
-        _emit(_to_csv(payload), args.out)
-    else:
-        _emit(dumps17(payload) + "\n", args.out)
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     if args.protocol == "custom":
         if not args.schedule_file:
             raise UsageError("--protocol custom requires --schedule-file")
@@ -250,13 +198,10 @@ def _cmd_simulate(args) -> int:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"schedule file is not valid JSON: {exc}",
                                  args.schedule_file) from None
-        if args.n is None:
-            raise UsageError("--n is required")
-        space = SearchSpace(args.n)
-    else:
-        if args.n is None:
-            raise UsageError("--n is required")
-        space = SearchSpace(args.n)
+    if args.n is None:
+        raise UsageError("--n is required")
+    space = SearchSpace(args.n)
+    if args.protocol != "custom":
         if args.work is not None:
             energy = args.work
         elif args.work_radps is not None:
@@ -278,40 +223,32 @@ def _cmd_simulate(args) -> int:
         schedule = schedule.truncated(args.time)
     dt = args.dt if args.dt is not None else schedule.total_duration / 1000.0
     trace = evolve(EffectiveState.initial(space), schedule, dt)
-
     if args.format == "csv":
-        _emit(trace_to_csv(trace), args.out)
-    else:
-        payload = {
-            "constants_version": CONSTANTS_VERSION,
-            "n": space.n,
-            "protocol": args.protocol,
-            "sample_step_s": dt,
-            "p0_subnormal": trace.p0_subnormal,
-            **schedule_to_obj(schedule),
-            "trace": trace_to_obj(trace),
-        }
-        _emit(dumps17(payload) + "\n", args.out)
-    return 0
+        return trace_to_csv(trace)
+    return {
+        "constants_version": CONSTANTS_VERSION,
+        "n": space.n,
+        "protocol": args.protocol,
+        "sample_step_s": dt,
+        "p0_subnormal": trace.p0_subnormal,
+        **schedule_to_obj(schedule),
+        "trace": trace_to_obj(trace),
+    }
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> dict:
     if args.kind in ("classical", "quantum"):
-        fields = {
-            "unknown": args.solve,
-            "n": args.n,
-            "time": args.time,
-            "temperature": args.temp,
-            "success_probability": args.psuccess,
-        }
-        if args.power is not None:
-            fields["power"] = args.power
-        else:
-            fields["work"] = args.work
-        query = BoundQuery(**fields)
-        result = classical_bound(query) if args.kind == "classical" else quantum_bound(query)
-        _emit_payload(result.as_dict(), args)
-        return 0
+        query = BoundQuery(
+            args.solve,
+            n=args.n,
+            work=args.work,
+            time=args.time,
+            temperature=args.temp,
+            success_probability=args.psuccess,
+            power=args.power,
+        )
+        bound = classical_bound if args.kind == "classical" else quantum_bound
+        return bound(query).as_dict()
 
     if args.kind == "gate":
         if args.solve != "work":
@@ -333,10 +270,7 @@ def _cmd_bound(args) -> int:
             temperature=args.temp,
             success_probability=args.psuccess,
         )
-        _emit_payload(
-            BoundResult(value, "gate", GATE_TAG, query, "J").as_dict(), args
-        )
-        return 0
+        return BoundResult(value, "gate", GATE_TAG, query, "J").as_dict()
 
     # ballistic: success probability at --time, or the deterministic time
     if args.n is None:
@@ -348,23 +282,16 @@ def _cmd_bound(args) -> int:
             raise UsageError("--work is required")
         value = ballistic_deterministic_time(args.n, args.work)
         query = BoundQuery(unknown="time", n=args.n, work=args.work)
-        _emit_payload(
-            BoundResult(value, "ballistic", BALLISTIC_TAG, query, "s").as_dict(), args
-        )
-        return 0
+        return BoundResult(value, "ballistic", BALLISTIC_TAG, query, "s").as_dict()
     if args.time is None:
         raise UsageError("--time is required to evaluate the success probability")
     work = _resolve_budget(args, args.time)
     value = ballistic_success(args.n, work, args.time)
     query = BoundQuery(unknown="psuccess", n=args.n, work=work, time=args.time)
-    _emit_payload(
-        BoundResult(value, "ballistic", BALLISTIC_TAG, query, "probability").as_dict(),
-        args,
-    )
-    return 0
+    return BoundResult(value, "ballistic", BALLISTIC_TAG, query, "probability").as_dict()
 
 
-def _cmd_keylength(args) -> int:
+def _cmd_keylength(args) -> dict:
     if args.scenario is not None:
         sc = scenario(args.scenario)
         work, time = sc.work, sc.duration
@@ -377,23 +304,12 @@ def _cmd_keylength(args) -> int:
         sc = None
 
     if args.mode == "table":
-        if sc is not None:
-            rows = [r.as_dict() for r in build_report([sc])]
-        else:
+        if sc is None:
             if temp is None:
                 raise UsageError("--temp is required for the classical column")
-            from .scenarios import Scenario
-
-            custom = Scenario("custom", work, time, temp, p_success)
-            rows = [r.as_dict() for r in build_report([custom])]
-        if args.format == "csv":
-            lines = [",".join(REPORT_CSV_COLUMNS)]
-            for row in rows:
-                lines.append(",".join(_csv_cell(row[c]) for c in REPORT_CSV_COLUMNS))
-            _emit("\n".join(lines) + "\n", args.out)
-        else:
-            _emit(dumps17(rows[0] if len(rows) == 1 else rows) + "\n", args.out)
-        return 0
+            sc = Scenario("custom", work, time, temp, p_success)
+        row = build_report([sc])[0].as_dict()
+        return {c: row[c] for c in REPORT_CSV_COLUMNS} if args.format == "csv" else row
 
     payload = {
         "mode": args.mode,
@@ -420,15 +336,14 @@ def _cmd_keylength(args) -> int:
         bits = classical_keylength(work, time, temp, p_success)
         payload["classical_bits"] = bits
         payload["below_floor"] = bits == 0
-    _emit_payload(payload, args)
-    return 0
+    return payload
 
 
-def _cmd_bht(args) -> int:
+def _cmd_bht(args) -> dict:
     if args.invert:
         work = _resolve_budget(args, args.time)
         bits = bht_min_image_bits(work, args.time, args.temp, args.psuccess)
-        payload = {
+        return {
             "mode": "invert",
             "work_J": work,
             "t_total_s": args.time,
@@ -437,33 +352,17 @@ def _cmd_bht(args) -> int:
             "min_image_bits": bits,
             "constants_version": CONSTANTS_VERSION,
         }
-        _emit_payload(payload, args)
-        return 0
     if args.n is None:
         raise UsageError("--n is required")
     if args.samples is not None:
-        work = bht_work(args.n, args.samples, args.time, args.temp, args.psuccess)
-        payload = {
-            "n": args.n,
-            "k": args.samples,
-            "log2_k": math.log2(args.samples),
-            "t_s_s": optimal_quantum_time(args.n, args.samples, args.time, args.psuccess),
-            "t_total_s": args.time,
-            "work_J": work,
-            "log2_work_J": math.log2(work),
-            "constants_version": CONSTANTS_VERSION,
-        }
-        _emit_payload(payload, args)
-        return 0
-    _emit_payload(bht_optimal(args.n, args.time, args.temp, args.psuccess).as_dict(), args)
-    return 0
+        return bht_fixed_samples(args.n, args.samples, args.time, args.temp, args.psuccess)
+    return bht_optimal(args.n, args.time, args.temp, args.psuccess).as_dict()
 
 
-def _cmd_cosmic(args) -> int:
+def _cmd_cosmic(args) -> dict:
     params = CosmologyParams.from_km_s_mpc(args.h0, args.omega_lambda, args.rho_m)
-    value = cosmic_energy(params, args.form)
-    payload = {
-        "work_J": value,
+    return {
+        "work_J": cosmic_energy(params, args.form),
         "form": args.form,
         "h0_km_s_mpc": args.h0,
         "h0_per_s": params.h0,
@@ -472,8 +371,6 @@ def _cmd_cosmic(args) -> int:
         "formula_tag": COSMIC_TAG,
         "constants_version": CONSTANTS_VERSION,
     }
-    _emit_payload(payload, args)
-    return 0
 
 
 def _scenario_dict(sc) -> dict:
@@ -492,15 +389,12 @@ def _scenario_dict(sc) -> dict:
     return out
 
 
-def _cmd_scenario(args) -> int:
+def _cmd_scenario(args):
     if args.action == "list":
-        payload = [_scenario_dict(SCENARIOS[name]) for name in sorted(SCENARIOS)]
-        _emit_payload(payload, args)
-        return 0
+        return [_scenario_dict(SCENARIOS[name]) for name in sorted(SCENARIOS)]
     if not args.name:
         raise UsageError("scenario show requires a name")
-    _emit_payload(_scenario_dict(scenario(args.name)), args)
-    return 0
+    return _scenario_dict(scenario(args.name))
 
 
 _COMMANDS = {
@@ -521,7 +415,19 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         _apply_config(args)
-        return _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command](args)
+        if isinstance(result, str):  # a trace already written as CSV
+            text = result
+        elif args.format == "csv":
+            text = result_to_csv(result)
+        else:
+            text = dumps17(result) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except UsageError as exc:
         sys.stderr.write(f"qlimits {args.command}: error: {exc}\n")
         return 2

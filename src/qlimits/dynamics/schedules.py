@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ..constants import HBAR
-from ..errors import CapacityError, DomainError
+from ..errors import CapacityError, DomainError, InfeasibleError
 from .core import (
     MAX_TRACE_SAMPLES,
     ControlSchedule,
@@ -131,7 +131,12 @@ def adiabatic_total_time(space: SearchSpace, energy_scale: float, error_budget: 
     """
     g = space.overlap
     root = math.sqrt(1.0 - g * g)
-    return (HBAR / (error_budget * energy_scale)) * math.atan(root / g) / (g * root)
+    scale = error_budget * energy_scale
+    total = (HBAR / scale) * math.atan(root / g) / (g * root) if scale > 0.0 else math.inf
+    if total == math.inf:
+        raise InfeasibleError("the sweep time lies past double range", math.inf,
+                              (energy_scale, error_budget))
+    return total
 
 
 def _local_sweep_position(space: SearchSpace, energy_scale: float, error_budget: float, t: float) -> float:
@@ -181,9 +186,9 @@ def adiabatic_schedule(
                       for t in t_mid.tolist()])
     else:
         c = t_mid / total
-    return ControlSchedule(np.column_stack((np.full(segments, h),
-                                            (1.0 - c) * energy_scale / HBAR,
-                                            c * energy_scale / HBAR)))
+    with np.errstate(over="ignore"):  # ControlSchedule refuses an overflowed E/hbar
+        omegas = ((1.0 - c) * energy_scale / HBAR, c * energy_scale / HBAR)
+    return ControlSchedule(np.column_stack((np.full(segments, h), *omegas)))
 
 
 def schedule_infidelity(space: SearchSpace, schedule: ControlSchedule) -> float:

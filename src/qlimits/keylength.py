@@ -71,6 +71,8 @@ class CosmologyParams:
             raise DomainError("Omega_Lambda must lie in (0, 1)", self.omega_lambda)
         if self.rho_matter is not None and not self.rho_matter > 0.0:
             raise DomainError("matter density must be > 0", self.rho_matter)
+        if self.rho_matter == math.inf:
+            raise DomainError("matter density must be finite", self.rho_matter)
 
     @classmethod
     def from_km_s_mpc(

@@ -17,6 +17,7 @@ derived quantities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import JULIAN_YEAR
@@ -39,8 +40,10 @@ class Scenario:
             raise DomainError("scenario work must be > 0", self.work)
         if not self.duration > 0.0:
             raise DomainError("scenario duration must be > 0", self.duration)
-        if self.temperature < 0.0:
+        if not self.temperature >= 0.0:  # NaN too
             raise DomainError("scenario temperature must be >= 0", self.temperature)
+        if self.temperature == math.inf:
+            raise DomainError("scenario temperature must be finite", self.temperature)
         if not 0.0 < self.success_probability <= 1.0:
             raise DomainError(
                 "scenario success probability must be in (0, 1]",

@@ -31,6 +31,31 @@ def format_float17(x: float) -> str:
     return "Infinity" if x > 0 else "-Infinity"
 
 
+def _csv_cells(obj, prefix: str = ""):
+    """(dotted key, cell text) of every leaf of a result document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _csv_cells(value, f"{prefix}{key}.")
+    elif isinstance(obj, (list, tuple)):
+        yield prefix[:-1], json.dumps(obj)
+    elif isinstance(obj, bool):
+        yield prefix[:-1], "true" if obj else "false"
+    elif isinstance(obj, float):
+        yield prefix[:-1], format_float17(obj)
+    else:
+        yield prefix[:-1], "" if obj is None else str(obj)
+
+
+def result_to_csv(doc) -> str:
+    """A result document as CSV: one row per dict of a list, or one for a
+    lone dict.  Nested keys join with dots, lists stay JSON text, and the
+    first row's keys are the header."""
+    rows = [dict(_csv_cells(row)) for row in (doc if isinstance(doc, list) else [doc])]
+    header = list(rows[0]) if rows else []
+    lines = [",".join(header)] + [",".join(row.get(key, "") for key in header) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 class FloatRows(Sequence):
     """Rows of finite float columns under fixed keys, formatted in bulk.
 

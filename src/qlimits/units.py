@@ -17,6 +17,7 @@ exact same float, so ``parse_duration(format_duration(x)) == x`` always.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .constants import JULIAN_YEAR
@@ -48,7 +49,10 @@ def parse_duration(text: str) -> float:
     value = float(m.group(1))
     if value < 0.0:
         raise ParseError(f"duration must be non-negative, got {m.group(1)!r}", text)
-    return value * _SUFFIXES[m.group(2)]
+    seconds = value * _SUFFIXES[m.group(2)]
+    if seconds == math.inf:
+        raise ParseError(f"duration {text!r} lies past double range", text)
+    return seconds
 
 
 def format_duration(seconds: float) -> str:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from qlimits.bht import (
     REFERENCE_IMAGE_BITS,
     _closed_form_log2,
+    _log2_work_terms,
     bht_min_image_bits,
     bht_optimal,
     bht_sweep_minimum,
@@ -16,7 +18,7 @@ from qlimits.bht import (
     bht_work_closed_form,
     optimal_quantum_time,
 )
-from qlimits._num import exp2, golden_min
+from qlimits._num import exp2, golden_min, log2_add, log2_radical
 from qlimits.bounds import landauer_energy, quantum_work_requirement
 from qlimits.constants import H, HBAR
 from qlimits.errors import DomainError, InfeasibleError
@@ -332,3 +334,48 @@ class TestClosedFormPastDoubleRange:
             want = (base - (2.0 / 3.0) * math.log2(x),
                     base + math.log2(x) / 3.0 + math.log2(1.25 * HBAR / t_total))
             assert _closed_form_log2(n, t_total, temp, p) == want
+
+
+def _old_log2_work_terms(n, log2_k, t_total, temperature, p_success):
+    """The log-space work before h/(4t) and hbar/t could leave the normal range."""
+    e_l = landauer_energy(temperature)
+    landauer_log2 = math.log2((n + 1.0) * e_l) if e_l > 0.0 else -math.inf
+    classical_log2 = log2_add(log2_k + landauer_log2, log2_k + math.log2(H / (4.0 * t_total)))
+    r_log2 = n + math.log2(p_success) - log2_k
+    return log2_add(classical_log2, log2_radical(r_log2) + math.log2(HBAR / t_total))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1.0, 4000.0), st.floats(1e-300, HBAR / sys.float_info.min), st.floats(0.0, 1e30),
+       st.floats(1e-300, 1.0), st.floats(0.0, 1.0))
+def test_log_space_work_keeps_every_normal_case_to_the_bit(n, t_total, temp, p, share):
+    # while h/(4t) and hbar/t are normal doubles (t up to 4.7e273 s) the
+    # quotients are taken as before; past that the split log is the more exact
+    top = n + math.log2(p)
+    assume(top >= 0.0)
+    log2_k = share * top
+    assert (_log2_work_terms(n, log2_k, t_total, temp, p)
+            == _old_log2_work_terms(n, log2_k, t_total, temp, p))
+
+
+@pytest.mark.parametrize("n, t_total, temp, p", [
+    (1e69, 1e300, 1000.0, 1.0),   # h/(4t) and hbar/t underflow to 0
+    (300.0, 1e300, 5e-324, 1.0),
+    (5e-324, 1e300, 5e-324, 1.0),  # every term of the work underflows
+])
+def test_plans_past_the_normal_range_are_finite_or_infeasible(n, t_total, temp, p):
+    try:
+        plan = bht_optimal(n, t_total, temp, p)
+    except InfeasibleError:
+        return
+    assert all(math.isfinite(v) for v in plan.as_dict().values() if isinstance(v, float))
+
+
+@pytest.mark.parametrize("n, k, t_total, temp, p, error", [
+    (math.nan, 1000.0, 1.0, 300.0, 1.0, DomainError),
+    (5000.0, 1000.0, 1e300, 1e16, 1e-300, InfeasibleError),  # the work overflows
+    (1e308, 1e308, 0.5, 1e-320, 1.0, InfeasibleError),  # k (n + 1) overflows, E_L = 0
+])
+def test_fixed_sample_work_is_finite_or_refused(n, k, t_total, temp, p, error):
+    with pytest.raises(error):
+        bht_work(n, k, t_total, temp, p)

@@ -270,6 +270,10 @@ class TestBallistic:
         for p in trace.points:
             assert ballistic_success(n, work, p.t) == pytest.approx(p.obs.p_s, abs=1e-9)
 
+    def test_probability_where_work_time_and_sqrt_2n_overflow(self):
+        # inf / inf once gave NaN: the angle is ~2^-(n/2), so P_s ~ 0
+        assert ballistic_success(1.7976931348623157e308, 1e300, 1e308) == 0.0
+
     def test_zero_bits_time(self):
         assert ballistic_deterministic_time(0, 1.0) == pytest.approx(math.pi * HBAR, rel=1e-12)
 
@@ -401,6 +405,13 @@ class TestQueryValidation:
     def test_probability_range(self):
         with pytest.raises(DomainError):
             BoundQuery(unknown="work", n=8, time=1.0, success_probability=1.5)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -1.0])
+    def test_temperature_must_be_finite_and_non_negative(self, temperature):
+        with pytest.raises(DomainError, match="temperature must be"):
+            BoundQuery(unknown="work", n=8, time=1.0, temperature=temperature)
+        with pytest.raises(DomainError, match="temperature must be"):
+            landauer_energy(temperature)
 
     def test_result_echoes_inputs(self):
         query = BoundQuery(unknown="work", n=2, time=1.0, success_probability=1.0)

@@ -54,7 +54,8 @@ def test_parse_duration(text, expected):
     assert parse_duration(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["5", "5 parsec", "x2a", "-3a", "", "3h", "5aa"])
+@pytest.mark.parametrize("bad", ["5", "5 parsec", "x2a", "-3a", "", "3h", "5aa",
+                                 "1e300Ta", "1e999s"])  # the last two overflow to inf
 def test_parse_duration_rejects(bad):
     with pytest.raises(ParseError):
         parse_duration(bad)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from qlimits.dynamics import (
     standard_grover_iterations,
 )
 from qlimits.dynamics.core import BLOCK_ELEMENTS, MAX_TRACE_SAMPLES
-from qlimits.errors import CapacityError, ConsistencyError, DomainError
+from qlimits.errors import CapacityError, ConsistencyError, DomainError, InfeasibleError
 
 
 def ballistic_oracle(n, omega, t):
@@ -355,6 +356,17 @@ class TestAdiabatic:
     def test_rejects_bad_budget(self):
         with pytest.raises(DomainError):
             adiabatic_schedule(SearchSpace(6), 1.0, 1.5)
+
+    def test_sweep_time_past_double_range_is_infeasible(self):
+        # epsilon * E underflows to 0, which once raised ZeroDivisionError
+        with pytest.raises(InfeasibleError):
+            adiabatic_total_time(SearchSpace(6), 48.5 * HBAR, 5e-324)
+
+    def test_overflowing_frequencies_are_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="segment frequencies"):
+                adiabatic_schedule(SearchSpace(4), 1e300, 1e-300)
 
 
 class TestScheduleOps:

@@ -10,6 +10,7 @@ from qlimits.serialize import (
     TRACE_CSV_HEADER,
     dumps17,
     format_float17,
+    result_to_csv,
     schedule_from_obj,
     schedule_to_obj,
     trace_to_csv,
@@ -78,3 +79,18 @@ def test_schedule_parse_errors():
         schedule_from_obj({"not_segments": []})
     with pytest.raises(ParseError):
         schedule_from_obj({"segments": [{"duration_s": 1.0}]})
+
+
+def test_result_csv_flattens_nested_keys_and_a_dict_is_one_row():
+    doc = {"value": 0.1, "inputs": {"n": 8, "temperature_K": None}, "ok": True,
+           "tags": ["a", 1.5], "kind": "quantum"}
+    text = result_to_csv(doc)
+    assert text == ("value,inputs.n,inputs.temperature_K,ok,tags,kind\n"
+                    '0.10000000000000001,8,,true,["a", 1.5],quantum\n')
+    assert result_to_csv([doc]) == text
+
+
+def test_result_csv_takes_its_header_from_the_first_row():
+    rows = [{"a": 1, "b": 2.0}, {"b": 3.0, "c": "x"}]
+    assert result_to_csv(rows) == "a,b\n1,2\n,3\n"
+    assert result_to_csv([]) == "\n"
