@@ -35,7 +35,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -398,48 +397,41 @@ def _sample_grid(schedule: ControlSchedule, step: float):
     return t, offsets, [1, *(np.cumsum(keep)[tail] + 1).tolist()]
 
 
-def _libm_square(x: np.ndarray) -> np.ndarray:
-    """x**2 through libm ``pow``, as Python's ``float ** 2`` computes it.
-
-    ``x * x`` differs from it in the last bit for a few values in 10^4.
-    """
-    return np.fromiter(map(math.pow, x.tolist(), repeat(2.0)), float, x.size)
-
-
-def _observable_columns(s_re, s_im, i_re, i_im):
-    """(P_s, P_i, Re A, Im A, alpha_ab) from <s|psi> and <i|psi> per sample.
-
-    A = conj(<s|psi>) <i|psi>, with Python's complex product written out in
-    reals, |z| from hypot and the phase from atan2, so every entry equals
-    the scalar complex expression bit for bit.
-    """
-    re_a = s_re * i_re - (-s_im) * i_im
-    im_a = s_re * i_im + (-s_im) * i_re
-    alpha = np.fromiter(map(math.atan2, im_a.tolist(), re_a.tolist()), float, re_a.size)
-    return (_libm_square(np.hypot(s_re, s_im)), _libm_square(np.hypot(i_re, i_im)),
-            re_a, im_a, alpha)
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2, elementwise, from the real and imaginary parts."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def _sampled_trace(space: SearchSpace, schedule: ControlSchedule, t: np.ndarray, edges,
-                   observables, norm_error: np.ndarray, message: str) -> Trace:
-    """The :class:`Trace` of (P_s, P_i, Re A, Im A, alpha_ab) ``observables``
-    at the times ``t`` and segment ``edges`` of :func:`_sample_grid`, the
-    initial sample under the first segment's frequencies.  The first
-    ``norm_error`` beyond NORM_TOLERANCE (or not finite) raises
-    :class:`ConsistencyError` with ``message`` and that sample's (t, error).
+                   s_amp: np.ndarray, i_amp: np.ndarray, norm_error: np.ndarray,
+                   message: str) -> Trace:
+    """The :class:`Trace` of the amplitudes ``s_amp`` = <s|psi> and
+    ``i_amp`` = <i|psi> at the times ``t`` and segment ``edges`` of
+    :func:`_sample_grid`, the initial sample under the first segment's
+    frequencies.  A = conj(<s|psi>) <i|psi>; P_s and P_i are clipped to
+    [0, 1], which rounding can pass by an ulp.  The first ``norm_error``
+    beyond NORM_TOLERANCE (or not finite) raises :class:`ConsistencyError`
+    with ``message`` and that sample's (t, error).
     """
     bad = ~(norm_error <= NORM_TOLERANCE)
     if bad.any():
         k = int(np.argmax(bad))
         raise ConsistencyError(message, (float(t[k]), float(norm_error[k])))
+    a = s_amp.conj() * i_amp
     counts = np.diff(edges[1:], prepend=0)
     return Trace(t, np.repeat(schedule.omega_i, counts), np.repeat(schedule.omega_s, counts),
-                 *observables, norm_error, space, space.p0_subnormal)
+                 np.minimum(_abs2(s_amp), 1.0), np.minimum(_abs2(i_amp), 1.0),
+                 a.real, a.imag, np.angle(a), norm_error, space, space.p0_subnormal)
 
 
-# numpy runs a * b in place as b *= a when b is a temporary of 256 KiB or more, and x * y
-# can differ from y * x in the last bit: segments of this many samples took (...) * phases.
-IN_PLACE_SAMPLES = 16384
+def _su2(x, z, dt):
+    """(alpha, beta), elementwise, with exp(-i (x sigma_x + z sigma_z) dt)
+    = [[alpha, -beta*], [beta, alpha*]]."""
+    rabi = np.hypot(x, z)
+    angle = rabi * dt
+    # where rabi == 0, x = z = 0 and sin(rabi dt)/rabi drops out
+    sin_over = np.sin(angle) / np.where(rabi > 0.0, rabi, 1.0)
+    return np.cos(angle) - 1j * (z * sin_over), -1j * (x * sin_over)
 
 
 # A frequency or time that overflows ends in a non-finite norm, which the
@@ -461,41 +453,23 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
     seg = np.repeat(np.arange(counts.size), counts)
     offsets = offsets[1:]
     mean, x, z = _pauli_components(state.space, schedule.omega_i, schedule.omega_s)
-    # math.hypot, as per segment before: np.hypot differs from it in the last bit
-    rabi = np.fromiter(map(math.hypot, x.tolist(), z.tolist()), float, x.size)[seg]
-    angles = rabi * offsets
-    cos_t = np.cos(angles)
-    sin_over = np.where(rabi > 0.0, np.sin(angles) / np.where(rabi > 0.0, rabi, 1.0), offsets)
-    # c1 = phases (a1 psi0 - b1 psi1), c2 = phases (b2 psi0 + a2 psi1).  No right
-    # operand of a complex product is a temporary, so each runs as written.
-    iz_sin = (1j * z)[seg] * sin_over
-    a1, a2 = cos_t - iz_sin, cos_t + iz_sin
-    b1, b2 = (1j * x)[seg] * sin_over, (-1j * x)[seg] * sin_over
+    alpha, beta = _su2(x[seg], z[seg], offsets)
     phases = np.exp((-1j * mean)[seg] * offsets)
-    swap, last = counts >= IN_PLACE_SAMPLES, np.cumsum(counts) - 1
-    # the chain of segment start states, as [psi0, psi0, psi1, psi1]
-    psi = np.array([state.c1, state.c1, state.c2, state.c2])
-    starts = np.empty((counts.size, 4), dtype=complex)
-    ends = np.column_stack((a1[last], b2[last], b1[last], a2[last]))
-    for k, (coefficients, phase, swapped) in enumerate(zip(ends, phases[last], swap.tolist())):
-        starts[k] = psi
-        p, q, r, s = (coefficients * psi).tolist()
-        u = np.array([p - r, p - r, q + s, q + s])
-        psi = u * phase if swapped else phase * u
-    psi0, psi1, swapped = starts[seg, 0], starts[seg, 2], swap[seg]
-    u1, u2 = a1 * psi0 - b1 * psi1, b2 * psi0 + a2 * psi1
-    c1s = np.concatenate(([state.c1], np.where(swapped, u1 * phases, phases * u1)))
-    c2s = np.concatenate(([state.c2], np.where(swapped, u2 * phases, phases * u2)))
-
-    r1, i1, r2, i2 = c1s.real, c1s.imag, c2s.real, c2s.imag
-    # <s|psi> = g c1 + sqrt(1 - g^2) c2, as Python's (real * complex) computes it
+    # the chain of segment start states; a segment's last sample is its end
+    last = np.cumsum(counts) - 1
+    starts = np.empty((counts.size, 2), dtype=complex)
+    c1, c2 = state.c1, state.c2
+    for k, (a, b, p) in enumerate(zip(alpha[last].tolist(), beta[last].tolist(),
+                                      phases[last].tolist())):
+        starts[k] = c1, c2
+        c1, c2 = p * (a * c1 - b.conjugate() * c2), p * (b * c1 + a.conjugate() * c2)
+    psi0, psi1 = starts[seg].T
+    c1s = np.concatenate(([state.c1], phases * (alpha * psi0 - beta.conj() * psi1)))
+    c2s = np.concatenate(([state.c2], phases * (beta * psi0 + alpha.conj() * psi1)))
     g = state.space.overlap
-    h = math.sqrt(1.0 - g * g)
-    s_re = (g * r1 - 0.0 * i1) + (h * r2 - 0.0 * i2)
-    s_im = (g * i1 + 0.0 * r1) + (h * i2 + 0.0 * r2)
-    observables = _observable_columns(s_re, s_im, r1, i1)
-    norm_error = np.abs(np.sqrt(observables[1] + _libm_square(np.hypot(r2, i2))) - 1.0)
-    return _sampled_trace(state.space, schedule, t, edges, observables, norm_error,
+    s_amp = g * c1s + math.sqrt(1.0 - g * g) * c2s  # <s|psi>
+    norm_error = np.abs(np.sqrt(_abs2(c1s) + _abs2(c2s)) - 1.0)
+    return _sampled_trace(state.space, schedule, t, edges, s_amp, c1s, norm_error,
                           "propagator norm drift exceeded tolerance")
 
 
@@ -539,19 +513,12 @@ def propagate(
     if not np.all(factors > 0.0):
         raise DomainError("scale factors must be > 0", float(np.min(factors)))
     mean, x, z = _pauli_components(state.space, omega_i, omega_s)
-    rabi = np.hypot(x, z)
-    # where rabi == 0, x = z = 0 and sin(rabi dt)/rabi drops out
-    rabi_or_one = np.where(rabi > 0.0, rabi, 1.0)
     c1 = np.full(factors.shape, state.c1, dtype=complex)
     c2 = np.full(factors.shape, state.c2, dtype=complex)
     block = max(1, BLOCK_ELEMENTS // factors.size)
     for lo in range(0, durations.size, block):
         part = slice(lo, lo + block)
-        dt = factors[:, None] * durations[part]
-        angle = rabi[part] * dt
-        sin_over = np.sin(angle) / rabi_or_one[part]
-        a, b = _pairwise_product(np.cos(angle) - 1j * (z[part] * sin_over),
-                                 -1j * (x[part] * sin_over))
+        a, b = _pairwise_product(*_su2(x[part], z[part], factors[:, None] * durations[part]))
         c1, c2 = a * c1 - b.conj() * c2, b * c1 + a.conj() * c2
     phase = np.exp(-1j * factors * (mean * durations).sum())
     c1, c2 = phase * c1, phase * c2

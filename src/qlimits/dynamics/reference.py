@@ -38,7 +38,6 @@ from .core import (
     ControlSchedule,
     SearchSpace,
     Trace,
-    _observable_columns,
     _sample_grid,
     _sampled_trace,
 )
@@ -160,6 +159,5 @@ def full_space_reference(
             rows[k] = psi[solution_index], np.vdot(uniform, psi), abs(_norm(psi) - 1.0)
 
     s_amp, i_amp, norm_error = rows.T
-    observables = _observable_columns(s_amp.real, s_amp.imag, i_amp.real, i_amp.imag)
-    return _sampled_trace(space, schedule, t, edges, observables, norm_error.real,
+    return _sampled_trace(space, schedule, t, edges, s_amp, i_amp, norm_error.real,
                           "full-space norm drift exceeded tolerance")
