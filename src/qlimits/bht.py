@@ -35,7 +35,7 @@ import numpy as np
 from ._num import LN2, bisect, ceil_tol, exp2, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR
 from .errors import DomainError, InfeasibleError
-from .bounds import _N_BRACKET, _in_double_range, landauer_energy
+from .bounds import _N_BRACKET, _in_double_range, _not_nan, landauer_energy
 
 BHT_TAG = "bht-collision-v1"
 
@@ -168,7 +168,7 @@ def optimal_quantum_time(n: float, k: float, t_total: float, p_success: float) -
     t_s = t_T / (k * 2 pi / (4 sqrt(2^n P_s / k - 1)) + 1); the classical
     phase takes the rest.
     """
-    root = _quantum_root(n, p_success, k)
+    root = _quantum_root(_not_nan(n), p_success, k)
     if root == 0.0:
         return 0.0
     return t_total / (k * 2.0 * math.pi / (4.0 * root) + 1.0)
@@ -258,7 +258,7 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
 
 def bht_work_closed_form(n: float, t_total: float, temperature: float, p_success: float = 1.0) -> float:
     """Budget-only closed form W*(n), in joules (inf when past float range)."""
-    _, log2_w = _closed_form_log2(n, t_total, temperature, p_success)
+    _, log2_w = _closed_form_log2(_not_nan(n), t_total, temperature, p_success)
     return exp2(log2_w)
 
 

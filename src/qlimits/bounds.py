@@ -189,7 +189,7 @@ def classical_work_requirement(
     n: float, time: float, temperature: float, p_success: float
 ) -> float:
     """E_c = 2^n P_s (E_L + h/4t) + 2n E_L in joules (inf on overflow)."""
-    return exp2(_classical_requirement_log2(n, time, temperature, p_success))
+    return exp2(_classical_requirement_log2(_not_nan(n), time, temperature, p_success))
 
 
 def classical_bound(query: BoundQuery) -> BoundResult:
@@ -294,7 +294,7 @@ def quantum_work_requirement(n: float, time: float, p_success: float) -> tuple[f
     hbar / t joins the root in log2 space only where the root alone
     overflows, so W stays finite up to the largest double.
     """
-    log2_np = n + math.log2(p_success)
+    log2_np = _not_nan(n) + math.log2(p_success)
     if log2_np <= 0.0:
         return 0.0, True
     log2_root = log2_radical(log2_np)
@@ -381,7 +381,7 @@ def gate_bound(
     if corrected_errors < 0:
         raise DomainError("corrected error count must be >= 0", corrected_errors)
     e_l = landauer_energy(temperature)
-    root = exp2(0.5 * (n + math.log2(p_success)))
+    root = exp2(0.5 * (_not_nan(n) + math.log2(p_success)))
     dynamic = HBAR * (root - 1.0) * (math.pi - 2.0 ** (1.0 - n / 2.0)) / time
     landauer = (2.0 * n + corrected_errors) * e_l if e_l > 0.0 else 0.0  # 2n may overflow
     return _in_double_range(landauer + max(dynamic, 0.0), "work", (n, p_success, time))
@@ -391,7 +391,7 @@ def ballistic_deterministic_time(n: float, work: float) -> float:
     """t_F = (pi/2)(sqrt(2^n) + 1) hbar / W."""
     if not work > 0.0:
         raise DomainError("work must be > 0", work)
-    return _in_double_range(0.5 * math.pi * (exp2(0.5 * n) + 1.0) * HBAR / work, "time", n)
+    return _in_double_range(0.5 * math.pi * (exp2(0.5 * _not_nan(n)) + 1.0) * HBAR / work, "time", n)
 
 
 def ballistic_success(n: float, work: float, time: float) -> float:
@@ -471,7 +471,7 @@ def init_readout_work(n: float, temperature: float, mode: str = "generic") -> fl
     if mode not in ("generic", "knownPlaintext"):
         raise DomainError("mode must be 'generic' or 'knownPlaintext'", mode)
     factor = 2.0 if mode == "generic" else 4.0
-    return factor * n * landauer_energy(temperature)
+    return factor * _not_nan(n) * landauer_energy(temperature)
 
 
 def battery_relative_uncertainty(
@@ -515,6 +515,13 @@ def _in_double_range(value: float, unknown: str, offending_input) -> float:
         raise InfeasibleError(f"the solved {unknown} lies past double range",
                               math.inf, offending_input)
     return value
+
+
+def _not_nan(n: float) -> float:
+    """n, refused as a DomainError when it is NaN: no bound holds there."""
+    if math.isnan(n):
+        raise DomainError("n must be a number, not NaN", n)
+    return n
 
 
 def _probability(p: float, query: BoundQuery) -> float:

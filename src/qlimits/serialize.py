@@ -5,8 +5,8 @@ round-trip), which is deterministic but not fixed-width; results here are
 specified to carry 17 significant digits so reruns are byte-identical and
 consumers can diff files textually.  A small recursive writer keeps full
 control of the float format.  Blocks of float rows under fixed keys
-(traces and schedules) are :class:`FloatRows`, written one ``%``-template
-per row in both JSON and CSV.
+(traces and schedules) are :class:`FloatRows`, whose cells are formatted to
+the bytes of ``%.17g`` in numpy array passes, for JSON and CSV alike.
 """
 
 from __future__ import annotations
@@ -90,19 +90,132 @@ class FloatRows(Sequence):
         return (dict(zip(self.keys, row)) for row in zip(*(c.tolist() for c in self.columns)))
 
     def join(self, template: str, sep: str) -> str:
-        """Every row through ``template % row`` (a ``%.17g`` slot per column),
-        joined by ``sep``.  A column with at most half its values distinct (by
-        bit pattern: -0.0 is not 0.0) is formatted once per value, via ``%s``."""
-        cells, specs = [], []
-        for column in self.columns:
-            distinct, index = np.unique(column.view(np.uint64), return_inverse=True)
-            repeated = 2 * distinct.size <= column.size
-            specs.append("%s" if repeated else "%.17g")
-            cells.append(np.array(["%.17g" % v for v in distinct.view(float).tolist()],
-                                  object)[index].tolist() if repeated else column.tolist())
-        specs = iter(specs)  # the slots, left to right past any escaped "%%"
-        template = re.sub(r"%%|%\.17g", lambda m: m[0] if m[0] == "%%" else next(specs), template)
-        return sep.join(map(template.__mod__, zip(*cells)))
+        """Every row through ``template % row`` (a ``%.17g`` slot per column), joined
+        by ``sep``: BLOCK_ROWS rows at a time, the columns formatted by :func:`_cell_slots`
+        (each keeps the slots some cell of it uses) and the template's text broadcast."""
+        literals = _template_literals(template, sep)
+        if len(literals) != len(self.columns) + 1:
+            raise ConsistencyError("one %.17g slot per column is required", template)
+        pieces = []
+        for start in range(0, len(self), BLOCK_ROWS):
+            columns = [c[start:start + BLOCK_ROWS] for c in self.columns]
+            rows = columns[0].size
+            slots = _cell_slots(np.concatenate(columns)).reshape(44, len(columns), rows)
+            used = slots.any(axis=2)
+            parts = [np.broadcast_to(literals[0], (literals[0].size, rows))]
+            for j, literal in enumerate(literals[1:]):
+                parts += [slots[_ORDER[used[_ORDER, j]], j],
+                          np.broadcast_to(literal, (literal.size, rows))]
+            text = np.concatenate(parts).T.tobytes().translate(None, b"\0").decode()
+            pieces.append(text if start else text[len(sep):])  # no sep before the first row
+        return "".join(pieces)
+
+
+@lru_cache(maxsize=64)
+def _template_literals(template: str, sep: str) -> tuple:
+    """The text around the ``%.17g`` slots of a row template, ``sep`` first,
+    as uint8 columns; ``%%`` is a literal ``%``."""
+    literals = [sep]
+    for piece in re.split(r"(%%|%\.17g)", template):
+        if piece == "%.17g":
+            literals.append("")
+        else:
+            literals[-1] += "%" if piece == "%%" else piece
+    if "\0" in template + sep:  # NUL marks an unused slot
+        raise ConsistencyError("a row template holds no NUL", template)
+    return tuple(np.frombuffer(s.encode(), np.uint8)[:, None] for s in literals)
+
+
+# Rows per pass of FloatRows.join, which bounds its temporaries.
+BLOCK_ROWS = 4096
+_K0, _E0 = -300, -324  # the least power of ten in the table, the least exponent X
+
+
+def _pow10_table():
+    """(scale, hi, lo) per k = 16 - X in [-300, 345]: 10^k = (hi + lo)·scale to 2^-106,
+    from exact integers; scale = 2^g, hi in [1, 2) (2^200·[1, 2) where 2^g overflows)."""
+    rows = []
+    for k in range(_K0, 346):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        g = num.bit_length() - den.bit_length()
+        g -= (num << max(0, -g)) < (den << max(0, g))  # num/den = f·2^g, f in [1, 2)
+        m = (num << max(0, 116 - g)) // (den << max(0, g - 116))  # floor(f·2^116)
+        t = 200 if g > 1000 else 0
+        rows.append((math.ldexp(1.0, g - t), math.ldexp(float(m), t - 116),
+                     math.ldexp(float(m - int(float(m))), t - 116)))
+    return np.array(rows).T
+
+
+_SCALE, _HI, _LO = _pow10_table()
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into 26-bit halves
+_HI_HI = _HI * _SPLIT - (_HI * _SPLIT - _HI)
+_HI_LO = _HI - _HI_HI
+# by exponent X, the NUL-padded text before the digits ("0.000") and after ("e+308")
+_AFFIX = np.frombuffer("".join(("0." + "0" * (-1 - e) if -4 <= e < 0 else "\0" * 5 + (
+    "e%+03d" % e if not 0 <= e < 17 else "")).ljust(10, "\0") for e in range(_E0, 309)).encode(),
+    np.uint8).reshape(-1, 10).T.copy()
+# slots 0-4 prefix, 5-9 suffix, 10 sign, 11 + 2j digit j, 12 + 2j its point; in text order:
+_ORDER = np.array([10, *range(5), *range(11, 44), *range(5, 10)])
+
+
+def _digits(a):
+    """(D, X, flagged) for finite a > 0: D = round(a·10^(16-X)), its 17 digits, by
+    Dekker's two-product in double-double.  D is exact unless flagged: within 1e-6
+    of a tie, a carry to 10^17, or a wrong X from log10 (D outside [10^16, 10^17))."""
+    x = np.floor(np.log10(a)).astype(np.int64)
+    k = 16 - _K0 - x
+    m = a * _SCALE[k]
+    hh, hl = _HI_HI[k], _HI_LO[k]
+    c = m * _SPLIT
+    mh = c - (c - m)
+    ml = m - mh
+    p = m * (hh + hl)
+    s = (((mh * hh - p) + mh * hl + ml * hh) + ml * hl) + m * _LO[k]
+    r_hi = p + s  # an integer, as R >= 10^16 > 2^53 unless flagged
+    r_lo = s - (r_hi - p)
+    floor = np.floor(r_lo)
+    frac = r_lo - floor
+    whole = r_hi.astype(np.int64) + floor.astype(np.int64)
+    d = whole + (frac > 0.5)
+    return d, x, (np.abs(frac - 0.5) < 1e-6) | (whole < 10 ** 16) | (d >= 10 ** 17)
+
+
+def _cell_slots(x):
+    """(44, n) uint8: the ``%.17g`` text of each finite cell of x in fixed
+    slots, one row per slot; NUL marks an unused slot."""
+    a = np.abs(x)
+    zero = a == 0
+    d, e, flagged = _digits(np.where(zero, 1.0, a))
+    if flagged.any():  # correctly rounded by Python's own formatting
+        text = ["%.16e" % v for v in a[flagged].tolist()]
+        d[flagged] = [int(t[0] + t[2:18]) for t in text]
+        e[flagged] = [int(t[19:]) for t in text]
+    d[zero] = 0  # and X = 0, as for 1.0
+    out = np.zeros((44, x.size), np.uint8)
+    np.multiply(np.signbit(x), np.uint8(ord("-")), out=out[10])
+    halves = np.empty((2, x.size), np.uint32)  # D as 0 + 8 and 9 digits
+    np.floor_divide(d, 10 ** 9, out=halves[0], casting="unsafe")
+    halves[1] = d - halves[0] * np.int64(10 ** 9)
+    digits = np.empty((2, 9, x.size), np.uint8)
+    for j in range(8, -1, -1):
+        quotient = halves // 10
+        digits[:, j] = halves - quotient * 10
+        halves = quotient
+    digits = digits.reshape(18, x.size)[1:]
+    keep = digits != 0  # %g drops trailing zeros, but not those of an integer part
+    for j in range(15, -1, -1):
+        keep[j] |= keep[j + 1]
+    sci = (e < -4) | (e > 16)
+    point = np.where(sci, 0, e)  # the digit a '.' follows, if any digit follows it
+    for j in range(point.max() + 1):
+        keep[j] |= point >= j
+    np.multiply(digits + np.uint8(ord("0")), keep, out=out[11:44:2])
+    for p in np.flatnonzero(np.bincount(point + 4, minlength=20)[4:20]).tolist():
+        np.multiply((point == p) & keep[p + 1], np.uint8(ord(".")), out=out[12 + 2 * p])
+    least = point.min()  # "0." and -1 - least zeros are the most a prefix holds
+    for r in [*range(1 - least if least < 0 else 0), *(range(5, 10) if sci.any() else ())]:
+        np.take(_AFFIX[r], e - _E0, out=out[r])
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlimits._num import exp2, log2_radical
+from qlimits.bht import bht_work_closed_form, optimal_quantum_time
 from qlimits.bounds import (
     BoundQuery,
     ballistic_deterministic_time,
@@ -412,6 +413,24 @@ class TestQueryValidation:
             BoundQuery(unknown="work", n=8, time=1.0, temperature=temperature)
         with pytest.raises(DomainError, match="temperature must be"):
             landauer_energy(temperature)
+
+    @pytest.mark.parametrize("call", [
+        lambda n: ballistic_success(n, 1.0, 1.0),
+        lambda n: ballistic_deterministic_time(n, 1.0),
+        lambda n: classical_work_requirement(n, 1.0, 300.0, 1.0),
+        lambda n: gate_bound(n, 1.0, 1.0),
+        lambda n: init_readout_work(n, 300.0),
+        lambda n: quantum_work_requirement(n, 1.0, 1.0),
+        lambda n: bht_work_closed_form(n, 1.0, 300.0),
+        lambda n: optimal_quantum_time(n, 2.0, 1.0, 1.0),
+    ], ids=["ballistic_success", "ballistic_deterministic_time", "classical_work_requirement",
+            "gate_bound", "init_readout_work", "quantum_work_requirement",
+            "bht_work_closed_form", "optimal_quantum_time"])
+    def test_nan_n_is_refused_with_its_value(self, call):
+        # each of these returned NaN for a NaN n
+        with pytest.raises(DomainError, match="not NaN") as raised:
+            call(math.nan)
+        assert math.isnan(raised.value.offending_input)
 
     def test_result_echoes_inputs(self):
         query = BoundQuery(unknown="work", n=2, time=1.0, success_probability=1.0)

@@ -12,7 +12,9 @@ The grid and the text are still compared exactly with the code they
 replaced: ``_old_offsets`` is the per-segment grid of the per-sample
 ``evolve``, and the other ``_old_*`` functions are copies of the per-cell
 writers and the per-row dicts that the row-template writer
-(:class:`FloatRows`) replaced.
+(:class:`FloatRows`) replaced.  That writer formats cells in numpy array
+passes, so it is also held to ``"%.17g" %`` cell for cell on bit patterns
+drawn from all of float64.
 """
 
 import json
@@ -20,6 +22,7 @@ import math
 import struct
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -27,6 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qlimits import serialize
 from qlimits.cli import main
 from qlimits.dynamics import (
     ControlSchedule,
@@ -45,6 +49,7 @@ from qlimits.dynamics import (
 from qlimits.dynamics.core import MAX_TRACE_SAMPLES, _pauli_components, _sample_grid
 from qlimits.errors import CapacityError, ConsistencyError, DomainError
 from qlimits.serialize import (
+    _TRACE_CSV_ROW,
     FloatRows,
     _json_row_template,
     dumps17,
@@ -559,6 +564,58 @@ def test_distinct_values_format_as_every_cell(columns, level, indent):
     assert rows.join(csv_row, "").split("\n") == _old_join(rows, csv_row, "").split("\n")
     assert rows.join(json_row, ",\n").split("\n") == \
         _old_join(rows, json_row, ",\n").split("\n")
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# finite doubles with every bit pattern equally likely (NaN and infinity excluded)
+_any_finite = st.integers(0, 2 ** 64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF).map(
+    _from_bits)
+
+
+def _with_neighbours(values):
+    return [float(w) for v in values for w in (np.nextafter(v, 0.0), v, np.nextafter(v, math.inf))]
+
+
+_POWERS_OF_TEN = _with_neighbours(float(f"1e{k}") for k in range(-300, 300))
+# 1e-5 and 1e-4 bound the fixed form from below, 1e16 and 1e17 from above
+_G_SWITCHES = _with_neighbours((1e-5, 1e-4, 1e16, 1e17))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_any_finite, min_size=1, max_size=40), min_size=1, max_size=3)
+       .map(lambda cols: [c[:min(map(len, cols))] for c in cols]))
+# exact ties, which %.17g rounds half to even: 1.00000762939453125 and 1.00002288818359375
+@example([[1.0 + 2.0 ** -17, 1.0 + 3.0 * 2.0 ** -17, -(1.0 + 3.0 * 2.0 ** -17)]])
+@example([_POWERS_OF_TEN, [-v for v in _POWERS_OF_TEN]])
+@example([[5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0]])
+@example([_G_SWITCHES, [-v for v in _G_SWITCHES]])
+def test_writer_equals_percent_17g_on_any_bit_pattern(columns):
+    rows = FloatRows(tuple(f"c{i}" for i in range(len(columns))), columns)
+    template = "\n" + ",".join(["%.17g"] * len(columns))
+    assert rows.join(template, "").split("\n") == \
+        "".join(template % row for row in zip(*columns)).split("\n")
+
+
+def test_rows_split_into_blocks_join_as_one(monkeypatch):
+    # a block boundary falls between rows; only the first row has no separator before it
+    monkeypatch.setattr(serialize, "BLOCK_ROWS", 4)
+    trace = evolve(EffectiveState.initial(SearchSpace(6)),
+                   ControlSchedule((Segment(0.7, 1.3, -0.0), Segment(0.9, 0.0, 2.5))), 0.1)
+    rows = trace_to_obj(trace)
+    assert len(rows) > 3 * serialize.BLOCK_ROWS
+    for template, sep in ((_TRACE_CSV_ROW, ""), (_json_row_template(rows.keys, 2, 1), ",\n")):
+        assert rows.join(template, sep).split("\n") == _old_join(rows, template, sep).split("\n")
+
+
+def test_power_of_ten_table_is_exact_to_2_to_the_minus_104():
+    for k, scale, hi, lo in zip(range(serialize._K0, 346), serialize._SCALE, serialize._HI,
+                                serialize._LO):
+        exact = Fraction(10) ** k
+        approx = (Fraction(float(hi)) + Fraction(float(lo))) * Fraction(float(scale))
+        assert abs(approx - exact) <= exact / 2 ** 104, k
 
 
 def test_rows_reject_non_finite_columns():
