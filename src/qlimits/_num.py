@@ -11,6 +11,9 @@ import math
 
 LN2 = math.log(2.0)
 
+# The n bracket of the bound inversions (bits).
+N_BRACKET = (1.0, 4096.0)
+
 # Largest log2 that still exponentiates to a finite double.
 _MAX_FINITE_LOG2 = 1023.0
 

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import LN2, bisect, ceil_tol, exp2, golden_min, log2_add, log2_radical
+from ._num import LN2, N_BRACKET, bisect, ceil_tol, exp2, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR
-from .errors import DomainError, InfeasibleError
-from .bounds import _N_BRACKET, _in_double_range, _not_nan, landauer_energy
+from .errors import DomainError, InfeasibleError, checked, in_double_range
+from .bounds import landauer_energy
 
 BHT_TAG = "bht-collision-v1"
 
@@ -94,21 +94,22 @@ def _quantum_root(n: float, p_success: float, k: float) -> float:
     return exp2(log2_radical(r_log2))
 
 
+def _check_plan(n: float, k: float, t_total: float, p_success: float) -> None:
+    """n finite, k >= 1, t_T finite and > 0 and P_s in (0, 1]."""
+    checked("image size n", n, -math.inf)
+    checked("sample count k", k, 1.0, math.inf, "[)")
+    checked("total time", t_total)
+    checked("success probability", p_success, 0.0, 1.0, "(]")
+
+
 def bht_work(n: float, k: float, t_total: float, temperature: float, p_success: float) -> float:
     """Work floor for a plan with k classical samples, in joules."""
-    if not math.isfinite(n):
-        raise DomainError("image size n must be finite", n)
-    if not k >= 1.0:
-        raise DomainError("sample count k must be >= 1", k)
-    if not t_total > 0.0:
-        raise DomainError("total time must be > 0", t_total)
-    if not 0.0 < p_success <= 1.0:
-        raise DomainError("success probability must lie in (0, 1]", p_success)
+    _check_plan(n, k, t_total, p_success)
     e_l = landauer_energy(temperature)
     root = _quantum_root(n, p_success, k)
     landauer = k * (n + 1.0) * e_l if e_l > 0.0 else 0.0  # k (n + 1) may overflow
     work = landauer + k * H / (4.0 * t_total) + root * HBAR / t_total
-    return _in_double_range(work, "work", (n, k))
+    return in_double_range(work, "solved work", (n, k))
 
 
 def _log2_over(numerator: float, t: float) -> float:
@@ -120,10 +121,9 @@ def _log2_over(numerator: float, t: float) -> float:
     return math.log2(numerator) - math.log2(t)
 
 
-def _log2_work_terms(n: float, log2_k: float, t_total: float, temperature: float,
+def _log2_work_terms(n: float, log2_k: float, t_total: float, e_l: float,
                      p_success: float) -> float:
     """log2 of the three-term work expression, fully in log space."""
-    e_l = landauer_energy(temperature)
     landauer_log2 = math.log2((n + 1.0) * e_l) if e_l > 0.0 else -math.inf
     classical_log2 = log2_add(log2_k + landauer_log2, log2_k + _log2_over(H / 4.0, t_total))
     r_log2 = n + math.log2(p_success) - log2_k
@@ -132,15 +132,15 @@ def _log2_work_terms(n: float, log2_k: float, t_total: float, temperature: float
     return log2_add(classical_log2, log2_radical(r_log2) + _log2_over(HBAR, t_total))
 
 
-def _log2_work(work: float, n: float, k: float, t_total: float, temperature: float,
+def _log2_work(work: float, n: float, k: float, t_total: float, e_l: float,
                p_success: float) -> float:
     """log2 of ``work = bht_work(n, k, ...)``, from log space where it underflows to 0."""
     if work > 0.0:
         return math.log2(work)
-    return _log2_work_terms(n, math.log2(k), t_total, temperature, p_success)
+    return _log2_work_terms(n, math.log2(k), t_total, e_l, p_success)
 
 
-def _closed_form_log2(n: float, t_total: float, temperature: float, p_success: float) -> tuple[float, float]:
+def _closed_form_log2(n: float, t_total: float, e_l: float, p_success: float) -> tuple[float, float]:
     """(log2 k*, log2 W*) of the budget-only closed forms.
 
     x = (n+1) E_L 4 t/hbar + 2 pi and 1.25 hbar/t are taken directly while
@@ -148,7 +148,6 @@ def _closed_form_log2(n: float, t_total: float, temperature: float, p_success: f
     bit, and from their log2 terms past that: 1.25 hbar/t leaves the normal
     range beyond t = 6e273 s, and x overflows near 1e290 s at 300 K.
     """
-    e_l = landauer_energy(temperature)
     x = (n + 1.0) * e_l * 4.0 * t_total / HBAR + 2.0 * math.pi
     if x < math.inf:
         log2_x = math.log2(x)
@@ -168,10 +167,15 @@ def optimal_quantum_time(n: float, k: float, t_total: float, p_success: float) -
     t_s = t_T / (k * 2 pi / (4 sqrt(2^n P_s / k - 1)) + 1); the classical
     phase takes the rest.
     """
-    root = _quantum_root(_not_nan(n), p_success, k)
+    _check_plan(n, k, t_total, p_success)
+    root = _quantum_root(n, p_success, k)
     if root == 0.0:
         return 0.0
-    return t_total / (k * 2.0 * math.pi / (4.0 * root) + 1.0)
+    ratio = k * 2.0 * math.pi / (4.0 * root)
+    if not ratio < math.inf:  # k 2 pi or the root overflowed: take the ratio in log2
+        ratio = exp2(math.log2(k) + math.log2(2.0 * math.pi / 4.0)
+                     - log2_radical(_radicand_log2(n, p_success, k)))
+    return t_total / (ratio + 1.0)
 
 
 def bht_fixed_samples(n: float, k: float, t_total: float, temperature: float,
@@ -185,7 +189,7 @@ def bht_fixed_samples(n: float, k: float, t_total: float, temperature: float,
         "t_s_s": optimal_quantum_time(n, k, t_total, p_success),
         "t_total_s": t_total,
         "work_J": work,
-        "log2_work_J": _log2_work(work, n, k, t_total, temperature, p_success),
+        "log2_work_J": _log2_work(work, n, k, t_total, landauer_energy(temperature), p_success),
         "constants_version": CONSTANTS_VERSION,
     }
 
@@ -198,19 +202,16 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
     the budget-only closed form is carried alongside for inversion.  A
     sample count or work past double range raises :class:`InfeasibleError`.
     """
-    if not math.isfinite(n):
-        raise DomainError("image size n must be finite", n)
-    if not t_total > 0.0:
-        raise DomainError("total time must be > 0", t_total)
-    if not temperature > 0.0:
-        raise DomainError("temperature must be > 0", temperature)
-    if not 0.0 < p_success <= 1.0:
-        raise DomainError("success probability must lie in (0, 1]", p_success)
+    checked("image size n", n, -math.inf)
+    checked("total time", t_total)
+    checked("temperature", temperature)
+    checked("success probability", p_success, 0.0, 1.0, "(]")
     if n + math.log2(p_success) < 0.0:
         raise DomainError(
             "2^n * P_s < 1: no sample count is admissible", (n, p_success)
         )
-    log2_k_star, log2_w_star = _closed_form_log2(n, t_total, temperature, p_success)
+    e_l = landauer_energy(temperature)
+    log2_k_star, log2_w_star = _closed_form_log2(n, t_total, e_l, p_success)
 
     log2_k_max = n + math.log2(p_success)
     clamped = False
@@ -229,11 +230,11 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
             if kk >= 1.0 and _radicand_log2(n, p_success, kk) >= 0.0:
                 candidates.append((bht_work(n, kk, t_total, temperature, p_success), kk))
         work, k_round = min(candidates)
-        log2_work = _log2_work(work, n, k_round, t_total, temperature, p_success)
+        log2_work = _log2_work(work, n, k_round, t_total, e_l, p_success)
         t_s = optimal_quantum_time(n, k_round, t_total, p_success)
     else:
         k_round = -1  # beyond integer representation; report the continuous plan
-        log2_work = _log2_work_terms(n, log2_k, t_total, temperature, p_success)
+        log2_work = _log2_work_terms(n, log2_k, t_total, e_l, p_success)
         work = exp2(log2_work)
         root_log2 = log2_radical(n + math.log2(p_success) - log2_k)
         ratio_log2 = log2_k + math.log2(2.0 * math.pi / 4.0) - root_log2
@@ -258,7 +259,10 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
 
 def bht_work_closed_form(n: float, t_total: float, temperature: float, p_success: float = 1.0) -> float:
     """Budget-only closed form W*(n), in joules (inf when past float range)."""
-    _, log2_w = _closed_form_log2(_not_nan(n), t_total, temperature, p_success)
+    checked("image size n", n, ends="[)")
+    checked("total time", t_total)
+    checked("success probability", p_success, 0.0, 1.0, "(]")
+    _, log2_w = _closed_form_log2(n, t_total, landauer_energy(temperature), p_success)
     return exp2(log2_w)
 
 
@@ -266,17 +270,17 @@ def bht_min_image_bits(
     work_budget: float, t_total: float, temperature: float, p_success: float = 1.0
 ) -> int:
     """Smallest integer image size whose closed-form work floor exceeds the budget."""
-    if not work_budget > 0.0:
-        raise DomainError("work budget must be > 0", work_budget)
-    if not 0.0 < p_success <= 1.0:
-        raise DomainError("success probability must lie in (0, 1]", p_success)
+    checked("work budget", work_budget)
+    checked("success probability", p_success, 0.0, 1.0, "(]")
+    checked("total time", t_total)
+    e_l = landauer_energy(temperature)
     target = math.log2(work_budget)
 
     def excess(n: float) -> float:
-        _, log2_w = _closed_form_log2(n, t_total, temperature, p_success)
+        _, log2_w = _closed_form_log2(n, t_total, e_l, p_success)
         return log2_w - target
 
-    lo, hi = _N_BRACKET
+    lo, hi = N_BRACKET
     if excess(lo) > 0.0:
         return 1
     if excess(hi) <= 0.0:
@@ -298,8 +302,7 @@ def bht_sweep_minimum(
     strictly convex in log k, so the search converges inside the two grid
     cells around the grid minimum.
     """
-    if n > 48:
-        raise DomainError("sweep oracle limited to n <= 48", n)
+    checked("sweep oracle n", n, -math.inf, 48.0, "(]")
     # the grid starts at k = 1: bht_work there checks every argument
     bht_work(n, 1.0, t_total, temperature, p_success)
     # the top of the grid is the largest k whose libm log2 stays within

@@ -38,16 +38,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._num import LN2, bisect, exp2, golden_min, log2_add, log2_radical
+from ._num import LN2, N_BRACKET, bisect, exp2, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR, K_B
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, checked, in_double_range
 
 CLASSICAL_TAG = "classical-exhaustive-v1"
 QUANTUM_TAG = "quantum-work-time-v1(vacuous-below-Ps=2^-n)"
 GATE_TAG = "gate-clocked-v1"
 BALLISTIC_TAG = "ballistic-rotation-v1"
 
-_N_BRACKET = (1.0, 4096.0)
 # A solved probability this close above 1 is rounding and snaps to 1.
 _PSUCCESS_SNAP = 1e-9
 
@@ -95,16 +94,12 @@ class BoundQuery:
             ("power", self.power),
             ("power * time", self.power * self.time if self.power and self.time else None),
         ):
-            if value is not None and not 0.0 < value < math.inf:
-                raise DomainError(f"{name} must be finite and > 0", value)
+            if value is not None:
+                checked(name, value)
         if self.temperature is not None:
-            landauer_energy(self.temperature)  # refuses a negative or non-finite one
-        if self.success_probability is not None and not (
-            0.0 < self.success_probability <= 1.0
-        ):
-            raise DomainError(
-                "success probability must lie in (0, 1]", self.success_probability
-            )
+            checked("temperature", self.temperature, ends="[)")
+        if self.success_probability is not None:
+            checked("success probability", self.success_probability, 0.0, 1.0, "(]")
 
     def budget(self) -> float:
         """The work budget, resolving the power form if used."""
@@ -152,18 +147,12 @@ class BoundResult:
 
 def landauer_energy(temperature: float) -> float:
     """k_B T ln2, the minimum work per irreversible bit reset."""
-    if not temperature >= 0.0:  # NaN too
-        raise DomainError("temperature must be >= 0", temperature)
-    if temperature == math.inf:
-        raise DomainError("temperature must be finite", temperature)
-    return K_B * temperature * LN2
+    return K_B * checked("temperature", temperature, ends="[)") * LN2
 
 
 def margolus_levitin_energy(orthogonalization_time: float) -> float:
     """h/(4 dt), the minimum mean energy to reach an orthogonal state."""
-    if not orthogonalization_time > 0.0:
-        raise DomainError("orthogonalization time must be > 0", orthogonalization_time)
-    return H / (4.0 * orthogonalization_time)
+    return H / (4.0 * checked("orthogonalization time", orthogonalization_time))
 
 
 def _classical_terms_log2(n: float, p_success: float, e_l: float) -> tuple[float, float]:
@@ -173,15 +162,14 @@ def _classical_terms_log2(n: float, p_success: float, e_l: float) -> tuple[float
     Margolus-Levitin part.
     """
     guesses = n + math.log2(p_success)
-    log2_e_l = math.log2(e_l) if e_l > 0.0 else -math.inf
-    return log2_add(guesses, math.log2(2.0 * n)) + log2_e_l, guesses + math.log2(H / 4.0)
+    # a zero E_L clears A also where 2n overflows
+    log2_a = log2_add(guesses, math.log2(2.0 * n)) + math.log2(e_l) if e_l > 0.0 else -math.inf
+    return log2_a, guesses + math.log2(H / 4.0)
 
 
-def _classical_requirement_log2(
-    n: float, time: float, temperature: float, p_success: float
-) -> float:
+def _classical_requirement_log2(n: float, time: float, e_l: float, p_success: float) -> float:
     """log2 of the classical work requirement; -inf when it vanishes."""
-    log2_a, log2_b = _classical_terms_log2(n, p_success, landauer_energy(temperature))
+    log2_a, log2_b = _classical_terms_log2(n, p_success, e_l)
     return log2_add(log2_a, log2_b - math.log2(time))
 
 
@@ -189,7 +177,10 @@ def classical_work_requirement(
     n: float, time: float, temperature: float, p_success: float
 ) -> float:
     """E_c = 2^n P_s (E_L + h/4t) + 2n E_L in joules (inf on overflow)."""
-    return exp2(_classical_requirement_log2(_not_nan(n), time, temperature, p_success))
+    checked("n", n)
+    checked("time", time)
+    checked("success probability", p_success, 0.0, 1.0, "(]")
+    return exp2(_classical_requirement_log2(n, time, landauer_energy(temperature), p_success))
 
 
 def classical_bound(query: BoundQuery) -> BoundResult:
@@ -204,17 +195,17 @@ def classical_bound(query: BoundQuery) -> BoundResult:
 
     if query.unknown == "work":
         _require(query, "n", "time", "psuccess")
-        return result(_in_double_range(
+        return result(in_double_range(
             classical_work_requirement(
                 query.n, query.time, t_kelvin, query.success_probability
             ),
-            "work", query,
+            "solved work", query,
         ))
 
     if query.unknown == "psuccess":
         _require(query, "n", "time")
         budget = query.budget()
-        floor = 2.0 * query.n * e_l
+        floor = 2.0 * query.n * e_l if e_l > 0.0 else 0.0  # 2n may overflow
         if budget <= floor:
             raise InfeasibleError(
                 "budget does not clear the 2n*E_L initialization floor",
@@ -248,7 +239,7 @@ def classical_bound(query: BoundQuery) -> BoundResult:
         time = exp2(log2_b) / (query.work - floor)
         if time == math.inf:  # B alone may overflow where B / (W - A) does not
             time = exp2(log2_b - math.log2(query.work - floor))
-        return result(_in_double_range(time, "time", query))
+        return result(in_double_range(time, "solved time", query))
 
     # unknown == "n": monotone bisection on the log-requirement
     _require(query, "time", "psuccess")
@@ -256,13 +247,11 @@ def classical_bound(query: BoundQuery) -> BoundResult:
 
     def excess(n: float) -> float:
         return (
-            _classical_requirement_log2(
-                n, query.time, t_kelvin, query.success_probability
-            )
+            _classical_requirement_log2(n, query.time, e_l, query.success_probability)
             - budget_log2
         )
 
-    lo, hi = _N_BRACKET
+    lo, hi = N_BRACKET
     if excess(lo) >= 0.0:
         raise InfeasibleError(
             "budget is below the requirement already at n = 1",
@@ -292,9 +281,12 @@ def quantum_work_requirement(n: float, time: float, p_success: float) -> tuple[f
     """(W, offset_flag): W = sqrt(2^n P_s - 1) hbar / t, 0 when vacuous.
 
     hbar / t joins the root in log2 space only where the root alone
-    overflows, so W stays finite up to the largest double.
+    overflows, so W stays finite up to the largest double (inf past it).
     """
-    log2_np = _not_nan(n) + math.log2(p_success)
+    checked("n", n, -math.inf)
+    checked("time", time)
+    checked("success probability", p_success, 0.0, 1.0, "(]")
+    log2_np = n + math.log2(p_success)
     if log2_np <= 0.0:
         return 0.0, True
     log2_root = log2_radical(log2_np)
@@ -307,10 +299,9 @@ def quantum_work_requirement(n: float, time: float, p_success: float) -> tuple[f
 def quantum_log2_ratio(work: float, time: float, p_success: float) -> float:
     """log2(((W t / hbar)^2 + 1) / P_s), the real n at which W and t meet the
     quantum bound.  W t is kept as log2 W + log2 t, so it never overflows."""
-    if not (work > 0.0 and time > 0.0):
-        raise DomainError("work and time must be > 0", (work, time))
-    if not 0.0 < p_success <= 1.0:
-        raise DomainError("success probability must lie in (0, 1]", p_success)
+    checked("work", work)
+    checked("time", time)
+    checked("success probability", p_success, 0.0, 1.0, "(]")
     log2_x = math.log2(work) + math.log2(time) - math.log2(HBAR)
     return log2_add(2.0 * log2_x, 0.0) - math.log2(p_success)
 
@@ -328,7 +319,7 @@ def quantum_bound(query: BoundQuery) -> BoundResult:
         value, offset = quantum_work_requirement(
             query.n, query.time, query.success_probability
         )
-        return result(_in_double_range(value, "work", query), offset)
+        return result(in_double_range(value, "solved work", query), offset)
 
     if query.unknown == "time":
         _require(query, "n", "psuccess")
@@ -347,7 +338,7 @@ def quantum_bound(query: BoundQuery) -> BoundResult:
             _require(query, "work")
             # the same product, solved for t: W t = root * hbar
             time, _ = quantum_work_requirement(query.n, query.work, p)
-        return result(_in_double_range(time, "time", query))
+        return result(in_double_range(time, "solved time", query))
 
     if query.unknown == "psuccess":
         _require(query, "n", "time")
@@ -374,24 +365,23 @@ def gate_bound(
 
     (2n + K) E_L + max(0, hbar (sqrt(P_s 2^n) - 1)(pi - 2^(1-n/2)) / t).
     """
-    if not time > 0.0:
-        raise DomainError("time must be > 0", time)
-    if not 0.0 < p_success <= 1.0:
-        raise DomainError("success probability must lie in (0, 1]", p_success)
-    if corrected_errors < 0:
-        raise DomainError("corrected error count must be >= 0", corrected_errors)
+    checked("time", time)
+    checked("success probability", p_success, 0.0, 1.0, "(]")
+    checked("corrected error count", corrected_errors, ends="[)")
     e_l = landauer_energy(temperature)
-    root = exp2(0.5 * (_not_nan(n) + math.log2(p_success)))
+    checked("n", n)
+    root = exp2(0.5 * (n + math.log2(p_success)))
     dynamic = HBAR * (root - 1.0) * (math.pi - 2.0 ** (1.0 - n / 2.0)) / time
     landauer = (2.0 * n + corrected_errors) * e_l if e_l > 0.0 else 0.0  # 2n may overflow
-    return _in_double_range(landauer + max(dynamic, 0.0), "work", (n, p_success, time))
+    return in_double_range(landauer + max(dynamic, 0.0), "solved work", (n, p_success, time))
 
 
 def ballistic_deterministic_time(n: float, work: float) -> float:
     """t_F = (pi/2)(sqrt(2^n) + 1) hbar / W."""
-    if not work > 0.0:
-        raise DomainError("work must be > 0", work)
-    return _in_double_range(0.5 * math.pi * (exp2(0.5 * _not_nan(n)) + 1.0) * HBAR / work, "time", n)
+    checked("work", work)
+    checked("n", n, -math.inf)
+    t_final = 0.5 * math.pi * (exp2(0.5 * n) + 1.0) * HBAR / work
+    return in_double_range(t_final, "solved time", n)
 
 
 def ballistic_success(n: float, work: float, time: float) -> float:
@@ -400,16 +390,13 @@ def ballistic_success(n: float, work: float, time: float) -> float:
     P_s(t) = 1/2^n + (1 - 1/2^n) sin^2(W t / ((sqrt(2^n) + 1) hbar)),
     valid for 0 <= t <= t_F.
     """
-    if time < 0.0:
-        raise DomainError("time must be >= 0", time)
+    checked("time", time, ends="[)")
     try:
         t_final = ballistic_deterministic_time(n, work)
     except InfeasibleError:  # t_F past double range bounds no finite time
         t_final = math.inf
-    if time > t_final * (1.0 + 1e-12):
-        raise DomainError(
-            f"ballistic form is valid only up to t_F = {t_final!r} s", time
-        )
+    checked("time", time, 0.0, t_final * (1.0 + 1e-12), "[]")  # the form holds up to t_F
+    checked("n", n, ends="[)")
     p0 = exp2(-float(n))
     angle = work * time / ((exp2(0.5 * n) + 1.0) * HBAR)
     if math.isnan(angle):  # W t and sqrt(2^n) both overflow: take the ratio in log2
@@ -419,8 +406,8 @@ def ballistic_success(n: float, work: float, time: float) -> float:
 
 def prefactor_b(k: float, n: float) -> float:
     """Short-time envelope prefactor (1+k) / (1 + sqrt(k^2 + 2^-n (1-k^2)))^2."""
-    if not 0.0 <= k <= 1.0:
-        raise DomainError("relative detuning k must lie in [0, 1]", k)
+    checked("relative detuning k", k, 0.0, 1.0, "[]")
+    checked("n", n, ends="[)")
     gg = exp2(-float(n))
     root = math.sqrt(k * k + gg * (1.0 - k * k))
     return (1.0 + k) / (1.0 + root) ** 2
@@ -445,18 +432,14 @@ def work_floor(spectrum: list[float], overlaps: list[complex], m: int) -> float:
     if len(spectrum) != len(overlaps) or len(spectrum) == 0:
         raise DomainError("spectrum and overlaps must be equal-length, non-empty",
                           (len(spectrum), len(overlaps)))
-    if not (isinstance(m, int) and m >= 2 and m % 2 == 0):
-        raise DomainError("moment order m must be a positive even integer", m)
+    if not (isinstance(m, int) and m % 2 == 0):
+        raise DomainError("moment order m must be an even integer", m)
+    checked("moment order m", m, 2, math.inf, "[)")
     weights = [abs(a) ** 2 for a in overlaps]
-    total = math.fsum(weights)
-    if total == 0.0:
-        raise DomainError("all overlaps vanish", overlaps)
-    if abs(total - 1.0) > 1e-9:
-        raise DomainError("overlaps must be normalized", total)
+    checked("squared overlap sum", math.fsum(weights), 1.0 - 1e-9, 1.0 + 1e-9, "[]")
     terms = []
     for w_j, wt in zip(spectrum, weights):
-        if not math.isfinite(w_j):
-            raise DomainError("spectrum must be finite", w_j)
+        checked("spectrum", w_j, -math.inf)
         if wt > 0.0 and w_j != 0.0:
             terms.append(math.log(wt) + m * math.log(abs(w_j)))
     if not terms:
@@ -471,7 +454,10 @@ def init_readout_work(n: float, temperature: float, mode: str = "generic") -> fl
     if mode not in ("generic", "knownPlaintext"):
         raise DomainError("mode must be 'generic' or 'knownPlaintext'", mode)
     factor = 2.0 if mode == "generic" else 4.0
-    return factor * _not_nan(n) * landauer_energy(temperature)
+    checked("n", n, ends="[)")
+    e_l = landauer_energy(temperature)
+    # 2n may overflow, against a zero Landauer energy too
+    return in_double_range(factor * n * e_l if e_l > 0.0 else 0.0, "readout work", n)
 
 
 def battery_relative_uncertainty(
@@ -482,16 +468,15 @@ def battery_relative_uncertainty(
     Model: <E> = U + N k_B T / 2 and dE = sqrt(N/2) k_B T, so the ratio
     falls off as 1/sqrt(N) once U scales with N.
     """
-    if not (isinstance(n_dof, int) and n_dof >= 1):
-        raise DomainError("degree-of-freedom count must be a positive integer", n_dof)
-    if not temperature > 0.0:
-        raise DomainError("temperature must be > 0", temperature)
-    if potential_energy < 0.0:
-        raise DomainError("potential energy must be >= 0", potential_energy)
-    kt = K_B * temperature
-    mean = potential_energy + 0.5 * n_dof * kt
+    if not isinstance(n_dof, int):
+        raise DomainError("degree-of-freedom count must be an integer", n_dof)
+    checked("degree-of-freedom count", n_dof, 1, math.inf, "[)")
+    kt = K_B * checked("temperature", temperature)
+    mean = checked("potential energy", potential_energy, ends="[)") + 0.5 * n_dof * kt
     spread = math.sqrt(0.5 * n_dof) * kt
-    return spread / mean
+    # k_B T may underflow to 0, and the mean with it
+    return in_double_range(spread / mean if mean > 0.0 else math.inf, "relative uncertainty",
+                           (n_dof, temperature, potential_energy))
 
 
 def _require(query: BoundQuery, *fields: str) -> None:
@@ -507,21 +492,6 @@ def _require(query: BoundQuery, *fields: str) -> None:
                 raise DomainError("work (or power) is required", query)
         elif mapping[f] is None:
             raise DomainError(f"field {f!r} is required", query)
-
-
-def _in_double_range(value: float, unknown: str, offending_input) -> float:
-    """A solved work or time; +inf means the true value lies past double range."""
-    if value == math.inf:
-        raise InfeasibleError(f"the solved {unknown} lies past double range",
-                              math.inf, offending_input)
-    return value
-
-
-def _not_nan(n: float) -> float:
-    """n, refused as a DomainError when it is NaN: no bound holds there."""
-    if math.isnan(n):
-        raise DomainError("n must be a number, not NaN", n)
-    return n
 
 
 def _probability(p: float, query: BoundQuery) -> float:

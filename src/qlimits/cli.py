@@ -40,7 +40,7 @@ from .dynamics import (
     grover_pulsed_schedule,
     standard_grover_iterations,
 )
-from .errors import ParseError, QlimitsError, UsageError
+from .errors import ParseError, QlimitsError, UsageError, checked
 from .keylength import (
     BALLISTIC_TIME_TAG,
     COSMIC_TAG,
@@ -174,18 +174,17 @@ def _apply_config(args: argparse.Namespace) -> None:
             setattr(args, attr, value)
 
 
-def _resolve_budget(args, time: float | None) -> float:
-    """--work, or --power * --time (the documented equivalence), refused
-    unless finite and > 0 as :class:`BoundQuery` refuses it."""
-    if getattr(args, "work", None) is not None:
-        query = BoundQuery("n", work=args.work, time=time)
-    elif getattr(args, "power", None) is not None:
-        if time is None:
-            raise UsageError("--power requires --time")
-        query = BoundQuery("n", time=time, power=args.power)
-    else:
+def _resolve_budget(args, time: float) -> float:
+    """--work, or --power * --time (the documented equivalence); the
+    budget, the time and the power are each refused unless finite and > 0."""
+    if args.work is not None:
+        checked("work", args.work)
+        checked("time", time)
+        return args.work
+    if args.power is None:
         raise UsageError("a work budget is required (--work or --power with --time)")
-    return query.budget()
+    checked("time", time)
+    return checked("power * time", checked("power", args.power) * time)
 
 
 def _cmd_simulate(args):

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import checked
+
 CONSTANTS_VERSION = "codata-2018.qlimits-1"
 
 
@@ -42,8 +44,7 @@ class PhysicalConstants:
 
     def validate(self) -> None:
         for name, value in self.as_dict().items():
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"constant {name} must be finite and > 0")
+            checked(f"constant {name}", value)
         if abs(self.h - 2.0 * math.pi * self.hbar) > 1e-12 * self.h:
             raise ValueError("h and hbar are inconsistent")
 

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .._num import sinc
-from ..errors import DomainError
+from ..errors import DomainError, checked, in_double_range
 from .core import (
     ControlSchedule,
     EffectiveState,
@@ -49,6 +49,8 @@ def analytic_rates(
     or frozen-population approximation), so they match finite differences
     of the simulator to second order in the step.
     """
+    checked("frequencies", omega_i, ends="[)")
+    checked("frequencies", omega_s, ends="[)")
     g = space.overlap
     omega = 0.5 * (omega_i + omega_s)
     delta = 0.5 * (omega_i - omega_s)
@@ -91,13 +93,17 @@ def averaged_overlap(
     with x = delta*window, F(x) = e^(-ix) sinc(x) and G(x) = (1-F(x))/x.
     The removable singularity at x = 0 is handled by series expansion.
     """
-    if not window > 0.0:
-        raise DomainError("window must be > 0", window)
+    checked("delta_omega", delta_omega, -math.inf)
+    checked("omega", omega, ends="[)")
+    checked("P_i - P_s", mean_population_diff, -1.0, 1.0, "[]")
+    checked("window", window)
     g = space.overlap
     x = delta_omega * window
+    drive = omega * mean_population_diff * window
+    in_double_range(max(abs(x), abs(drive)), "detuning or drive over the window", window)
     f = _decay_factor(x)
     gx = _one_minus_decay_over_x(x)
-    return a0 * f + 0.5 * g * ((1.0 - f) + omega * mean_population_diff * window * gx)
+    return a0 * f + 0.5 * g * ((1.0 - f) + drive * gx)
 
 
 def control_bandwidth(
@@ -109,9 +115,9 @@ def control_bandwidth(
     width ``window``, less the cutoff for features as slow as the full run.
     A single-segment (time-independent) schedule has zero requirement.
     """
-    if not 0.0 < window <= total_time:
-        raise DomainError("window must satisfy 0 < window <= total_time", window)
-    return max(HWHM_FACTOR / window - HWHM_FACTOR / total_time, 0.0)
+    checked("window", window, 0.0, checked("total time", total_time), "(]")
+    demand = in_double_range(HWHM_FACTOR / window, "bandwidth", window)
+    return max(demand - HWHM_FACTOR / total_time, 0.0)
 
 
 def optimal_detuning(
@@ -134,20 +140,15 @@ def optimal_detuning(
     exact optimizers; see the characterization tests for how they compare
     with a brute-force sweep.
     """
-    n_half = 2.0 ** (space.n / 2.0)
-    if not 10.0 <= c_window <= n_half / 10.0:
-        raise DomainError(
-            "window constant must satisfy 10 <= C <= 2^(n/2)/10", c_window
-        )
+    checked("window constant C", c_window, 10.0, 2.0 ** (space.n / 2.0) / 10.0, "[]")
     if regime == "boundary":
         return 3.0 / c_window
     if regime != "bulk":
         raise DomainError("regime must be 'boundary' or 'bulk'", regime)
     g = space.overlap
-    if not p_i >= 4.0 * c_window * c_window / space.dimension:
-        raise DomainError(
-            "bulk regime requires P_i >= 4 C^2 / 2^n", (p_i, c_window)
-        )
+    checked("P_i", p_i, 4.0 * c_window * c_window / space.dimension, 1.0, "[]")
+    checked("P_s", p_s, 0.0, 1.0, "[]")
+    checked("P_i - P_s", mean_population_diff, -1.0, 1.0, "[]")
     denom = math.sqrt(p_i * p_s) + c_window * mean_population_diff * g
     value = 3.0 / c_window - (a0.real - g) / denom
     return min(value, 4.0 / c_window)
@@ -160,15 +161,15 @@ def modulated_detuning_suppression(r: float) -> float:
     This is the leading-order estimate; the companion experiment
     :func:`measure_modulated_suppression` provides the simulated value.
     """
-    if not 0.0 <= r <= 0.5:
-        raise DomainError("modulation ratio must lie in [0, 0.5]", r)
+    checked("modulation ratio", r, 0.0, 0.5, "[]")
     return 1.0 - r * r / 4.0
 
 
 def equator_state(space: SearchSpace, omega: float = 1.0) -> EffectiveState:
     """Mid-run ballistic state with P_i = P_s and A almost purely imaginary."""
-    g = space.overlap
-    t_eq = (math.pi / 4.0) / (omega * g)
+    rate = checked("omega", omega) * space.overlap
+    t_eq = in_double_range((math.pi / 4.0) / rate if rate > 0.0 else math.inf, "equator time",
+                           omega)
     sched = ControlSchedule(((t_eq, omega, omega),))
     return final_state(EffectiveState.initial(space), sched)
 
@@ -189,18 +190,14 @@ def measure_modulated_suppression(
     integer number of periods; the trace average of A is compared with its
     initial value.
     """
-    if segments_per_cycle < 64:
-        raise DomainError("at least 64 segments per period are required",
-                          segments_per_cycle)
+    checked("omega", omega)
+    checked("cycles", cycles, 1, math.inf, "[)")
+    checked("segments per period", segments_per_cycle, 64, math.inf, "[)")
     if omega_c is None:
         omega_c = 5.0 * omega
-    delta0 = r * omega_c
-    if delta0 > omega:
-        raise DomainError(
-            "modulation amplitude r*omega_c must not exceed omega "
-            "(frequencies would go negative)",
-            (r, omega_c),
-        )
+    delta0 = r * checked("omega_c", omega_c)
+    # a larger amplitude would drive a frequency negative
+    checked("modulation amplitude r*omega_c", delta0, -omega, omega, "[]")
     state = equator_state(space, omega)
     period = 2.0 * math.pi / omega_c
     tau = period / segments_per_cycle

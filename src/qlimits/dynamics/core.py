@@ -40,7 +40,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from ..constants import HBAR
-from ..errors import CapacityError, ConsistencyError, DomainError
+from ..errors import CapacityError, ConsistencyError, DomainError, checked, in_double_range
 
 NORM_TOLERANCE = 1e-9
 
@@ -64,8 +64,9 @@ class SearchSpace:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and 1 <= self.n <= 1024):
-            raise DomainError("key length n must be an integer in [1, 1024]", self.n)
+        if not isinstance(self.n, int):
+            raise DomainError("key length n must be an integer", self.n)
+        checked("key length n", self.n, 1, 1024, "[]")
 
     @property
     def dimension(self) -> int:
@@ -91,9 +92,8 @@ class EffectiveState:
     space: SearchSpace
 
     def __post_init__(self):
-        norm = abs(self.c1) ** 2 + abs(self.c2) ** 2
-        if abs(norm - 1.0) > 1e-6:
-            raise DomainError("state amplitudes must be normalized", norm)
+        checked("squared state norm", _abs2(self.c1) + _abs2(self.c2),
+                1.0 - 1e-6, 1.0 + 1e-6, "[]")
 
     @classmethod
     def initial(cls, space: SearchSpace) -> "EffectiveState":
@@ -113,11 +113,9 @@ class Segment(NamedTuple("Segment", [("duration", float), ("omega_i", float),
     __slots__ = ()
 
     def __new__(cls, duration: float, omega_i: float, omega_s: float):
-        if not (duration > 0.0 and math.isfinite(duration)):
-            raise DomainError("segment duration must be finite and > 0", duration)
-        for w in (omega_i, omega_s):
-            if not (math.isfinite(w) and w >= 0.0):
-                raise DomainError("segment frequencies must be finite and >= 0", w)
+        checked("segment duration", duration)
+        checked("segment frequencies", omega_i, ends="[)")
+        checked("segment frequencies", omega_s, ends="[)")
         return super().__new__(cls, duration, omega_i, omega_s)
 
 
@@ -127,8 +125,8 @@ class ControlSchedule:
 
     ``rows`` is anything ``np.array`` reads as (k, 3) floats: a (k, 3)
     array, (duration, omega_i, omega_s) triples or :class:`Segment` rows.
-    A duration must be finite and > 0 and a frequency finite and >= 0; the
-    first value that is not raises :class:`DomainError`.
+    Every row must pass :class:`Segment`'s check; the first value in row
+    order that does not raises :class:`DomainError`.
     ``declared_duration``, when given by a schedule constructor, must match
     the summed segment durations to 1e-12 relative.
     """
@@ -138,14 +136,15 @@ class ControlSchedule:
         if table.ndim != 2 or table.shape[1] != 3 or table.size == 0:
             raise DomainError("schedule must contain at least one segment, as "
                               "(duration, omega_i, omega_s) rows", table.shape)
-        valid = np.isfinite(table) & (table >= 0.0)
-        valid[:, 0] &= table[:, 0] > 0.0
-        if not valid.all():
-            k = int(np.argmin(valid))  # row-major: the first offending value
-            raise DomainError("segment duration must be finite and > 0" if k % 3 == 0
-                              else "segment frequencies must be finite and >= 0",
-                              table.flat[k].item())
         columns = np.ascontiguousarray(table.T)
+        # every value lies in its column's interval if the column's least and
+        # greatest do (NaN is both); else a row by row pass finds the first
+        try:
+            Segment(*columns.min(axis=1).tolist())
+            Segment(*columns.max(axis=1).tolist())
+        except DomainError:
+            for row in table.tolist():
+                Segment(*row)
         columns.flags.writeable = False
         self.durations, self.omega_i, self.omega_s = columns
         self.declared_duration = declared_duration
@@ -176,15 +175,14 @@ class ControlSchedule:
 
     def scaled(self, factor: float) -> "ControlSchedule":
         """Uniformly stretch every segment duration by ``factor``."""
-        if not factor > 0.0:
-            raise DomainError("scale factor must be > 0", factor)
-        return ControlSchedule(np.column_stack((self.durations * factor, self.omega_i,
-                                                self.omega_s)))
+        checked("scale factor", factor)
+        with np.errstate(over="ignore"):  # ControlSchedule refuses an overflowed duration
+            durations = self.durations * factor
+        return ControlSchedule(np.column_stack((durations, self.omega_i, self.omega_s)))
 
     def truncated(self, duration: float) -> "ControlSchedule":
         """The restriction of this schedule to [0, duration]."""
-        if not 0.0 < duration <= self.total_duration * (1.0 + 1e-12):
-            raise DomainError("truncation time must lie within the schedule", duration)
+        checked("truncation time", duration, 0.0, self.total_duration * (1.0 + 1e-12), "(]")
         # the time left before each segment, subtracted in segment order
         left = np.subtract.accumulate(np.append(duration, self.durations))[:-1]
         short = left < self.durations
@@ -282,9 +280,8 @@ class Trace:
 
 def effective_hamiltonian(space: SearchSpace, omega_i: float, omega_s: float) -> np.ndarray:
     """H/hbar as a real symmetric 2x2 matrix in the {|i>, |s_perp>} basis."""
-    for w in (omega_i, omega_s):
-        if not (math.isfinite(w) and w >= 0.0):
-            raise DomainError("frequencies must be finite and >= 0", w)
+    checked("frequencies", omega_i, ends="[)")
+    checked("frequencies", omega_s, ends="[)")
     g = space.overlap
     gg = g * g
     coupling = omega_s * g * math.sqrt(1.0 - gg)
@@ -301,14 +298,12 @@ def eigenenergies(space: SearchSpace, omega: float, delta_omega: float) -> tuple
 
     E_pm = hbar*omega +- hbar*sqrt(delta^2 + (omega^2 - delta^2)/2^n).
     """
-    if abs(delta_omega) > omega:
-        raise DomainError(
-            "|delta_omega| must not exceed omega (negative frequencies)",
-            (omega, delta_omega),
-        )
+    checked("omega", omega, ends="[)")
+    checked("|delta_omega|", abs(delta_omega), 0.0, omega, "[]")  # no negative frequency
     gg = space.overlap ** 2
     split = math.sqrt(delta_omega * delta_omega * (1.0 - gg) + omega * omega * gg)
-    return (HBAR * (omega + split), HBAR * (omega - split))
+    upper = in_double_range(omega + split, "upper eigenfrequency", (omega, delta_omega))
+    return (HBAR * upper, HBAR * (omega - split))
 
 
 def _pauli_components(space: SearchSpace, omega_i, omega_s):
@@ -325,7 +320,7 @@ def _pauli_components(space: SearchSpace, omega_i, omega_s):
 
 def segment_propagator(space: SearchSpace, seg: Segment, duration: float | None = None) -> np.ndarray:
     """Exact unitary exp(-i (H/hbar) * duration) for one segment."""
-    dt = seg.duration if duration is None else duration
+    dt = seg.duration if duration is None else checked("duration", duration, ends="[)")
     mean, x, z = _pauli_components(space, seg.omega_i, seg.omega_s)
     rabi = math.hypot(x, z)
     phase = cmath.exp(-1j * mean * dt)
@@ -373,8 +368,7 @@ def _sample_grid(schedule: ControlSchedule, step: float):
     at most duration/step + 2 samples, so a trace past MAX_TRACE_SAMPLES
     raises :class:`CapacityError` before any array is made.
     """
-    if not step > 0.0:
-        raise DomainError("sample_step must be > 0", step)
+    checked("sample_step", step, 0.0, math.inf, "(]")
     bound = schedule.total_duration / step + 2 * schedule.durations.size + 1
     if not bound <= MAX_TRACE_SAMPLES:
         raise CapacityError(f"a trace is limited to {MAX_TRACE_SAMPLES} samples; "
@@ -397,7 +391,7 @@ def _sample_grid(schedule: ControlSchedule, step: float):
     return t, offsets, [1, *(np.cumsum(keep)[tail] + 1).tolist()]
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
+def _abs2(z):
     """|z|^2, elementwise, from the real and imaginary parts."""
     return z.real * z.real + z.imag * z.imag
 
@@ -510,8 +504,8 @@ def propagate(
     """
     durations, omega_i, omega_s = arrays
     factors = np.asarray(factors, dtype=float)
-    if not np.all(factors > 0.0):
-        raise DomainError("scale factors must be > 0", float(np.min(factors)))
+    checked("scale factor", float(factors.min()))  # NaN is the least too
+    checked("scale factor", float(factors.max()))
     mean, x, z = _pauli_components(state.space, omega_i, omega_s)
     c1 = np.full(factors.shape, state.c1, dtype=complex)
     c2 = np.full(factors.shape, state.c2, dtype=complex)

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from ..errors import CapacityError, ConsistencyError, DomainError
+from ..errors import CapacityError, ConsistencyError, DomainError, checked
 from .core import (
     ControlSchedule,
     SearchSpace,
@@ -132,8 +132,9 @@ def full_space_reference(
             f"full-space reference limited to n <= {MAX_FULL_SPACE_BITS}", space.n
         )
     dim = space.dimension
-    if not (isinstance(solution_index, int) and 0 <= solution_index < dim):
-        raise DomainError("solution index must lie in [0, 2^n)", solution_index)
+    if not isinstance(solution_index, int):
+        raise DomainError("solution index must be an integer", solution_index)
+    checked("solution index", solution_index, 0, dim, "[)")
     t, all_offsets, edges = _sample_grid(schedule, sample_step)
 
     uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ..constants import HBAR
-from ..errors import CapacityError, DomainError, InfeasibleError
+from ..errors import CapacityError, DomainError, checked, in_double_range
 from .core import (
     MAX_TRACE_SAMPLES,
     ControlSchedule,
@@ -36,9 +36,8 @@ def ballistic_schedule(space: SearchSpace, work: float) -> ControlSchedule:
 
 def ballistic_frequency(space: SearchSpace, work: float) -> float:
     """omega implied by a work budget for the ballistic protocol."""
-    if not work > 0.0:
-        raise DomainError("work must be > 0", work)
-    return work / (HBAR * (1.0 + space.overlap))
+    checked("work", work)
+    return in_double_range(work / (HBAR * (1.0 + space.overlap)), "ballistic frequency", work)
 
 
 def _check_segment_count(count: int) -> None:
@@ -65,12 +64,11 @@ def grover_pulsed_schedule(
     on the projected state; a phase of pi makes each pulse a reflection and
     a pulse pair one amplitude-amplification iteration.
     """
-    if not pulse_energy > 0.0:
-        raise DomainError("pulse energy must be > 0", pulse_energy)
-    if not 0.0 < pulse_phase <= 2.0 * math.pi:
-        raise DomainError("pulse phase must lie in (0, 2*pi]", pulse_phase)
-    if not (isinstance(iterations, int) and iterations >= 1):
-        raise DomainError("iterations must be a positive integer", iterations)
+    checked("pulse energy", pulse_energy)
+    checked("pulse phase", pulse_phase, 0.0, 2.0 * math.pi, "(]")
+    if not isinstance(iterations, int):
+        raise DomainError("iterations must be an integer", iterations)
+    checked("iterations", iterations, 1, math.inf, "[)")
     _check_segment_count(2 * iterations)
     omega_pulse = pulse_energy / HBAR
     tau = pulse_phase / omega_pulse
@@ -98,6 +96,7 @@ def first_peak_iterations(
     """
     if max_pairs is None:
         max_pairs = int(math.ceil(4.0 * math.pi * 2.0 ** (space.n / 2.0))) + 2
+    checked("max_pairs", max_pairs, ends="[)")
     pair = grover_pulsed_schedule(space, pulse_energy, pulse_phase, 1)
     u_pair = segment_propagator(space, pair.segments[1]) @ segment_propagator(
         space, pair.segments[0]
@@ -118,6 +117,8 @@ def first_peak_iterations(
 
 def adiabatic_gap(space: SearchSpace, energy_scale: float, c: float) -> float:
     """Spectral gap E*sqrt(1 - 4c(1-c)(1 - 1/2^n)) of the interpolated H."""
+    checked("energy scale", energy_scale)
+    checked("sweep position c", c, 0.0, 1.0, "[]")
     gg = space.overlap ** 2
     return energy_scale * math.sqrt(1.0 - 4.0 * c * (1.0 - c) * (1.0 - gg))
 
@@ -129,14 +130,13 @@ def adiabatic_total_time(space: SearchSpace, energy_scale: float, error_budget: 
     T = (hbar / (eps E)) * atan(sqrt(1-g^2)/g) / (g sqrt(1-g^2)),
     which scales as (pi/2) * 2^(n/2) * hbar/(eps E) for large n.
     """
+    checked("energy scale", energy_scale)
+    checked("error budget", error_budget, 0.0, 1.0)
     g = space.overlap
     root = math.sqrt(1.0 - g * g)
     scale = error_budget * energy_scale
     total = (HBAR / scale) * math.atan(root / g) / (g * root) if scale > 0.0 else math.inf
-    if total == math.inf:
-        raise InfeasibleError("the sweep time lies past double range", math.inf,
-                              (energy_scale, error_budget))
-    return total
+    return in_double_range(total, "sweep time", (energy_scale, error_budget))
 
 
 def _local_sweep_position(space: SearchSpace, energy_scale: float, error_budget: float, t: float) -> float:
@@ -166,16 +166,13 @@ def adiabatic_schedule(
     midpoint; the default count grows as 2^(n/2) so each segment sees only
     a small rotation of the instantaneous eigenbasis.
     """
-    if not energy_scale > 0.0:
-        raise DomainError("energy scale must be > 0", energy_scale)
-    if not 0.0 < error_budget < 1.0:
-        raise DomainError("error budget must lie in (0, 1)", error_budget)
+    checked("energy scale", energy_scale)
+    checked("error budget", error_budget, 0.0, 1.0)
     if kind not in ("local", "linear"):
         raise DomainError("kind must be 'local' or 'linear'", kind)
     if segments is None:
         segments = max(256, 16 * int(math.ceil(2.0 ** (space.n / 2.0))))
-    if segments < 256:
-        raise DomainError("at least 256 segments are required", segments)
+    checked("segments", segments, 256, math.inf, "[)")
     _check_segment_count(segments)
 
     total = adiabatic_total_time(space, energy_scale, error_budget)
@@ -216,6 +213,9 @@ def runtime_to_infidelity(
     monotone, well-defined crossing.  All grid points are propagated in one
     batched :func:`~qlimits.dynamics.core.propagate` call.
     """
+    checked("target infidelity", target_infidelity, 0.0, 1.0, "(]")
+    checked("scale range end", scale_range[1], checked("scale range start", scale_range[0]))
+    checked("grid points", grid_points, 1, math.inf, "[)")
     base = adiabatic_schedule(space, energy_scale, error_budget, kind="local")
     factors = np.exp(
         np.linspace(math.log(scale_range[0]), math.log(scale_range[1]), grid_points)

@@ -6,6 +6,8 @@ offending input, so the CLI can emit structured error objects.
 
 from __future__ import annotations
 
+import math
+
 
 class QlimitsError(Exception):
     """Base class for all qlimits errors."""
@@ -35,6 +37,42 @@ class DomainError(QlimitsError, ValueError):
     kind = "domain"
 
 
+def checked(name: str, value, lo: float = 0.0, hi: float = math.inf, ends: str = "()"):
+    """``value`` if it lies between ``lo`` and ``hi``, else a :class:`DomainError`
+    carrying it.  ``ends`` is "()", "(]", "[)" or "[]": a bracket closes its
+    end.  Every comparison fails for NaN, so NaN lies in no interval.
+
+    This is the one place that decides whether a numeric argument is in
+    range.  The refusal reads "<name> must be finite and > 0" (or ">= 0")
+    for (0, inf) and [0, inf), "<name> must be finite" for (-inf, inf), and
+    "<name> must lie in (lo, hi]" (with ``ends``) otherwise.
+    """
+    if ends == "()":
+        if lo < value < hi:
+            return value
+    elif ends == "(]":
+        if lo < value <= hi:
+            return value
+    elif ends == "[)":
+        if lo <= value < hi:
+            return value
+    elif lo <= value <= hi:
+        return value
+    rule = (_OPEN_ABOVE.get((lo, hi, ends))
+            or f"lie in {ends[0]}{_text(lo)}, {_text(hi)}{ends[1]}")
+    raise DomainError(f"{name} must {rule}", value)
+
+
+_OPEN_ABOVE = {(-math.inf, math.inf, "()"): "be finite",
+               (0.0, math.inf, "()"): "be finite and > 0",
+               (0.0, math.inf, "[)"): "be finite and >= 0"}
+
+
+def _text(bound: float) -> str:
+    """A bound as written: 1 for 1.0, 6.283185307179586 for 2 pi."""
+    return repr(bound).removesuffix(".0")
+
+
 class InfeasibleError(QlimitsError):
     """A bound inversion has no solution for the given budget.
 
@@ -46,6 +84,16 @@ class InfeasibleError(QlimitsError):
     def __init__(self, message: str, floor: float, offending_input=None):
         super().__init__(message, offending_input)
         self.floor = floor
+
+
+def in_double_range(value: float, name: str, offending_input) -> float:
+    """A computed quantity; +inf means its true value lies past double
+    range, refused as :class:`InfeasibleError` ("the <name> lies past
+    double range")."""
+    if value == math.inf:
+        raise InfeasibleError(f"the {name} lies past double range",
+                              math.inf, offending_input)
+    return value
 
 
 class CapacityError(QlimitsError):

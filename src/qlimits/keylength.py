@@ -49,7 +49,7 @@ from .constants import (
     MEGAPARSEC,
     SOLAR_LUMINOSITY,
 )
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, checked, in_double_range
 from .scenarios import Scenario
 
 BALLISTIC_TIME_TAG = "ballistic-deterministic-time-v1"
@@ -65,14 +65,10 @@ class CosmologyParams:
     rho_matter: float | None = None  # kg/m^3
 
     def __post_init__(self):
-        if not 0.0 < self.h0 < math.inf:
-            raise DomainError("H0 must be finite and > 0", self.h0)
-        if not 0.0 < self.omega_lambda < 1.0:
-            raise DomainError("Omega_Lambda must lie in (0, 1)", self.omega_lambda)
-        if self.rho_matter is not None and not self.rho_matter > 0.0:
-            raise DomainError("matter density must be > 0", self.rho_matter)
-        if self.rho_matter == math.inf:
-            raise DomainError("matter density must be finite", self.rho_matter)
+        checked("H0", self.h0)
+        checked("Omega_Lambda", self.omega_lambda, 0.0, 1.0)
+        if self.rho_matter is not None:
+            checked("matter density", self.rho_matter)
 
     @classmethod
     def from_km_s_mpc(
@@ -102,8 +98,8 @@ def max_deterministic_keylength(work: float, time: float) -> int:
     bit does not fit.  y = 2 W t / (pi hbar) is kept as log2(y), so any
     finite W and t give a finite length, also where W t overflows.
     """
-    if not (work > 0.0 and time > 0.0):
-        raise DomainError("work and time must be > 0", (work, time))
+    checked("work", work)
+    checked("time", time)
     log2_y = 1.0 + math.log2(work) + math.log2(time) - math.log2(math.pi * HBAR)
     if log2_y <= 1.0:  # sqrt(2^n) = y - 1 needs y > 2 for n >= 1
         return 0
@@ -236,9 +232,8 @@ def build_report(scenarios: list[Scenario]) -> list[KeylengthReport]:
 
 def solar_budget(duration: float) -> float:
     """Alternative budget: nominal solar luminosity times a duration."""
-    if not duration > 0.0:
-        raise DomainError("duration must be > 0", duration)
-    return SOLAR_LUMINOSITY * duration
+    budget = SOLAR_LUMINOSITY * checked("duration", duration)
+    return in_double_range(budget, "solar budget", duration)
 
 
 def quantum_requirement_sandwich(scenario: Scenario) -> tuple[float, float]:

@@ -17,11 +17,10 @@ derived quantities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .constants import JULIAN_YEAR
-from .errors import DomainError, ScenarioLookupError
+from .errors import ScenarioLookupError, checked
 
 
 @dataclass(frozen=True)
@@ -36,23 +35,12 @@ class Scenario:
     classical_key_bits: int | None = None
 
     def __post_init__(self):
-        if not self.work > 0.0:
-            raise DomainError("scenario work must be > 0", self.work)
-        if not self.duration > 0.0:
-            raise DomainError("scenario duration must be > 0", self.duration)
-        if not self.temperature >= 0.0:  # NaN too
-            raise DomainError("scenario temperature must be >= 0", self.temperature)
-        if self.temperature == math.inf:
-            raise DomainError("scenario temperature must be finite", self.temperature)
-        if not 0.0 < self.success_probability <= 1.0:
-            raise DomainError(
-                "scenario success probability must be in (0, 1]",
-                self.success_probability,
-            )
-        if self.classical_key_bits is not None and self.classical_key_bits <= 0:
-            raise DomainError(
-                "classical key bits must be positive", self.classical_key_bits
-            )
+        checked("scenario work", self.work)
+        checked("scenario duration", self.duration)
+        checked("scenario temperature", self.temperature, ends="[)")
+        checked("scenario success probability", self.success_probability, 0.0, 1.0, "(]")
+        if self.classical_key_bits is not None:
+            checked("classical key bits", self.classical_key_bits)
 
 
 SCENARIOS: dict[str, Scenario] = {

@@ -216,13 +216,13 @@ class TestSweepMatchesScalarGrid:
             assert bht_sweep_minimum(*args, points=3000) == scalar_grid_sweep(*args, 3000)
 
     @pytest.mark.parametrize("n, t_total, temp, p, message", [
-        (48.5, 1.0, 300.0, 1.0, "sweep oracle limited to n <= 48"),
-        (20, 0.0, 300.0, 0.5, "total time must be > 0"),
-        (20, -1.0, 300.0, 0.5, "total time must be > 0"),
+        (48.5, 1.0, 300.0, 1.0, "sweep oracle n must lie in (-inf, 48]"),
+        (20, 0.0, 300.0, 0.5, "total time must be finite and > 0"),
+        (20, -1.0, 300.0, 0.5, "total time must be finite and > 0"),
         (20, 1.0, 300.0, 1.5, "success probability must lie in (0, 1]"),
         (20, 1.0, 300.0, 0.0, "success probability must lie in (0, 1]"),
         (20, 1.0, 300.0, -0.5, "success probability must lie in (0, 1]"),
-        (20, 1.0, -1.0, 0.5, "temperature must be >= 0"),
+        (20, 1.0, -1.0, 0.5, "temperature must be finite and >= 0"),
         (3, 1.0, 300.0, 0.1, "sample count exceeds 2^n * P_s"),
         (-2000, 1.0, 300.0, 1.0, "sample count exceeds 2^n * P_s"),
     ])
@@ -321,7 +321,7 @@ class TestClosedFormPastDoubleRange:
     def test_matches_a_50_digit_reference(self, n):
         for t_total in [1e250, 5e273, 6e273, 1e285, 1e290, 1e292, 1e295, 1e300, 1.7e308]:
             for temp in (2.7, 300.0):
-                got = _closed_form_log2(n, t_total, temp, 0.25)
+                got = _closed_form_log2(n, t_total, landauer_energy(temp), 0.25)
                 want = self.reference(n, t_total, temp, 0.25)
                 assert got == pytest.approx(want, rel=1e-13, abs=1e-12)
 
@@ -333,7 +333,7 @@ class TestClosedFormPastDoubleRange:
             base = (n + math.log2(p)) / 3.0
             want = (base - (2.0 / 3.0) * math.log2(x),
                     base + math.log2(x) / 3.0 + math.log2(1.25 * HBAR / t_total))
-            assert _closed_form_log2(n, t_total, temp, p) == want
+            assert _closed_form_log2(n, t_total, landauer_energy(temp), p) == want
 
 
 def _old_log2_work_terms(n, log2_k, t_total, temperature, p_success):
@@ -354,7 +354,7 @@ def test_log_space_work_keeps_every_normal_case_to_the_bit(n, t_total, temp, p, 
     top = n + math.log2(p)
     assume(top >= 0.0)
     log2_k = share * top
-    assert (_log2_work_terms(n, log2_k, t_total, temp, p)
+    assert (_log2_work_terms(n, log2_k, t_total, landauer_energy(temp), p)
             == _old_log2_work_terms(n, log2_k, t_total, temp, p))
 
 

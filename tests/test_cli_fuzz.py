@@ -7,25 +7,21 @@
 * exit 2, with a usage message on stderr.
 
 No exception escapes ``main`` and nothing else reaches stderr.  Flag values
-come from a pool of edge values, durations from the same pool with every
-unit suffix.
+come from the pool of edge values in ``edge_values.py``, durations from the
+same pool with every unit suffix.
 """
 
 import contextlib
 import io
 import json
 import math
-import sys
 import warnings
 
 from hypothesis import example, given, settings, strategies as st
 
+from edge_values import DURATIONS, NUMBERS
 from qlimits.cli import build_parser, main
 
-NUMBERS = tuple(map(repr, (
-    0.0, -1.0, 5e-324, 1e-320, 1e-300, 1e-30, 1e-20, 0.01, 0.5, 1.0, 8.0, 48.5, 300.0, 1e16,
-    1e69, 1e300, 1e308, sys.float_info.max, math.inf, -math.inf, math.nan)))
-DURATIONS = tuple(f"{x}{unit}" for x in NUMBERS for unit in ("s", "a", "Ga", "Ta"))
 COUNTS = ("-1", "0", "1", "5")
 
 # per subcommand: (leading words, flags always given, flags given or not);

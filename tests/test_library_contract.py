@@ -1,0 +1,325 @@
+"""Every library call ends in one of three ways (README "Command line"):
+
+* a finite result in its documented range: probabilities in [0, 1], key
+  lengths integers >= 0, works, times and energies finite and >= 0;
+* a :class:`QlimitsError`;
+* a documented flagged value: ``classical_work_requirement``,
+  ``quantum_work_requirement`` and ``bht_work_closed_form`` return +inf
+  where the requirement lies past double range.
+
+Arguments come from the edge values the CLI fuzzer uses (``edge_values.py``)
+mixed with in-domain draws.  Spaces keep n <= 8 and the sweep 64 points, so
+every call is cheap.
+"""
+
+import math
+import warnings
+
+from hypothesis import example, given, settings, strategies as st
+
+from edge_values import EDGE_FLOATS
+from qlimits.bht import (
+    BhtPlan,
+    bht_fixed_samples,
+    bht_min_image_bits,
+    bht_optimal,
+    bht_sweep_minimum,
+    bht_work,
+    bht_work_closed_form,
+    optimal_quantum_time,
+)
+from qlimits.bounds import (
+    BoundQuery,
+    BoundResult,
+    ballistic_deterministic_time,
+    ballistic_success,
+    battery_relative_uncertainty,
+    classical_bound,
+    classical_work_requirement,
+    gate_bound,
+    init_readout_work,
+    landauer_energy,
+    margolus_levitin_energy,
+    optimal_k,
+    prefactor_b,
+    quantum_bound,
+    quantum_log2_ratio,
+    quantum_work_requirement,
+    work_floor,
+)
+from qlimits.dynamics import (
+    ControlSchedule,
+    EffectiveState,
+    SearchSpace,
+    Segment,
+    adiabatic_gap,
+    adiabatic_schedule,
+    adiabatic_total_time,
+    averaged_overlap,
+    ballistic_frequency,
+    ballistic_schedule,
+    control_bandwidth,
+    eigenenergies,
+    equator_state,
+    grover_pulsed_schedule,
+    modulated_detuning_suppression,
+)
+from qlimits.errors import QlimitsError
+from qlimits.keylength import (
+    CosmologyParams,
+    KeylengthReport,
+    build_report,
+    classical_keylength,
+    cosmic_energy,
+    equivalent_quantum_keylength,
+    max_deterministic_keylength,
+    max_recoverable_keylength,
+    quantum_requirement_sandwich,
+    solar_budget,
+)
+from qlimits.scenarios import Scenario, scenario
+
+EDGE = st.sampled_from(EDGE_FLOATS)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# in-domain draws by argument kind; each kind is mixed with the edge values
+KINDS = {
+    "n": st.floats(0.5, 1100.0),
+    "bits": st.integers(-1, 9),            # a SearchSpace size
+    "count": st.integers(-1, 20),
+    "work": _log_uniform(-40.0, 80.0),
+    "time": _log_uniform(-40.0, 40.0),
+    "temp": st.sampled_from((0.0, 2.7, 300.0)) | st.floats(0.0, 1e4),
+    "p": _log_uniform(-30.0, 0.0),
+    "k": _log_uniform(0.0, 12.0),
+    "unit": st.floats(0.0, 1.0),
+    "freq": _log_uniform(-3.0, 3.0),
+    "phase": st.floats(0.0, 7.0),
+    "name": st.sampled_from(("datacenter", "dyson", "cosmic", "moonbase")),
+}
+
+
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _nonneg(x) -> bool:
+    return _finite(x) and x >= 0.0
+
+
+def _flagged_or_nonneg(x) -> bool:
+    return x == math.inf or _nonneg(x)
+
+
+def _prob(x) -> bool:
+    return _finite(x) and 0.0 <= x <= 1.0
+
+
+def _key_bits(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _bound(result: BoundResult) -> bool:
+    value = result.value
+    return _nonneg(value) and (result.unit != "probability" or value <= 1.0)
+
+
+def _plan(plan: BhtPlan) -> bool:
+    return (all(_finite(v) for v in (plan.work, plan.log2_work, plan.closed_form_work,
+                                      plan.log2_closed_form_work, plan.samples, plan.log2_samples))
+            and plan.samples >= 1.0 and 0.0 <= plan.quantum_time <= plan.total_time
+            and (plan.samples_rounded >= 1 or plan.samples_rounded == -1))
+
+
+def _schedule(schedule: ControlSchedule) -> bool:
+    return _nonneg(schedule.total_duration) and all(_nonneg(v) for c in schedule.arrays()
+                                                     for v in c.tolist())
+
+
+def _complex(z: complex) -> bool:
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
+def _state(state: EffectiveState) -> bool:
+    return _complex(state.c1) and _complex(state.c2)
+
+
+def _report(rows: list[KeylengthReport]) -> bool:
+    # a row keeps a solver failure as text; it must be a QlimitsError's
+    names = {cls.__name__ for cls in _subclasses(QlimitsError)}
+    return all(row.error.split(":")[0] in names if row.error is not None
+               else _key_bits(row.quantum_secure_bits) and _key_bits(row.solved_classical_bits)
+               for row in rows)
+
+
+def _subclasses(cls):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _subclasses(sub)
+
+
+# name: (call, argument kinds, check of the result)
+CALLS = {
+    # bounds
+    "landauer_energy": (landauer_energy, ("temp",), _nonneg),
+    "margolus_levitin_energy": (margolus_levitin_energy, ("time",), _nonneg),
+    "classical_work_requirement": (classical_work_requirement, ("n", "time", "temp", "p"),
+                                   _flagged_or_nonneg),
+    "quantum_work_requirement": (
+        quantum_work_requirement, ("n", "time", "p"),
+        lambda r: _flagged_or_nonneg(r[0]) and isinstance(r[1], bool)),
+    "quantum_log2_ratio": (quantum_log2_ratio, ("work", "time", "p"), _nonneg),
+    "gate_bound": (gate_bound, ("n", "p", "time", "count", "temp"), _nonneg),
+    "ballistic_deterministic_time": (ballistic_deterministic_time, ("n", "work"), _nonneg),
+    "ballistic_success": (ballistic_success, ("n", "work", "time"), _prob),
+    "prefactor_b": (prefactor_b, ("unit", "n"), _nonneg),
+    "optimal_k": (optimal_k, ("n",), _nonneg),
+    "work_floor": (lambda w, m: work_floor([w, 1.0], [0.5 ** 0.5, 0.5 ** 0.5], m),
+                   ("freq", "count"), _nonneg),
+    "init_readout_work": (init_readout_work, ("n", "temp"), _nonneg),
+    "battery_relative_uncertainty": (battery_relative_uncertainty, ("count", "temp", "work"),
+                                     _nonneg),
+    "BoundQuery": (lambda power, t: BoundQuery("n", power=power, time=t).budget(),
+                   ("work", "time"), _nonneg),
+    "classical_bound work": (
+        lambda n, t, temp, p: classical_bound(
+            BoundQuery("work", n=n, time=t, temperature=temp, success_probability=p)),
+        ("n", "time", "temp", "p"), _bound),
+    "classical_bound psuccess": (
+        lambda n, w, t, temp: classical_bound(
+            BoundQuery("psuccess", n=n, work=w, time=t, temperature=temp)),
+        ("n", "work", "time", "temp"), _bound),
+    "classical_bound time": (
+        lambda n, w, temp, p: classical_bound(
+            BoundQuery("time", n=n, work=w, temperature=temp, success_probability=p)),
+        ("n", "work", "temp", "p"), _bound),
+    "classical_bound time power": (
+        lambda n, w, temp, p: classical_bound(
+            BoundQuery("time", n=n, power=w, temperature=temp, success_probability=p)),
+        ("n", "work", "temp", "p"), _bound),
+    "classical_bound n": (
+        lambda w, t, temp, p: classical_bound(
+            BoundQuery("n", work=w, time=t, temperature=temp, success_probability=p)),
+        ("work", "time", "temp", "p"), _bound),
+    "quantum_bound work": (
+        lambda n, t, p: quantum_bound(BoundQuery("work", n=n, time=t, success_probability=p)),
+        ("n", "time", "p"), _bound),
+    "quantum_bound time": (
+        lambda n, w, p: quantum_bound(BoundQuery("time", n=n, work=w, success_probability=p)),
+        ("n", "work", "p"), _bound),
+    "quantum_bound time power": (
+        lambda n, w, p: quantum_bound(BoundQuery("time", n=n, power=w, success_probability=p)),
+        ("n", "work", "p"), _bound),
+    "quantum_bound psuccess": (
+        lambda n, w, t: quantum_bound(BoundQuery("psuccess", n=n, work=w, time=t)),
+        ("n", "work", "time"), _bound),
+    "quantum_bound n": (
+        lambda w, t, p: quantum_bound(BoundQuery("n", work=w, time=t, success_probability=p)),
+        ("work", "time", "p"), _bound),
+    # bht
+    "bht_work": (bht_work, ("n", "k", "time", "temp", "p"), _nonneg),
+    "optimal_quantum_time": (optimal_quantum_time, ("n", "k", "time", "p"), _nonneg),
+    "bht_fixed_samples": (
+        bht_fixed_samples, ("n", "k", "time", "temp", "p"),
+        lambda d: all(_finite(v) for v in d.values() if not isinstance(v, str))),
+    "bht_optimal": (bht_optimal, ("n", "time", "temp", "p"), _plan),
+    "bht_work_closed_form": (bht_work_closed_form, ("n", "time", "temp", "p"),
+                             _flagged_or_nonneg),
+    "bht_min_image_bits": (bht_min_image_bits, ("work", "time", "temp", "p"),
+                           lambda b: _key_bits(b) and b >= 1),
+    "bht_sweep_minimum": (lambda n, t, temp, p: bht_sweep_minimum(n, t, temp, p, points=64),
+                          ("unit", "time", "temp", "p"),
+                          lambda r: _finite(r[0]) and r[0] >= 1.0 and _nonneg(r[1])),
+    # keylength
+    "CosmologyParams": (lambda h0, ol, rho: cosmic_energy(
+        CosmologyParams.from_km_s_mpc(h0, ol, rho), "fromOmega" if rho is None
+        else "fromDensity"), ("freq", "unit", "work"), _nonneg),
+    "equivalent_quantum_keylength": (equivalent_quantum_keylength, ("work", "time", "p"),
+                                     _key_bits),
+    "max_recoverable_keylength": (max_recoverable_keylength, ("work", "time", "p"), _key_bits),
+    "max_deterministic_keylength": (max_deterministic_keylength, ("work", "time"), _key_bits),
+    "classical_keylength": (classical_keylength, ("work", "time", "temp", "p"), _key_bits),
+    "solar_budget": (solar_budget, ("time",), _nonneg),
+    # scenarios, and the key-length rows built from one
+    "Scenario": (lambda w, t, temp, p: build_report([Scenario("s", w, t, temp, p)]),
+                 ("work", "time", "temp", "p"), _report),
+    "quantum_requirement_sandwich": (
+        lambda w, t, temp, p: quantum_requirement_sandwich(Scenario("s", w, t, temp, p)),
+        ("work", "time", "temp", "p"), lambda r: all(map(_flagged_or_nonneg, r))),
+    "scenario": (scenario, ("name",), lambda s: isinstance(s, Scenario)),
+    # dynamics constructors
+    "SearchSpace": (lambda n: SearchSpace(n).overlap, ("bits",), _prob),
+    "EffectiveState": (lambda n, a, b: EffectiveState(a, b, SearchSpace(n)),
+                       ("bits", "unit", "unit"), _state),
+    "Segment": (lambda d, wi, ws: ControlSchedule([Segment(d, wi, ws)]),
+                ("time", "freq", "freq"), _schedule),
+    "ControlSchedule": (lambda d1, w1, d2, w2: ControlSchedule([(d1, w1, 0.0), (d2, 0.0, w2)]),
+                        ("time", "freq", "time", "freq"), _schedule),
+    "ControlSchedule.scaled": (lambda d, f: ControlSchedule([(d, 1.0, 1.0)]).scaled(f),
+                               ("time", "freq"), _schedule),
+    "ControlSchedule.truncated": (lambda d, t: ControlSchedule([(d, 1.0, 1.0)]).truncated(t),
+                                  ("time", "time"), _schedule),
+    "ballistic_frequency": (lambda n, w: ballistic_frequency(SearchSpace(n), w),
+                            ("bits", "work"), _nonneg),
+    "ballistic_schedule": (lambda n, w: ballistic_schedule(SearchSpace(n), w),
+                           ("bits", "work"), _schedule),
+    "grover_pulsed_schedule": (
+        lambda n, e, phase, k: grover_pulsed_schedule(SearchSpace(n), e, phase, k),
+        ("bits", "work", "phase", "count"), _schedule),
+    "adiabatic_gap": (lambda n, e, c: adiabatic_gap(SearchSpace(n), e, c),
+                      ("bits", "work", "unit"), _nonneg),
+    "adiabatic_total_time": (lambda n, e, eps: adiabatic_total_time(SearchSpace(n), e, eps),
+                             ("bits", "work", "unit"), _nonneg),
+    "adiabatic_schedule": (lambda n, e, eps: adiabatic_schedule(SearchSpace(n), e, eps),
+                           ("bits", "work", "unit"), _schedule),
+    "equator_state": (lambda n, omega: equator_state(SearchSpace(n), omega),
+                      ("bits", "freq"), _state),
+    "control_bandwidth": (lambda total, window: control_bandwidth(None, total, window),
+                          ("time", "time"), _nonneg),
+    "modulated_detuning_suppression": (modulated_detuning_suppression, ("unit",), _prob),
+    "eigenenergies": (lambda n, omega, delta: eigenenergies(SearchSpace(n), omega, delta),
+                      ("bits", "freq", "freq"), lambda e: all(map(_nonneg, e))),
+    "averaged_overlap": (
+        lambda n, delta, omega, diff, window: averaged_overlap(0.5j, delta, omega, diff, window,
+                                                               SearchSpace(n)),
+        ("bits", "freq", "freq", "unit", "time"), _complex),
+}
+
+
+@st.composite
+def calls(draw):
+    """A call name and its arguments, each an edge value or an in-domain draw."""
+    name = draw(st.sampled_from(sorted(CALLS)))
+    kinds = CALLS[name][1]
+    return name, tuple(draw(EDGE | KINDS[kind]) for kind in kinds)
+
+
+@settings(max_examples=600, deadline=None)
+@given(calls())
+# each of these once ended in NaN, a value out of range or a raw Python error
+@example(("ballistic_success", (8, 1.0, math.nan)))
+@example(("classical_work_requirement", (8, 1, 300, 8)))
+@example(("quantum_work_requirement", (8, 1, -1)))
+@example(("bht_optimal", (8, math.inf, 300, 0.5)))
+@example(("max_deterministic_keylength", (8, math.inf)))
+@example(("equator_state", (8, 0.0)))
+# valid inputs whose result lies past double range, or divides by zero
+@example(("battery_relative_uncertainty", (10, 5e-324, 0.0)))
+@example(("solar_budget", (1e300,)))
+@example(("ballistic_frequency", (8, 1e300)))
+@example(("control_bandwidth", (1.0, 5e-324)))
+@example(("init_readout_work", (1e308, 300.0)))
+def test_every_call_ends_in_a_result_or_a_qlimits_error(call):
+    name, args = call
+    function, _, in_range = CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = function(*args)
+        except QlimitsError:
+            return
+    assert in_range(result), f"{name}{args} returned {result!r}"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlimits._num import RADICAL_CUTOVER, bisect, ceil_tol, golden_min, log2_radical
 from qlimits.bht import _closed_form_log2, bht_min_image_bits
-from qlimits.bounds import optimal_k, prefactor_b
+from qlimits.bounds import landauer_energy, optimal_k, prefactor_b
 
 LN2 = math.log(2.0)
 
@@ -130,7 +130,7 @@ def old_min_image_bits(work_budget, t_total, temperature, p_success):
     target = math.log2(work_budget)
 
     def excess(n):
-        return _closed_form_log2(n, t_total, temperature, p_success)[1] - target
+        return _closed_form_log2(n, t_total, landauer_energy(temperature), p_success)[1] - target
 
     lo, hi = 1.0, 4096.0
     if excess(lo) > 0.0:
