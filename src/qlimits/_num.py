@@ -38,17 +38,11 @@ def log2_add(a: float, b: float) -> float:
     return hi + math.log1p(2.0 ** (lo - hi)) / LN2
 
 
-# log2_radical takes 2^x - 1 from expm1 below, from x + log2(1 - 2^-x) above
-RADICAL_CUTOVER = 1.0
-
-
 def log2_radical(x: float) -> float:
     """log2(sqrt(2^x - 1)) for x >= 0, without forming 2^x; -inf at x = 0."""
-    if x > RADICAL_CUTOVER:
-        return 0.5 * (x + math.log1p(-(2.0 ** -x)) / LN2)
     if x == 0.0:
         return -math.inf
-    return 0.5 * math.log2(math.expm1(x * LN2))
+    return 0.5 * (x + math.log2(-math.expm1(-x * LN2)))
 
 
 def bisect(f, lo: float, hi: float) -> float:

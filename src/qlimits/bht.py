@@ -20,14 +20,14 @@ gives the budget-only form
 
     W* = 2^(n/3) P_s^(1/3) ((n+1) E_L 4 t_T / hbar + 2 pi)^(1/3) (5/4) hbar / t_T,
 
-used for image-size inversion.  All 2^(n/3) factors are carried in log2
-space, so image sizes beyond 600 bits are fine.
+used for image-size inversion.  W(k), the time split and both closed
+forms are evaluated in log2 space from one expression each, so image
+sizes beyond 600 bits and roots past double range are fine.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,74 +79,59 @@ class BhtPlan:
         }
 
 
-def _radicand_log2(n: float, p_success: float, k: float) -> float:
-    """log2(2^n P_s / k); the quantum search covers 2^n/k candidates."""
-    return n + math.log2(p_success) - math.log2(k)
+_LOG2_H_4 = math.log2(H / 4.0)
+_LOG2_HBAR = math.log2(HBAR)
+_LOG2_HALF_PI = math.log2(math.pi / 2.0)
 
 
-def _quantum_root(n: float, p_success: float, k: float) -> float:
-    """sqrt(2^n P_s / k - 1); DomainError when negative."""
-    r_log2 = _radicand_log2(n, p_success, k)
-    if r_log2 < 0.0:
-        raise DomainError(
-            "sample count exceeds 2^n * P_s (negative radicand)", (n, k, p_success)
-        )
-    return exp2(log2_radical(r_log2))
-
-
-def _check_plan(n: float, k: float, t_total: float, p_success: float) -> None:
-    """n finite, k >= 1, t_T finite and > 0 and P_s in (0, 1]."""
+def _check_plan(n: float, k: float, t_total: float, p_success: float) -> float:
+    """log2 k, once n is finite, 1 <= k <= 2^n P_s, t_T is finite and > 0
+    and P_s lies in (0, 1]."""
     checked("image size n", n, -math.inf)
     checked("sample count k", k, 1.0, math.inf, "[)")
     checked("total time", t_total)
     checked("success probability", p_success, 0.0, 1.0, "(]")
+    log2_k = math.log2(k)
+    if n + math.log2(p_success) < log2_k:
+        raise DomainError(
+            "sample count exceeds 2^n * P_s (negative radicand)", (n, k, p_success)
+        )
+    return log2_k
+
+
+def _log2_costs(n: float, t_total: float, e_l: float) -> tuple[float, float]:
+    """log2 of the cost per sample, (n+1) E_L + h/(4 t_T), and of the
+    quantum scale hbar/t_T."""
+    log2_t = math.log2(t_total)
+    landauer = math.log2(n + 1.0) + math.log2(e_l) if e_l > 0.0 else -math.inf
+    return log2_add(landauer, _LOG2_H_4 - log2_t), _LOG2_HBAR - log2_t
+
+
+def _log2_work(n: float, log2_k: float, t_total: float, e_l: float, p_success: float) -> float:
+    """log2 W(k), every term in log2 space; 0 <= log2 k <= n + log2 P_s."""
+    per_sample, quantum = _log2_costs(n, t_total, e_l)
+    root = log2_radical(n + math.log2(p_success) - log2_k)
+    return log2_add(log2_k + per_sample, root + quantum)
+
+
+def _quantum_time(n: float, log2_k: float, t_total: float, p_success: float) -> float:
+    """t_s = t_T / (k 2 pi / (4 sqrt(2^n P_s / k - 1)) + 1); 0 when k = 2^n P_s."""
+    root = log2_radical(n + math.log2(p_success) - log2_k)
+    return t_total / (exp2(log2_k + _LOG2_HALF_PI - root) + 1.0)
 
 
 def bht_work(n: float, k: float, t_total: float, temperature: float, p_success: float) -> float:
     """Work floor for a plan with k classical samples, in joules."""
-    _check_plan(n, k, t_total, p_success)
-    e_l = landauer_energy(temperature)
-    root = _quantum_root(n, p_success, k)
-    landauer = k * (n + 1.0) * e_l if e_l > 0.0 else 0.0  # k (n + 1) may overflow
-    work = landauer + k * H / (4.0 * t_total) + root * HBAR / t_total
-    return in_double_range(work, "solved work", (n, k))
-
-
-def _log2_over(numerator: float, t: float) -> float:
-    """log2(numerator / t), from the quotient while it is a normal double,
-    which keeps it to the last bit, and from log2 numerator - log2 t past that."""
-    quotient = numerator / t
-    if quotient >= sys.float_info.min:
-        return math.log2(quotient)
-    return math.log2(numerator) - math.log2(t)
-
-
-def _log2_work_terms(n: float, log2_k: float, t_total: float, e_l: float,
-                     p_success: float) -> float:
-    """log2 of the three-term work expression, fully in log space."""
-    landauer_log2 = math.log2((n + 1.0) * e_l) if e_l > 0.0 else -math.inf
-    classical_log2 = log2_add(log2_k + landauer_log2, log2_k + _log2_over(H / 4.0, t_total))
-    r_log2 = n + math.log2(p_success) - log2_k
-    if r_log2 < 0.0:
-        raise DomainError("sample count exceeds 2^n * P_s", (n, log2_k))
-    return log2_add(classical_log2, log2_radical(r_log2) + _log2_over(HBAR, t_total))
-
-
-def _log2_work(work: float, n: float, k: float, t_total: float, e_l: float,
-               p_success: float) -> float:
-    """log2 of ``work = bht_work(n, k, ...)``, from log space where it underflows to 0."""
-    if work > 0.0:
-        return math.log2(work)
-    return _log2_work_terms(n, math.log2(k), t_total, e_l, p_success)
+    log2_k = _check_plan(n, k, t_total, p_success)
+    log2_w = _log2_work(n, log2_k, t_total, landauer_energy(temperature), p_success)
+    return in_double_range(exp2(log2_w), "solved work", (n, k))
 
 
 def _closed_form_log2(n: float, t_total: float, e_l: float, p_success: float) -> tuple[float, float]:
     """(log2 k*, log2 W*) of the budget-only closed forms.
 
-    x = (n+1) E_L 4 t/hbar + 2 pi and 1.25 hbar/t are taken directly while
-    they are finite normal doubles, which keeps every such value to the last
-    bit, and from their log2 terms past that: 1.25 hbar/t leaves the normal
-    range beyond t = 6e273 s, and x overflows near 1e290 s at 300 K.
+    x = (n+1) E_L 4 t/hbar + 2 pi is taken directly while it is finite and
+    from its log2 terms past that (near 1e290 s at 300 K).
     """
     x = (n + 1.0) * e_l * 4.0 * t_total / HBAR + 2.0 * math.pi
     if x < math.inf:
@@ -154,10 +139,9 @@ def _closed_form_log2(n: float, t_total: float, e_l: float, p_success: float) ->
     else:
         log2_x = log2_add(math.log2((n + 1.0) * e_l * 4.0 / HBAR) + math.log2(t_total),
                           math.log2(2.0 * math.pi))
-    log2_scale = _log2_over(1.25 * HBAR, t_total)
     base = (n + math.log2(p_success)) / 3.0
     log2_k = base - (2.0 / 3.0) * log2_x
-    log2_w = base + log2_x / 3.0 + log2_scale
+    log2_w = base + log2_x / 3.0 + math.log2(1.25 * HBAR) - math.log2(t_total)
     return log2_k, log2_w
 
 
@@ -167,29 +151,22 @@ def optimal_quantum_time(n: float, k: float, t_total: float, p_success: float) -
     t_s = t_T / (k * 2 pi / (4 sqrt(2^n P_s / k - 1)) + 1); the classical
     phase takes the rest.
     """
-    _check_plan(n, k, t_total, p_success)
-    root = _quantum_root(n, p_success, k)
-    if root == 0.0:
-        return 0.0
-    ratio = k * 2.0 * math.pi / (4.0 * root)
-    if not ratio < math.inf:  # k 2 pi or the root overflowed: take the ratio in log2
-        ratio = exp2(math.log2(k) + math.log2(2.0 * math.pi / 4.0)
-                     - log2_radical(_radicand_log2(n, p_success, k)))
-    return t_total / (ratio + 1.0)
+    return _quantum_time(n, _check_plan(n, k, t_total, p_success), t_total, p_success)
 
 
 def bht_fixed_samples(n: float, k: float, t_total: float, temperature: float,
                       p_success: float = 1.0) -> dict:
     """The plan at a given sample count k: time split and work floor."""
-    work = bht_work(n, k, t_total, temperature, p_success)
+    log2_k = _check_plan(n, k, t_total, p_success)
+    log2_w = _log2_work(n, log2_k, t_total, landauer_energy(temperature), p_success)
     return {
         "n": n,
         "k": k,
-        "log2_k": math.log2(k),
-        "t_s_s": optimal_quantum_time(n, k, t_total, p_success),
+        "log2_k": log2_k,
+        "t_s_s": _quantum_time(n, log2_k, t_total, p_success),
         "t_total_s": t_total,
-        "work_J": work,
-        "log2_work_J": _log2_work(work, n, k, t_total, landauer_energy(temperature), p_success),
+        "work_J": in_double_range(exp2(log2_w), "solved work", (n, k)),
+        "log2_work_J": log2_w,
         "constants_version": CONSTANTS_VERSION,
     }
 
@@ -206,54 +183,42 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
     checked("total time", t_total)
     checked("temperature", temperature)
     checked("success probability", p_success, 0.0, 1.0, "(]")
-    if n + math.log2(p_success) < 0.0:
+    log2_k_max = n + math.log2(p_success)
+    if log2_k_max < 0.0:
         raise DomainError(
             "2^n * P_s < 1: no sample count is admissible", (n, p_success)
         )
     e_l = landauer_energy(temperature)
     log2_k_star, log2_w_star = _closed_form_log2(n, t_total, e_l, p_success)
-
-    log2_k_max = n + math.log2(p_success)
-    clamped = False
-    log2_k = log2_k_star
-    if log2_k < 0.0:
-        log2_k, clamped = 0.0, True
-    elif log2_k > log2_k_max:
-        log2_k, clamped = log2_k_max, True
-
+    log2_k = min(max(log2_k_star, 0.0), log2_k_max)
     k_cont = exp2(log2_k)
-    if math.isfinite(k_cont) and k_cont < 2**53:
-        lo = max(1, math.floor(k_cont))
-        hi = max(1, math.ceil(k_cont))
-        candidates = []
-        for kk in {lo, hi}:
-            if kk >= 1.0 and _radicand_log2(n, p_success, kk) >= 0.0:
-                candidates.append((bht_work(n, kk, t_total, temperature, p_success), kk))
-        work, k_round = min(candidates)
-        log2_work = _log2_work(work, n, k_round, t_total, e_l, p_success)
-        t_s = optimal_quantum_time(n, k_round, t_total, p_success)
+    if k_cont < 2**53:
+        # the better of the two integer counts around k that stay admissible
+        log2_work, k_round = min(
+            (_log2_work(n, math.log2(kk), t_total, e_l, p_success), kk)
+            for kk in {max(1, math.floor(k_cont)), max(1, math.ceil(k_cont))}
+            if math.log2(kk) <= log2_k_max
+        )
+        log2_k_split = math.log2(k_round)
     else:
         k_round = -1  # beyond integer representation; report the continuous plan
-        log2_work = _log2_work_terms(n, log2_k, t_total, e_l, p_success)
-        work = exp2(log2_work)
-        root_log2 = log2_radical(n + math.log2(p_success) - log2_k)
-        ratio_log2 = log2_k + math.log2(2.0 * math.pi / 4.0) - root_log2
-        t_s = t_total / (exp2(ratio_log2) + 1.0)
-
+        log2_work = _log2_work(n, log2_k, t_total, e_l, p_success)
+        log2_k_split = log2_k
+    work = exp2(log2_work)
     if math.inf in (k_cont, work, exp2(log2_w_star)):
         raise InfeasibleError("the plan's k or work lies past double range", math.inf, n)
     return BhtPlan(
         image_bits=n,
         samples=k_cont,
-        samples_rounded=int(k_round),
-        quantum_time=t_s,
+        samples_rounded=k_round,
+        quantum_time=_quantum_time(n, log2_k_split, t_total, p_success),
         total_time=t_total,
         work=work,
         log2_work=log2_work,
         log2_samples=log2_k,
         closed_form_work=exp2(log2_w_star),
         log2_closed_form_work=log2_w_star,
-        clamped=clamped,
+        clamped=log2_k != log2_k_star,
     )
 
 
@@ -295,56 +260,31 @@ def bht_sweep_minimum(
     p_success: float = 1.0,
     points: int = 10_000,
 ) -> tuple[float, float]:
-    """Brute-force (k_min, W_min) over a log-spaced k grid, refined by
-    golden-section search.
+    """Brute-force (k_min, W_min) over a grid even in log2 k on
+    [0, n + log2 P_s], refined by golden-section search.
 
-    Independent check of the closed-form optimizer; the objective is
-    strictly convex in log k, so the search converges inside the two grid
-    cells around the grid minimum.
+    Independent check of the closed-form optimizer.  The grid only locates
+    the cell of the minimum; the search then runs on the cells either side
+    of it, and the better of its result and the two bracket ends is kept.
+    W_min is ``bht_work`` at k_min.
     """
     checked("sweep oracle n", n, -math.inf, 48.0, "(]")
     # the grid starts at k = 1: bht_work there checks every argument
     bht_work(n, 1.0, t_total, temperature, p_success)
-    # the top of the grid is the largest k whose libm log2 stays within
-    # n + log2 P_s, as bht_work demands; exp2 can round one ulp above it
+    e_l = landauer_energy(temperature)
     top = n + math.log2(p_success)
-    k_hi = exp2(top)
-    while math.log2(k_hi) > top:
-        k_hi = math.nextafter(k_hi, 0.0)
-    grid = np.exp(np.linspace(0.0, math.log(k_hi), points))
-    grid[-1] = k_hi  # exp(log(k_hi)) can round above it too
-    works = _work_grid(n, grid, t_total, temperature, p_success)
-    # the array pass may differ from bht_work in the last bits, so bht_work
-    # picks the grid minimum from the points within 1e-9 of the array's
-    near = np.flatnonzero(~(works > works.min() * (1.0 + 1e-9)))
-    j = int(near[np.argmin([bht_work(n, float(grid[i]), t_total, temperature, p_success)
-                            for i in near])])
-    lo = math.log(grid[max(j - 1, 0)])
-    hi = math.log(grid[min(j + 1, points - 1)])
-
-    def k_at(u: float) -> float:  # exp may round past either end of the grid
-        return min(max(math.exp(u), 1.0), k_hi)
+    log2_ks = np.linspace(0.0, top, points)
+    per_sample, quantum = _log2_costs(n, t_total, e_l)
+    r = top - log2_ks
+    with np.errstate(divide="ignore"):  # log2 0 at the top, where the root vanishes
+        roots = 0.5 * (r + np.log2(-np.expm1(-r * LN2)))
+    j = int(np.argmin(np.logaddexp2(log2_ks + per_sample, roots + quantum)))
+    lo, hi = float(log2_ks[max(j - 1, 0)]), float(log2_ks[min(j + 1, points - 1)])
 
     def f(u: float) -> float:
-        return bht_work(n, k_at(u), t_total, temperature, p_success)
+        return _log2_work(n, u, t_total, e_l, p_success)
 
-    k_best = k_at(golden_min(f, lo, hi))
-    return k_best, bht_work(n, k_best, t_total, temperature, p_success)
-
-
-def _work_grid(n: float, ks: np.ndarray, t_total: float, temperature: float,
-               p_success: float) -> np.ndarray:
-    """The three-term W(k) of ``bht_work`` at every sample count in ``ks``.
-
-    The arguments other than k must already have passed bht_work's
-    checks.  log2 k comes from libm, as in bht_work, so the counts bht_work
-    rejects are found exactly and the first of them raises its DomainError.
-    The radical sqrt(2^r - 1) is taken directly: n <= 48 keeps 2^r finite.
-    """
-    r_log2 = n + math.log2(p_success) - np.fromiter(map(math.log2, ks.tolist()), float, ks.size)
-    bad = ~(ks >= 1.0) | (r_log2 < 0.0)
-    if bad.any():
-        bht_work(n, float(ks[np.argmax(bad)]), t_total, temperature, p_success)
-    roots = np.sqrt(np.expm1(r_log2 * LN2))
-    e_l = landauer_energy(temperature)
-    return ks * (n + 1.0) * e_l + ks * H / (4.0 * t_total) + roots * HBAR / t_total
+    k_min = exp2(min((golden_min(f, lo, hi), lo, hi), key=f))
+    while math.log2(k_min) > top:  # exp2 can round one ulp past 2^n P_s
+        k_min = math.nextafter(k_min, 0.0)
+    return k_min, bht_work(n, k_min, t_total, temperature, p_success)

@@ -300,8 +300,8 @@ def eigenenergies(space: SearchSpace, omega: float, delta_omega: float) -> tuple
     """
     checked("omega", omega, ends="[)")
     checked("|delta_omega|", abs(delta_omega), 0.0, omega, "[]")  # no negative frequency
-    gg = space.overlap ** 2
-    split = math.sqrt(delta_omega * delta_omega * (1.0 - gg) + omega * omega * gg)
+    g = space.overlap
+    split = math.hypot(delta_omega * math.sqrt(1.0 - g * g), omega * g)
     upper = in_double_range(omega + split, "upper eigenfrequency", (omega, delta_omega))
     return (HBAR * upper, HBAR * (omega - split))
 
@@ -504,6 +504,7 @@ def propagate(
     """
     durations, omega_i, omega_s = arrays
     factors = np.asarray(factors, dtype=float)
+    checked("number of scale factors", factors.size, 1.0, math.inf, "[)")
     checked("scale factor", float(factors.min()))  # NaN is the least too
     checked("scale factor", float(factors.max()))
     mean, x, z = _pauli_components(state.space, omega_i, omega_s)

@@ -324,7 +324,7 @@ def schedule_from_obj(obj: dict):
     """Parse the schedule-file schema {"segments": [{duration_s, ...}]}."""
     from .dynamics import ControlSchedule
 
-    if not isinstance(obj, dict) or "segments" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("segments"), Sequence):
         raise ParseError("schedule JSON must contain a 'segments' array", obj)
     rows = []
     for i, entry in enumerate(obj["segments"]):

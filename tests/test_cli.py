@@ -255,6 +255,16 @@ class TestSimulateCommand:
         assert a["segments"] == b["segments"]
         assert a["trace"] == b["trace"]
 
+    @pytest.mark.parametrize("body", ['{"segments": 5}', '{"segments": null}'])
+    def test_schedule_file_without_a_segment_array_is_a_parse_error(self, capsys, tmp_path,
+                                                                     body):
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(body)
+        code, out, err = run(capsys, "simulate", "--protocol", "custom", "--n", "3",
+                             "--schedule-file", str(schedule))
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "parse"
+
     def test_reruns_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "simulate", "--protocol", "grover", "--n", "8",
                          "--work", "1e-30")
@@ -307,6 +317,14 @@ class TestOtherCommands:
         assert payload["k"] == 8.0
         assert payload["log2_k"] == 3.0
         assert 0.0 < payload["t_s_s"] < 1.0
+
+    def test_bht_fixed_samples_whose_root_overflows(self, capsys):
+        # sqrt(2^n P_s / k - 1) lies past double range; hbar/t scales it back
+        payload = run_json(
+            capsys, "bht", "--n", "5000", "--samples", "1000", "--time", "1e300s",
+            "--temp", "1e16", "--psuccess", "1e-300",
+        )
+        assert payload["work_J"] == pytest.approx(1.25332967060200696e267, rel=1e-12)
 
     def test_bht_invert(self, capsys):
         payload = run_json(

@@ -483,6 +483,11 @@ class TestPropagateKernel:
             propagate(EffectiveState.initial(SearchSpace(4)), schedule.arrays(),
                       np.array([1.0, 0.0]))
 
+    def test_rejects_empty_factors(self):
+        schedule = ControlSchedule((Segment(1.0, 1.0, 0.5),))
+        with pytest.raises(DomainError, match="number of scale factors"):
+            propagate(EffectiveState.initial(SearchSpace(4)), schedule.arrays(), np.array([]))
+
 
 def runtime_to_infidelity_by_loop(space, energy_scale, error_budget, target_infidelity,
                                   scale_range=(0.125, 16.0), grid_points=97):

@@ -64,6 +64,7 @@ from qlimits.dynamics import (
     grover_pulsed_schedule,
     modulated_detuning_suppression,
 )
+from qlimits.constants import HBAR
 from qlimits.errors import QlimitsError
 from qlimits.keylength import (
     CosmologyParams,
@@ -313,6 +314,7 @@ def calls(draw):
 @example(("ballistic_frequency", (8, 1e300)))
 @example(("control_bandwidth", (1.0, 5e-324)))
 @example(("init_readout_work", (1e308, 300.0)))
+@example(("eigenenergies", (4, 1e300, 0.0)))  # omega^2 overflows; E+ does not
 def test_every_call_ends_in_a_result_or_a_qlimits_error(call):
     name, args = call
     function, _, in_range = CALLS[name]
@@ -323,3 +325,9 @@ def test_every_call_ends_in_a_result_or_a_qlimits_error(call):
         except QlimitsError:
             return
     assert in_range(result), f"{name}{args} returned {result!r}"
+
+
+def test_eigenenergies_where_omega_squared_overflows():
+    # E+- = hbar (omega +- omega/4) at n = 4 and delta = 0, finite past 1e154 rad/s
+    e_plus, e_minus = eigenenergies(SearchSpace(4), 1e300, 0.0)
+    assert e_plus == HBAR * 1.25e300 and e_minus == HBAR * 0.75e300

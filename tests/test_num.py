@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlimits._num import RADICAL_CUTOVER, bisect, ceil_tol, golden_min, log2_radical
+from qlimits._num import bisect, ceil_tol, golden_min, log2_radical
 from qlimits.bht import _closed_form_log2, bht_min_image_bits
 from qlimits.bounds import landauer_energy, optimal_k, prefactor_b
 
@@ -38,22 +38,11 @@ class TestRadical:
     def test_matches_decimal_reference_over_range(self):
         xs = [float(x) for x in np.logspace(-300, math.log10(2100.0), 1500)]
         xs += [float(x) for x in np.linspace(1e-3, 2100.0, 1500)]
-        # the cut-overs of the copies this helper replaced
+        # where earlier forms of this helper switched formula
         xs += [59.0, 60.0, 61.0, 119.0, 120.0, 121.0, 2100.0]
+        xs += [1.0 + i * 1e-4 for i in range(-200, 201)] + [math.nextafter(1.0, 0.0)]
         worst = max(radical_rel_error(x) for x in xs)
         assert worst <= 1e-13
-
-    def test_continuous_across_cutover(self):
-        c = RADICAL_CUTOVER
-        xs = [c + k * 1e-4 * c for k in range(-200, 201)]
-        below, above = c, math.nextafter(c, math.inf)
-        xs += [below, above, math.nextafter(below, 0.0), math.nextafter(above, math.inf)]
-        for x in xs:
-            assert radical_rel_error(x) <= 1e-13, x
-        # the two sides meet: the step equals the slope times the spacing
-        step = log2_radical(above) - log2_radical(below)
-        slope = 0.5 / -math.expm1(-c * LN2)
-        assert abs(step - slope * (above - below)) <= 1e-15
 
     def test_zero_and_large(self):
         assert log2_radical(0.0) == -math.inf
