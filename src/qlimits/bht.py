@@ -181,14 +181,13 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
     """
     checked("image size n", n, -math.inf)
     checked("total time", t_total)
-    checked("temperature", temperature)
+    e_l = landauer_energy(temperature)
     checked("success probability", p_success, 0.0, 1.0, "(]")
     log2_k_max = n + math.log2(p_success)
     if log2_k_max < 0.0:
         raise DomainError(
             "2^n * P_s < 1: no sample count is admissible", (n, p_success)
         )
-    e_l = landauer_energy(temperature)
     log2_k_star, log2_w_star = _closed_form_log2(n, t_total, e_l, p_success)
     log2_k = min(max(log2_k_star, 0.0), log2_k_max)
     k_cont = exp2(log2_k)
@@ -260,8 +259,8 @@ def bht_sweep_minimum(
     p_success: float = 1.0,
     points: int = 10_000,
 ) -> tuple[float, float]:
-    """Brute-force (k_min, W_min) over a grid even in log2 k on
-    [0, n + log2 P_s], refined by golden-section search.
+    """Brute-force (k_min, W_min) over a grid of ``points`` >= 2 values
+    even in log2 k on [0, n + log2 P_s], refined by golden-section search.
 
     Independent check of the closed-form optimizer.  The grid only locates
     the cell of the minimum; the search then runs on the cells either side
@@ -269,6 +268,9 @@ def bht_sweep_minimum(
     W_min is ``bht_work`` at k_min.
     """
     checked("sweep oracle n", n, -math.inf, 48.0, "(]")
+    if not isinstance(points, int):
+        raise DomainError("sweep points must be an integer", points)
+    checked("sweep points", points, 2, math.inf, "[)")
     # the grid starts at k = 1: bht_work there checks every argument
     bht_work(n, 1.0, t_total, temperature, p_success)
     e_l = landauer_energy(temperature)

@@ -1,30 +1,34 @@
 """Brute-force reference evolution over the full 2^n-dimensional space.
 
 This module deliberately avoids the two-level reduction: the state vector
-carries all 2^n amplitudes and the Hamiltonian
+carries all 2^n amplitudes and each term of the Hamiltonian
 
     H/hbar = omega_i |i><i| + omega_s |s><s|
 
-is applied as an operator on that full vector (each application costs two
-inner products and two rank-1 updates).  Each segment is propagated by a
-Lanczos matrix exponential, built once at the segment's start state: the
-Krylov space of this Hamiltonian closes after at most three vectors, so
-for every offset tau inside the segment
+is applied as an operator on full vectors.  Every segment's H is a
+combination of the same two terms, so one subspace that holds the initial
+state and is closed under both terms is invariant under every segment:
+a block Krylov space over the two terms, found once per call from full
+vectors (each term applied to each basis vector, the result orthogonalised
+twice against the basis).  Its dimension m is discovered, not assumed; a
+space that fails to close within a few vectors raises ConsistencyError.
 
-    exp(-i (H/hbar) tau)|psi> = |psi| V^T E exp(-i Lambda tau) E^T e_1,
+With V the basis, the projections A_i = V^H |i><i| V, A_s = V^H |s><s| V
+and the Gram matrix G = V^H V come from full-space inner products.  Segment
+k then evolves coordinates c under omega_i,k A_i + omega_s,k A_s, all
+segments diagonalised in one batch, so for every offset tau inside the
+segment
 
-with V the Krylov basis and T = E Lambda E^T the tridiagonal projection,
-holds to machine rounding -- no step-size error.  The samples are those of
-:func:`qlimits.dynamics.core.evolve`, from the same grid: each is one
-m x 2^n product, read off on the full vector, and the segment's last
-sample starts the next segment.  The same assembly checks the norms and
-builds the trace, so the two line up row for row.
+    c(tau) = U exp(-i Lambda tau) U^H c(0)
 
-The full vectors live in a few buffers allocated once per call and
-overwritten in place: glibc's malloc maps blocks of 128 KiB and more
-(n >= 13) afresh from the kernel, and faulting in a new temporary at every
-vector operation costs more than the arithmetic.  Memory stays O(2^n)
-whatever the sample count; a hard guard rejects n > 14.
+is the exact exponential -- no step-size error.  The samples are those of
+:func:`qlimits.dynamics.core.evolve`, from the same grid; each segment
+starts from the previous segment's last sample.  <s|psi> and <i|psi> are
+read off the basis' own amplitudes <s|v_j> and <i|v_j>, and |psi|^2 as
+c^H G c, so the norm check measures the full-space basis.  The same
+assembly checks the norms and builds the trace, so the two line up row for
+row.  Memory is O(2^n) for the basis plus O(m) per sample; a hard guard
+rejects n > 14.
 """
 
 from __future__ import annotations
@@ -53,66 +57,44 @@ def _norm(vec: np.ndarray) -> float:
     return math.sqrt(np.vdot(vec, vec).real)
 
 
-def _subtract_scaled(w: np.ndarray, coef: complex, vec: np.ndarray, tmp: np.ndarray) -> None:
-    """w -= coef * vec, with the product in the scratch vector ``tmp``."""
-    np.multiply(vec, coef, out=tmp)
-    w -= tmp
+def _invariant_subspace(uniform: np.ndarray, sol: int) -> np.ndarray:
+    """Orthonormal rows v_j spanning the least space that holds |i> and is
+    closed under |i><i| and |s><s|, applied as full-space operators.
 
-
-def _apply_hamiltonian(
-    out: np.ndarray, psi: np.ndarray, uniform: np.ndarray, omega_i: float, omega_s: float,
-    sol: int,
-) -> None:
-    """out = (H/hbar)|psi>."""
-    np.multiply(uniform, omega_i * np.vdot(uniform, psi), out=out)
-    out[sol] += omega_s * psi[sol]
-
-
-def _krylov_decomposition(
-    basis: np.ndarray,
-    uniform: np.ndarray,
-    omega_i: float,
-    omega_s: float,
-    sol: int,
-    w: np.ndarray,
-    tmp: np.ndarray,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Lanczos decomposition of H/hbar from the unit vector ``basis[0]``.
-
-    Returns (m, evals, evecs): rows 0..m-1 of ``basis`` then hold the
-    orthonormal Krylov vectors, and T = evecs diag(evals) evecs^T is the
-    tridiagonal projection of H/hbar on them.  ``w`` and ``tmp`` are
-    scratch vectors.
+    A term's image of a basis vector joins the basis when its residual,
+    after two classical Gram-Schmidt passes, exceeds _BREAKDOWN of the
+    image's norm.
     """
-    alphas: list[float] = []
-    betas: list[float] = []
-    scale = max(omega_i, omega_s, 1e-300)
-    for j in range(_KRYLOV_MAX):
-        _apply_hamiltonian(w, basis[j], uniform, omega_i, omega_s, sol)
-        alpha = float(np.vdot(basis[j], w).real)
-        alphas.append(alpha)
-        _subtract_scaled(w, alpha, basis[j], tmp)
-        if j > 0:
-            _subtract_scaled(w, betas[j - 1], basis[j - 1], tmp)
-        # full reorthogonalization; the basis never exceeds a few vectors
-        for b in basis[: j + 1]:
-            _subtract_scaled(w, np.vdot(b, w), b, tmp)
-        beta = _norm(w)
-        if beta <= _BREAKDOWN * scale:
-            break
-        betas.append(beta)
-        np.multiply(w, 1.0 / beta, out=basis[j + 1])
-    else:
-        raise ConsistencyError(
-            "Lanczos basis failed to close; Hamiltonian structure violated",
-            (omega_i, omega_s),
-        )
-    tri = np.diag(np.array(alphas))
-    for j, b in enumerate(betas):
-        tri[j, j + 1] = b
-        tri[j + 1, j] = b
-    evals, evecs = np.linalg.eigh(tri)
-    return len(alphas), evals, evecs
+    # rows past the closing vector are never written, so never mapped
+    basis = np.empty((_KRYLOV_MAX, uniform.size), dtype=complex)
+    np.multiply(uniform, 1.0 / _norm(uniform), out=basis[0])
+    # scratch vectors, overwritten in place: from n = 13 on, glibc maps every
+    # fresh full-vector temporary anew, and faulting it in costs more than
+    # the arithmetic
+    w, tmp = np.empty_like(uniform), np.empty_like(uniform)
+    m, j = 1, 0
+    while j < m:
+        for term in ("|i><i|", "|s><s|"):
+            if term == "|i><i|":
+                np.multiply(uniform, np.vdot(uniform, basis[j]), out=w)
+            else:
+                w.fill(0.0)
+                w[sol] = basis[j, sol]
+            size = _norm(w)
+            for _ in range(2):
+                np.matmul([np.vdot(b, w) for b in basis[:m]], basis[:m], out=tmp)
+                w -= tmp
+            residual = _norm(w)
+            if residual > _BREAKDOWN * size:
+                if m == _KRYLOV_MAX:
+                    raise ConsistencyError(
+                        "invariant subspace failed to close; Hamiltonian structure violated",
+                        _KRYLOV_MAX,
+                    )
+                np.multiply(w, 1.0 / residual, out=basis[m])
+                m += 1
+        j += 1
+    return basis[:m]
 
 
 def full_space_reference(
@@ -138,27 +120,22 @@ def full_space_reference(
     t, all_offsets, edges = _sample_grid(schedule, sample_step)
 
     uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    psi = uniform.copy()
-    # rows past the closing Krylov vector are never written, so never mapped
-    basis = np.empty((_KRYLOV_MAX + 1, dim), dtype=complex)
-    w, tmp = np.empty(dim, dtype=complex), np.empty(dim, dtype=complex)
-    rows = np.empty((t.size, 3), dtype=complex)  # <s|psi>, <i|psi>, norm error
-    rows[0] = psi[solution_index], np.vdot(uniform, psi), abs(_norm(psi) - 1.0)
-    for lo, stop, omega_i, omega_s in zip(edges, edges[1:], schedule.omega_i.tolist(),
-                                          schedule.omega_s.tolist()):
-        beta0 = _norm(psi)
-        np.multiply(psi, 1.0 / beta0, out=basis[0])
-        m, evals, evecs = _krylov_decomposition(
-            basis, uniform, omega_i, omega_s, solution_index, w, tmp
-        )
-        # row j: beta0 evecs exp(-i evals offset_j) evecs^T e_1, the Krylov
-        # coordinates of the segment's sample j; the last is the segment's end
-        offsets = all_offsets[lo:stop]
-        coords = (beta0 * np.exp(-1j * np.outer(offsets, evals)) * evecs[0]) @ evecs.T
-        for k, c in enumerate(coords, lo):
-            np.matmul(c, basis[:m], out=psi)
-            rows[k] = psi[solution_index], np.vdot(uniform, psi), abs(_norm(psi) - 1.0)
+    basis = _invariant_subspace(uniform, solution_index)
+    i_v = np.array([np.vdot(v, uniform) for v in basis])  # <v_j|i>
+    s_v = basis[:, solution_index]  # <s|v_j>
+    gram = np.array([[np.vdot(v, w) for w in basis] for v in basis])  # <v_j|v_k>
+    hams = (schedule.omega_i[:, None, None] * np.outer(i_v, i_v.conj())
+            + schedule.omega_s[:, None, None] * np.outer(s_v.conj(), s_v))
+    evals, evecs = np.linalg.eigh(hams)
 
-    s_amp, i_amp, norm_error = rows.T
-    return _sampled_trace(space, schedule, t, edges, s_amp, i_amp, norm_error.real,
+    coords = np.zeros((t.size, len(basis)), dtype=complex)
+    coords[0, 0] = _norm(uniform)  # the initial state is |uniform| v_0
+    for lo, stop, lam, u in zip(edges, edges[1:], evals, evecs):
+        # rows lo..stop-1: U exp(-i Lambda offset) U^H c, c the segment's start
+        start = coords[lo - 1] @ u.conj()
+        coords[lo:stop] = (np.exp(-1j * np.outer(all_offsets[lo:stop], lam)) * start) @ u.T
+
+    norm_sq = np.sum((coords.conj() @ gram) * coords, axis=1).real
+    return _sampled_trace(space, schedule, t, edges, coords @ s_v, coords @ i_v.conj(),
+                          np.abs(np.sqrt(norm_sq) - 1.0),
                           "full-space norm drift exceeded tolerance")

@@ -226,7 +226,6 @@ class TestFiftyDigitReference:
         rng = random.Random(15)
         for _ in range(600):
             n, t, temp, p = draw(rng, 4096.0)
-            temp = temp or 2.7  # an optimal plan needs T > 0
             log2_k_star, log2_w_star = reference_closed_form(n, t, temp, p)
             log2_k = min(max(log2_k_star, Decimal(0)), Decimal(n) + _log2(Decimal(p)))
             try:

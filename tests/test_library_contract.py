@@ -15,6 +15,7 @@ every call is cheap.
 import math
 import warnings
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from edge_values import EDGE_FLOATS
@@ -65,7 +66,7 @@ from qlimits.dynamics import (
     modulated_detuning_suppression,
 )
 from qlimits.constants import HBAR
-from qlimits.errors import QlimitsError
+from qlimits.errors import DomainError, QlimitsError
 from qlimits.keylength import (
     CosmologyParams,
     KeylengthReport,
@@ -331,3 +332,11 @@ def test_eigenenergies_where_omega_squared_overflows():
     # E+- = hbar (omega +- omega/4) at n = 4 and delta = 0, finite past 1e154 rad/s
     e_plus, e_minus = eigenenergies(SearchSpace(4), 1e300, 0.0)
     assert e_plus == HBAR * 1.25e300 and e_minus == HBAR * 0.75e300
+
+
+@pytest.mark.parametrize("points", [0, -1, 1, 2.5])
+def test_sweep_refuses_fewer_than_two_or_fractional_points(points):
+    # 0 once ended in a raw ValueError from argmin of an empty grid, -1 in
+    # numpy's refusal of a negative sample count
+    with pytest.raises(DomainError, match="sweep points"):
+        bht_sweep_minimum(20, 1.0, 300.0, 1.0, points=points)

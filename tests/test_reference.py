@@ -16,7 +16,8 @@ from qlimits.dynamics import (
     evolve,
     full_space_reference,
 )
-from qlimits.errors import CapacityError, DomainError
+from qlimits.dynamics import reference
+from qlimits.errors import CapacityError, ConsistencyError, DomainError
 
 
 def random_schedule(rng, segments=5):
@@ -110,10 +111,50 @@ def test_solution_index_validated():
         )
 
 
+def test_schedule_that_cannot_close_is_refused(monkeypatch):
+    # the space of |i> and |s> needs two vectors; capped at one, it cannot close
+    monkeypatch.setattr(reference, "_KRYLOV_MAX", 1)
+    with pytest.raises(ConsistencyError, match="failed to close"):
+        full_space_reference(SearchSpace(6), ControlSchedule((Segment(1.0, 1.0, 1.0),)), 0.5, 0)
+
+
+def test_long_schedule_agrees_with_reduction():
+    space = SearchSpace(12)
+    schedule = random_schedule(np.random.default_rng(12), 2000)
+    dt = schedule.total_duration / 3000
+    reduced = evolve(EffectiveState.initial(space), schedule, dt)
+    full = full_space_reference(space, schedule, dt, solution_index=1234)
+    assert full.t.size == reduced.t.size > 4000
+    for a, b in zip(full.columns()[3:7], reduced.columns()[3:7]):
+        assert np.max(np.abs(a - b)) <= 1e-9
+
+
+@pytest.mark.parametrize("segments", [1, 1000])
+def test_memory_per_sample_within_evolve(segments):
+    # 200,001 samples at n = 6: the subspace coordinates cost no more per
+    # sample than the two-level state does in evolve
+    import tracemalloc
+
+    space = SearchSpace(6)
+    schedule = ControlSchedule((Segment(1.0, 1.3, 0.4),) * segments)
+    step = segments / 200_000
+    peaks = []
+    for run in (lambda: evolve(EffectiveState.initial(space), schedule, step),
+                lambda: full_space_reference(space, schedule, step, 3)):
+        run()  # warm-up
+        tracemalloc.start()
+        try:
+            assert run().t.size == 200_001
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+
+
 # --------------------------------------------------------------------------
-# One Krylov decomposition per segment against the per-sample chain it
-# replaced: there, every sample was a fresh Lanczos exponential applied to
-# the previous sample's state.
+# One invariant subspace per call against a per-sample chain: there, every
+# sample is a fresh Lanczos exponential applied to the previous sample's
+# state.
 
 def _chain_expm_apply(psi, dt, uniform, omega_i, omega_s, sol):
     beta0 = float(np.linalg.norm(psi))
@@ -211,8 +252,8 @@ def test_matches_per_sample_chain(n, segments, samples, data):
 
 @pytest.mark.parametrize("omegas", [(0.0, 0.0), (0.0, 2.5), (1.7, 0.0), (1.7, 2.5)])
 def test_one_and_two_vector_krylov_spaces(omegas):
-    # zero H closes at m = 1; a single projector, or |i> itself under
-    # omega_i alone, at m = 2
+    # the space is closed under each term of H, not under their sum, so
+    # every schedule, zero H included, closes at m = 2: span{|i>, |s>}
     space = SearchSpace(9)
     schedule = ControlSchedule(tuple(Segment(0.7, *omegas) for _ in range(3)))
     assert_matches_chain(space, schedule, 0.05, 77)
