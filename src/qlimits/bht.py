@@ -34,7 +34,7 @@ import numpy as np
 
 from ._num import LN2, N_BRACKET, bisect, ceil_tol, exp2, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR
-from .errors import DomainError, InfeasibleError, checked, in_double_range
+from .errors import DomainError, InfeasibleError, checked, checked_int, in_double_range
 from .bounds import landauer_energy
 
 BHT_TAG = "bht-collision-v1"
@@ -268,9 +268,7 @@ def bht_sweep_minimum(
     W_min is ``bht_work`` at k_min.
     """
     checked("sweep oracle n", n, -math.inf, 48.0, "(]")
-    if not isinstance(points, int):
-        raise DomainError("sweep points must be an integer", points)
-    checked("sweep points", points, 2, math.inf, "[)")
+    checked_int("sweep points", points, 2)
     # the grid starts at k = 1: bht_work there checks every argument
     bht_work(n, 1.0, t_total, temperature, p_success)
     e_l = landauer_energy(temperature)

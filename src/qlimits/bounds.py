@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from ._num import LN2, N_BRACKET, bisect, exp2, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR, K_B
-from .errors import DomainError, InfeasibleError, checked, in_double_range
+from .errors import DomainError, InfeasibleError, checked, checked_int, in_double_range
 
 CLASSICAL_TAG = "classical-exhaustive-v1"
 QUANTUM_TAG = "quantum-work-time-v1(vacuous-below-Ps=2^-n)"
@@ -468,9 +468,7 @@ def battery_relative_uncertainty(
     Model: <E> = U + N k_B T / 2 and dE = sqrt(N/2) k_B T, so the ratio
     falls off as 1/sqrt(N) once U scales with N.
     """
-    if not isinstance(n_dof, int):
-        raise DomainError("degree-of-freedom count must be an integer", n_dof)
-    checked("degree-of-freedom count", n_dof, 1, math.inf, "[)")
+    checked_int("degree-of-freedom count", n_dof, 1)
     kt = K_B * checked("temperature", temperature)
     mean = checked("potential energy", potential_energy, ends="[)") + 0.5 * n_dof * kt
     spread = math.sqrt(0.5 * n_dof) * kt

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .._num import sinc
-from ..errors import DomainError, checked, in_double_range
+from ..errors import DomainError, checked, checked_int, in_double_range
 from .core import (
     ControlSchedule,
     EffectiveState,
@@ -191,8 +191,8 @@ def measure_modulated_suppression(
     initial value.
     """
     checked("omega", omega)
-    checked("cycles", cycles, 1, math.inf, "[)")
-    checked("segments per period", segments_per_cycle, 64, math.inf, "[)")
+    checked_int("cycles", cycles, 1)
+    checked_int("segments per period", segments_per_cycle, 64)
     if omega_c is None:
         omega_c = 5.0 * omega
     delta0 = r * checked("omega_c", omega_c)
@@ -207,7 +207,7 @@ def measure_modulated_suppression(
     schedule = ControlSchedule(np.column_stack((np.full(count, tau), omega + delta,
                                                 omega - delta)))
     trace = evolve(state, schedule, tau / 4.0)
-    t = trace.times()
+    t = trace.t
     a = trace.a()
     mean_a = complex(_trapezoid(a, t) / (t[-1] - t[0]))
     return mean_a / a[0]

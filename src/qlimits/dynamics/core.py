@@ -31,16 +31,16 @@ H/hbar are omega +- Omega with Omega = sqrt(delta_omega^2 +
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from ..constants import HBAR
-from ..errors import CapacityError, ConsistencyError, DomainError, checked, in_double_range
+from ..errors import (CapacityError, ConsistencyError, DomainError, checked, checked_int,
+                      in_double_range)
 
 NORM_TOLERANCE = 1e-9
 
@@ -64,9 +64,7 @@ class SearchSpace:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int):
-            raise DomainError("key length n must be an integer", self.n)
-        checked("key length n", self.n, 1, 1024, "[]")
+        checked_int("key length n", self.n, 1, 1024, "[]")
 
     @property
     def dimension(self) -> int:
@@ -244,33 +242,20 @@ class Trace:
         return (self.t, self.omega_i, self.omega_s, self.prob_s, self.prob_i,
                 self.re_a, self.im_a, self.alpha_ab, self.norm_error)
 
-    def _points(self, rows) -> Iterator[TracePoint]:
+    @cached_property
+    def points(self) -> tuple[TracePoint, ...]:
+        """The rows as :class:`TracePoint` objects, built on first use."""
         energies: dict[tuple[float, float], tuple[float, float]] = {}
+        points = []
+        rows = zip(*(c.tolist() for c in self.columns()))
         for t, wi, ws, p_s, p_i, re_a, im_a, alpha, err in rows:
             e = energies.get((wi, ws))
             if e is None:
                 e = energies[wi, ws] = eigenenergies(self.space, 0.5 * (wi + ws),
                                                      0.5 * (wi - ws))
-            yield TracePoint(t, wi, ws, Observables(p_s, p_i, complex(re_a, im_a), alpha, *e),
-                             err)
-
-    @cached_property
-    def points(self) -> tuple[TracePoint, ...]:
-        """The rows as :class:`TracePoint` objects, built on first use."""
-        return tuple(self._points(zip(*(c.tolist() for c in self.columns()))))
-
-    @property
-    def final(self) -> TracePoint:
-        return next(self._points([[c[-1].item() for c in self.columns()]]))
-
-    def times(self) -> np.ndarray:
-        return self.t
-
-    def p_s(self) -> np.ndarray:
-        return self.prob_s
-
-    def p_i(self) -> np.ndarray:
-        return self.prob_i
+            points.append(TracePoint(t, wi, ws, Observables(p_s, p_i, complex(re_a, im_a),
+                                                            alpha, *e), err))
+        return tuple(points)
 
     def a(self) -> np.ndarray:
         out = np.empty(self.t.size, dtype=complex)
@@ -303,7 +288,11 @@ def eigenenergies(space: SearchSpace, omega: float, delta_omega: float) -> tuple
     g = space.overlap
     split = math.hypot(delta_omega * math.sqrt(1.0 - g * g), omega * g)
     upper = in_double_range(omega + split, "upper eigenfrequency", (omega, delta_omega))
-    return (HBAR * upper, HBAR * (omega - split))
+    # omega - split as (omega^2 - split^2) / upper = (omega^2 - delta^2)(1 - g^2) / upper,
+    # which rounding cannot take below zero
+    detuned = abs(delta_omega)
+    lower = (omega - detuned) * ((omega + detuned) / upper) * (1.0 - g * g) if upper else 0.0
+    return (HBAR * upper, HBAR * lower)
 
 
 def _pauli_components(space: SearchSpace, omega_i, omega_s):
@@ -316,46 +305,6 @@ def _pauli_components(space: SearchSpace, omega_i, omega_s):
     x = omega_s * g * math.sqrt(1.0 - gg)
     z = 0.5 * (omega_i - omega_s) + omega_s * gg
     return 0.5 * (omega_i + omega_s), x, z
-
-
-def segment_propagator(space: SearchSpace, seg: Segment, duration: float | None = None) -> np.ndarray:
-    """Exact unitary exp(-i (H/hbar) * duration) for one segment."""
-    dt = seg.duration if duration is None else checked("duration", duration, ends="[)")
-    mean, x, z = _pauli_components(space, seg.omega_i, seg.omega_s)
-    rabi = math.hypot(x, z)
-    phase = cmath.exp(-1j * mean * dt)
-    cos_t = math.cos(rabi * dt)
-    if rabi * dt < 1e-100:
-        sin_over = dt
-    else:
-        sin_over = math.sin(rabi * dt) / rabi if rabi > 0.0 else dt
-    return phase * np.array(
-        [
-            [cos_t - 1j * z * sin_over, -1j * x * sin_over],
-            [-1j * x * sin_over, cos_t + 1j * z * sin_over],
-        ]
-    )
-
-
-def observables_at(
-    state: EffectiveState, omega_i: float, omega_s: float
-) -> Observables:
-    """Observables of ``state`` under the segment frequencies given."""
-    s_amp = state.solution_amplitude()
-    p_s = abs(s_amp) ** 2
-    p_i = abs(state.c1) ** 2
-    a = s_amp.conjugate() * state.c1
-    omega = 0.5 * (omega_i + omega_s)
-    delta = 0.5 * (omega_i - omega_s)
-    e_plus, e_minus = eigenenergies(state.space, omega, delta)
-    return Observables(
-        p_s=p_s,
-        p_i=p_i,
-        a=a,
-        alpha_ab=cmath.phase(a),
-        e_plus=e_plus,
-        e_minus=e_minus,
-    )
 
 
 # an infinite step puts 0 * inf among the candidates, which the filter drops

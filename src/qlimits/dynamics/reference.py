@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from ..errors import CapacityError, ConsistencyError, DomainError, checked
+from ..errors import CapacityError, ConsistencyError, checked, checked_int
 from .core import (
     ControlSchedule,
     SearchSpace,
@@ -114,9 +114,7 @@ def full_space_reference(
             f"full-space reference limited to n <= {MAX_FULL_SPACE_BITS}", space.n
         )
     dim = space.dimension
-    if not isinstance(solution_index, int):
-        raise DomainError("solution index must be an integer", solution_index)
-    checked("solution index", solution_index, 0, dim, "[)")
+    checked_int("solution index", solution_index, 0, dim)
     t, all_offsets, edges = _sample_grid(schedule, sample_step)
 
     uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)

@@ -11,14 +11,16 @@ import math
 import numpy as np
 
 from ..constants import HBAR
-from ..errors import CapacityError, DomainError, checked, in_double_range
+from ..errors import CapacityError, DomainError, checked, checked_int, in_double_range
 from .core import (
     MAX_TRACE_SAMPLES,
     ControlSchedule,
     EffectiveState,
     SearchSpace,
+    _pairwise_product,
+    _pauli_components,
+    _su2,
     propagate,
-    segment_propagator,
 )
 
 
@@ -66,9 +68,7 @@ def grover_pulsed_schedule(
     """
     checked("pulse energy", pulse_energy)
     checked("pulse phase", pulse_phase, 0.0, 2.0 * math.pi, "(]")
-    if not isinstance(iterations, int):
-        raise DomainError("iterations must be an integer", iterations)
-    checked("iterations", iterations, 1, math.inf, "[)")
+    checked_int("iterations", iterations, 1)
     _check_segment_count(2 * iterations)
     omega_pulse = pulse_energy / HBAR
     tau = pulse_phase / omega_pulse
@@ -91,28 +91,40 @@ def first_peak_iterations(
     """Pulse pairs until the per-pair success probability first decreases.
 
     Returns ``(pairs, p_s)`` at the first local maximum of P_s measured
-    after each pulse pair.  Used to characterize non-reflection pulse
-    phases, where no closed-form iteration count exists.
+    after each pulse pair, or ``(max_pairs, p_s)`` if P_s has not fallen by
+    then.  Used to characterize non-reflection pulse phases, where no
+    closed-form iteration count exists.
+
+    Up to a phase a pulse pair is one SU(2) rotation V by an angle theta,
+    so <s|V^j|i> = g cos(j theta) + w sin(j theta) and P_s after j pairs is
+    A + R cos(2 j theta - psi).  P_s(j + 1) < P_s(j) exactly when
+    sin((2j + 1) theta - psi) > 0, which gives the first peak in O(1),
+    whatever the number of pairs.
     """
     if max_pairs is None:
         max_pairs = int(math.ceil(4.0 * math.pi * 2.0 ** (space.n / 2.0))) + 2
-    checked("max_pairs", max_pairs, ends="[)")
+    checked_int("max_pairs", max_pairs, 0)
     pair = grover_pulsed_schedule(space, pulse_energy, pulse_phase, 1)
-    u_pair = segment_propagator(space, pair.segments[1]) @ segment_propagator(
-        space, pair.segments[0]
-    )
+    _, x, z = _pauli_components(space, pair.omega_i, pair.omega_s)
+    a, b = (complex(v[0]) for v in _pairwise_product(*_su2(x[None], z[None],
+                                                           pair.durations[None])))
+    if a.real < 0.0:  # -V gives the same P_s and turns by at most pi/2
+        a, b = -a, -b
     g = space.overlap
-    root = math.sqrt(1.0 - g * g)
-    psi = np.array([1.0 + 0.0j, 0.0j])
-    best_p = g * g
-    best_j = 0
-    for j in range(1, max_pairs + 1):
-        psi = u_pair @ psi
-        p_s = abs(g * psi[0] + root * psi[1]) ** 2
-        if p_s < best_p:
-            return best_j, best_p
-        best_p, best_j = p_s, j
-    return best_j, best_p
+    sin_theta = math.hypot(a.imag, abs(b))
+    theta = math.atan2(sin_theta, a.real)  # exact where theta is near 2^(-n/2), unlike acos
+    w = (1j * g * a.imag + math.sqrt(1.0 - g * g) * b) / sin_theta if sin_theta else 0j
+    r_cos, r_sin = 0.5 * (g * g - abs(w) ** 2), g * w.real  # R cos(psi), R sin(psi)
+    if theta > 0.0 and (r_cos or r_sin):
+        # (2j + 1) theta - psi = 2 j theta - lag (mod 2 pi): its sine is > 0 at
+        # j = 0 if lag > pi, else first where 2 j theta passes lag, since steps
+        # of 2 theta <= pi cannot jump the half period where it is
+        lag = (math.atan2(r_sin, r_cos) - theta) % (2.0 * math.pi)
+        pairs = min(0 if lag > math.pi else math.floor(lag / (2.0 * theta)) + 1, max_pairs)
+    else:  # P_s never moves
+        pairs = max_pairs
+    s = g * math.cos(pairs * theta) + w * math.sin(pairs * theta)
+    return pairs, min(s.real * s.real + s.imag * s.imag, 1.0)  # rounding can pass 1 by an ulp
 
 
 def adiabatic_gap(space: SearchSpace, energy_scale: float, c: float) -> float:
@@ -172,7 +184,7 @@ def adiabatic_schedule(
         raise DomainError("kind must be 'local' or 'linear'", kind)
     if segments is None:
         segments = max(256, 16 * int(math.ceil(2.0 ** (space.n / 2.0))))
-    checked("segments", segments, 256, math.inf, "[)")
+    checked_int("segments", segments, 256)
     _check_segment_count(segments)
 
     total = adiabatic_total_time(space, energy_scale, error_budget)
@@ -215,7 +227,7 @@ def runtime_to_infidelity(
     """
     checked("target infidelity", target_infidelity, 0.0, 1.0, "(]")
     checked("scale range end", scale_range[1], checked("scale range start", scale_range[0]))
-    checked("grid points", grid_points, 1, math.inf, "[)")
+    checked_int("grid points", grid_points, 1)
     base = adiabatic_schedule(space, energy_scale, error_budget, kind="local")
     factors = np.exp(
         np.linspace(math.log(scale_range[0]), math.log(scale_range[1]), grid_points)

@@ -63,6 +63,14 @@ def checked(name: str, value, lo: float = 0.0, hi: float = math.inf, ends: str =
     raise DomainError(f"{name} must {rule}", value)
 
 
+def checked_int(name: str, value, lo: float, hi: float = math.inf, ends: str = "[)"):
+    """:func:`checked` for an argument that must be an ``int``; anything else
+    is refused as "<name> must be an integer"."""
+    if not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer", value)
+    return checked(name, value, lo, hi, ends)
+
+
 _OPEN_ABOVE = {(-math.inf, math.inf, "()"): "be finite",
                (0.0, math.inf, "()"): "be finite and > 0",
                (0.0, math.inf, "[)"): "be finite and >= 0"}

@@ -39,7 +39,6 @@ from qlimits.dynamics import (
     full_space_reference,
     grover_pulsed_schedule,
     measure_modulated_suppression,
-    observables_at,
     runtime_to_infidelity,
     standard_grover_iterations,
 )
@@ -51,6 +50,7 @@ from qlimits.keylength import (
     max_recoverable_keylength,
 )
 from qlimits.scenarios import SCENARIOS
+from reduced_state import observables_of
 
 YEAR = 3.15576e7
 
@@ -123,11 +123,11 @@ def test_c06_ballistic_exactness():
         trace = evolve(
             EffectiveState.initial(space), schedule, schedule.total_duration / 1500
         )
-        t = trace.times()
+        t = trace.t
         p0 = 2.0**-n
         closed = p0 + (1.0 - p0) * np.sin(omega * t * 2.0 ** (-n / 2.0)) ** 2
-        worst = max(worst, float(np.max(np.abs(trace.p_s() - closed))))
-        finals.append(trace.final.obs.p_s)
+        worst = max(worst, float(np.max(np.abs(trace.prob_s - closed))))
+        finals.append(trace.points[-1].obs.p_s)
     ok = worst <= 1e-9 and all(p >= 1.0 - 1e-9 for p in finals)
     verdict("C6 ballistic closed-form exactness 1e-9", ok,
             f"max |dP|={worst:.2e}, finals={[f'{p:.12f}' for p in finals]}")
@@ -175,7 +175,7 @@ def test_c08_pulsed_amplification():
         iters = standard_grover_iterations(space)
         schedule = grover_pulsed_schedule(space, HBAR, math.pi, iters)
         state = final_state(EffectiveState.initial(space), schedule)
-        p_s = observables_at(state, 0.0, 0.0).p_s
+        p_s = abs(state.solution_amplitude()) ** 2
         results[n] = p_s
         ok = ok and p_s >= 1.0 - 2.0 ** (2 - n)
     verdict("C8 pulsed amplification targets", ok,
@@ -204,7 +204,7 @@ def test_c10_rates_and_eigenvalues():
             EffectiveState.initial(space),
             ControlSchedule((Segment(t, omega_i, omega_s),)),
         )
-        return observables_at(state, omega_i, omega_s)
+        return observables_of(state, omega_i, omega_s)
 
     dps, da = analytic_rates(obs_at(t0), omega_i, omega_s, space)
     steps = [1e-2, 5e-3]

@@ -15,23 +15,23 @@ from qlimits.dynamics import (
     final_state,
     measure_modulated_suppression,
     modulated_detuning_suppression,
-    observables_at,
     optimal_detuning,
 )
 from qlimits.errors import DomainError
+from reduced_state import observables_of
 
 
 def observables_after(space, omega_i, omega_s, t):
     state = final_state(
         EffectiveState.initial(space), ControlSchedule((Segment(t, omega_i, omega_s),))
     )
-    return observables_at(state, omega_i, omega_s)
+    return observables_of(state, omega_i, omega_s)
 
 
 class TestAnalyticRates:
     def test_zero_phase_means_zero_gain(self):
         space = SearchSpace(6)
-        obs = observables_at(EffectiveState.initial(space), 1.0, 0.5)
+        obs = observables_of(EffectiveState.initial(space), 1.0, 0.5)
         assert obs.alpha_ab == 0.0
         dps, _ = analytic_rates(obs, 1.0, 0.5, space)
         assert dps == 0.0
@@ -40,7 +40,7 @@ class TestAnalyticRates:
         # delta = 0 and P_i = P_s: both terms of dA/dt vanish
         space = SearchSpace(8)
         state = equator_state(space, omega=1.0)
-        obs = observables_at(state, 1.0, 1.0)
+        obs = observables_of(state, 1.0, 1.0)
         assert obs.p_i == pytest.approx(obs.p_s, abs=1e-9)
         _, da = analytic_rates(obs, 1.0, 1.0, space)
         assert abs(da) < 1e-9
@@ -90,8 +90,8 @@ class TestPhaseVelocity:
             h = 0.05 / omega
             seg = Segment(h, omega + delta, omega - delta)
             end = final_state(state, ControlSchedule((seg,)))
-            alpha0 = observables_at(state, omega + delta, omega - delta).alpha_ab
-            alpha1 = observables_at(end, omega + delta, omega - delta).alpha_ab
+            alpha0 = observables_of(state, omega + delta, omega - delta).alpha_ab
+            alpha1 = observables_of(end, omega + delta, omega - delta).alpha_ab
             coefficients.append((alpha1 - alpha0) / h / delta)
         for c in coefficients[1:]:
             assert c == pytest.approx(coefficients[0], rel=5e-2)
@@ -214,7 +214,7 @@ class TestOptimalDetuning:
         c_window = 100.0
         window = 2.0 * c_window / omega
         state = equator_state(space, omega)
-        obs0 = observables_at(state, omega, omega)
+        obs0 = observables_of(state, omega, omega)
         estimate = optimal_detuning(
             obs0.a, c_window, obs0.p_i - obs0.p_s, obs0.p_i, obs0.p_s, space, "bulk"
         )
@@ -225,7 +225,7 @@ class TestOptimalDetuning:
         for delta in deltas:
             seg = Segment(window, omega + delta, omega - delta)
             end = final_state(state, ControlSchedule((seg,)))
-            p_end = observables_at(end, omega + delta, omega - delta).p_s
+            p_end = observables_of(end, omega + delta, omega - delta).p_s
             gains.append((p_end - obs0.p_s) / window)
         best = float(deltas[int(np.argmax(gains))]) * window / 2.0
         assert best <= 4.0 / c_window + 1e-15

@@ -1,8 +1,11 @@
+import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qlimits.constants import HBAR
 from qlimits.dynamics import (
@@ -20,14 +23,12 @@ from qlimits.dynamics import (
     final_state,
     first_peak_iterations,
     grover_pulsed_schedule,
-    observables_at,
     propagate,
     runtime_to_infidelity,
     schedule_infidelity,
-    segment_propagator,
     standard_grover_iterations,
 )
-from qlimits.dynamics.core import BLOCK_ELEMENTS, MAX_TRACE_SAMPLES
+from qlimits.dynamics.core import BLOCK_ELEMENTS, MAX_TRACE_SAMPLES, _pauli_components
 from qlimits.errors import CapacityError, ConsistencyError, DomainError, InfeasibleError
 
 
@@ -114,9 +115,9 @@ class TestEvolve:
             ControlSchedule((Segment(3.0, 0.0, 0.0),)),
             0.1,
         )
-        ps = trace.p_s()
+        ps = trace.prob_s
         assert np.allclose(ps, 2.0**-6, atol=1e-15)
-        assert trace.final.obs.p_i == pytest.approx(1.0, abs=1e-15)
+        assert trace.points[-1].obs.p_i == pytest.approx(1.0, abs=1e-15)
 
     def test_ballistic_matches_closed_form(self):
         space = SearchSpace(12)
@@ -124,9 +125,9 @@ class TestEvolve:
         work = HBAR * omega * (1.0 + 2.0**-6)
         schedule = ballistic_schedule(space, work)
         trace = evolve(EffectiveState.initial(space), schedule, schedule.total_duration / 777)
-        t = trace.times()
-        assert np.max(np.abs(trace.p_s() - ballistic_oracle(12, omega, t))) <= 1e-9
-        assert trace.final.obs.p_s >= 1.0 - 1e-9
+        t = trace.t
+        assert np.max(np.abs(trace.prob_s - ballistic_oracle(12, omega, t))) <= 1e-9
+        assert trace.points[-1].obs.p_s >= 1.0 - 1e-9
 
     def test_norm_error_tiny_over_long_trace(self):
         space = SearchSpace(16)
@@ -136,7 +137,7 @@ class TestEvolve:
         )
         assert len(trace.points) >= 10000
         assert max(p.norm_error for p in trace.points) <= 1e-9
-        t = trace.times()
+        t = trace.t
         assert np.all(np.diff(t) > 0.0)
 
     def test_coarse_sampling_keeps_boundaries_only(self):
@@ -151,7 +152,7 @@ class TestEvolve:
             (Segment(0.31, 1.0, 0.2), Segment(0.53, 0.1, 0.9), Segment(0.16, 0.0, 0.0))
         )
         trace = evolve(EffectiveState.initial(space), schedule, 0.1)
-        t = trace.times()
+        t = trace.t
         for boundary in (0.0, 0.31, 0.84, 1.0):
             assert np.min(np.abs(t - boundary)) < 1e-12
         assert t[-1] == pytest.approx(1.0, rel=1e-12)
@@ -183,8 +184,8 @@ class TestEvolve:
         _, vecs = np.linalg.eigh(h)
         for k in range(2):
             state = EffectiveState(complex(vecs[0, k]), complex(vecs[1, k]), space)
-            obs = observables_at(state, 1.4, 0.7)
-            assert abs(math.sin(obs.alpha_ab)) <= 1e-9
+            alpha_ab = cmath.phase(state.solution_amplitude().conjugate() * state.c1)
+            assert abs(math.sin(alpha_ab)) <= 1e-9
 
     def test_norm_drift_raises(self):
         space = SearchSpace(3)
@@ -210,8 +211,7 @@ class TestBallisticSchedule:
         space = SearchSpace(12)
         schedule = ballistic_schedule(space, HBAR * 2000.0)
         state = final_state(EffectiveState.initial(space), schedule)
-        seg = schedule.segments[0]
-        assert observables_at(state, seg.omega_i, seg.omega_s).p_s >= 1.0 - 1e-9
+        assert abs(state.solution_amplitude()) ** 2 >= 1.0 - 1e-9
 
     def test_128_bit_nanosecond_budget(self):
         # t_F <= 1 ns iff W >= (pi/2) 2^64 hbar / 1e-9 ~ 3.06e-6 J
@@ -241,7 +241,7 @@ class TestGroverPulsed:
             space = SearchSpace(n)
             schedule = grover_pulsed_schedule(space, HBAR, math.pi, 1)
             state = final_state(EffectiveState.initial(space), schedule)
-            p_s = observables_at(state, 0.0, 0.0).p_s
+            p_s = abs(state.solution_amplitude()) ** 2
             assert p_s == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("n", [8, 10, 12])
@@ -251,7 +251,7 @@ class TestGroverPulsed:
         assert iters == round(math.pi * 2.0 ** (n / 2.0) / 4.0)
         schedule = grover_pulsed_schedule(space, HBAR, math.pi, iters)
         state = final_state(EffectiveState.initial(space), schedule)
-        p_s = observables_at(state, 0.0, 0.0).p_s
+        p_s = abs(state.solution_amplitude()) ** 2
         # rotation-composition oracle: P_s = sin^2((2j+1) asin(2^(-n/2)))
         theta = math.asin(2.0 ** (-n / 2.0))
         assert p_s == pytest.approx(math.sin((2 * iters + 1) * theta) ** 2, abs=1e-12)
@@ -388,11 +388,17 @@ class TestScheduleOps:
             Segment(0.0, 1.0, 1.0)
 
 
+def segment_unitary(space, seg):
+    """exp(-i (H/hbar) * duration) of one segment, by scipy's expm."""
+    h = effective_hamiltonian(space, seg.omega_i, seg.omega_s)
+    return scipy.linalg.expm(-1j * h * seg.duration)
+
+
 def per_segment_amplitudes(state, schedule, factor):
-    """Reference: the product of segment_propagator over the stretched schedule."""
+    """Reference: the product of segment_unitary over the stretched schedule."""
     psi = np.array([state.c1, state.c2], dtype=complex)
     for seg in schedule.scaled(factor).segments:
-        psi = segment_propagator(state.space, seg) @ psi
+        psi = segment_unitary(state.space, seg) @ psi
     return psi
 
 
@@ -521,3 +527,115 @@ class TestBatchedRuntimeScan:
             got = runtime_to_infidelity(space, 1.0, eps, eps * eps)
             ref = runtime_to_infidelity_by_loop(space, 1.0, eps, eps * eps)
             assert got == pytest.approx(ref, rel=1e-9)
+
+
+def scalar_segment_unitary(space, seg):
+    """exp(-i (H/hbar) * duration) of one segment from its Pauli components,
+    in scalar arithmetic.  At phase 2 pi, where the pair is the identity up
+    to rounding, its product keeps the norm to the last bit; a product of
+    expm's loses a few ulp, and the loop would see P_s fall by rounding."""
+    mean, x, z = _pauli_components(space, seg.omega_i, seg.omega_s)
+    rabi = math.hypot(x, z)
+    sin_over = math.sin(rabi * seg.duration) / rabi if rabi > 0.0 else seg.duration
+    cos_t = math.cos(rabi * seg.duration)
+    return cmath.exp(-1j * mean * seg.duration) * np.array(
+        [[cos_t - 1j * z * sin_over, -1j * x * sin_over],
+         [-1j * x * sin_over, cos_t + 1j * z * sin_over]])
+
+
+def first_peak_by_loop(space, pulse_energy, pulse_phase, max_pairs=None):
+    """Reference: apply the pair unitary once per pair until P_s falls."""
+    if max_pairs is None:
+        max_pairs = int(math.ceil(4.0 * math.pi * 2.0 ** (space.n / 2.0))) + 2
+    first, second = grover_pulsed_schedule(space, pulse_energy, pulse_phase, 1).segments
+    u_pair = scalar_segment_unitary(space, second) @ scalar_segment_unitary(space, first)
+    g = space.overlap
+    root = math.sqrt(1.0 - g * g)
+    psi = np.array([1.0 + 0.0j, 0.0j])
+    best_p = g * g
+    best_j = 0
+    for j in range(1, max_pairs + 1):
+        psi = u_pair @ psi
+        p_s = abs(g * psi[0] + root * psi[1]) ** 2
+        if p_s < best_p:
+            return best_j, best_p
+        best_p, best_j = p_s, j
+    return best_j, best_p
+
+
+def p_s_after_pairs_50_digits(space, pulse_energy, pulse_phase, pairs):
+    """Reference: P_s after ``pairs`` pulse pairs, with the pair's 2x2
+    exponentials and its power (by repeated squaring) in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        g = mpmath.mpf(2) ** (-mpmath.mpf(space.n) / 2)
+        root = mpmath.sqrt(1 - g * g)
+        u = mpmath.eye(2)
+        for seg in grover_pulsed_schedule(space, pulse_energy, pulse_phase, 1).segments:
+            wi, ws, dt = map(mpmath.mpf, (seg.omega_i, seg.omega_s, seg.duration))
+            h = mpmath.matrix([[wi + ws * g * g, ws * g * root],
+                               [ws * g * root, ws * (1 - g * g)]])
+            u = mpmath.expm(-1j * h * dt) * u
+        psi = mpmath.matrix([[1], [0]])
+        while pairs:
+            if pairs & 1:
+                psi = u * psi
+            u = u * u
+            pairs >>= 1
+        return abs(g * psi[0] + root * psi[1]) ** 2
+
+
+class TestFirstPeakClosedForm:
+    PHASES = [2.0 * math.pi * k / 97 for k in range(1, 98)]  # (0, 2 pi], 2 pi included
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_the_per_pair_loop(self, n):
+        space = SearchSpace(n)
+        for phase in self.PHASES:
+            pairs, p_s = first_peak_iterations(space, HBAR, phase)
+            ref_pairs, ref_p_s = first_peak_by_loop(space, HBAR, phase)
+            assert pairs == ref_pairs, phase
+            assert type(pairs) is int and type(p_s) is float
+            if pairs <= 1000:  # the loop itself drifts by about 1e-12 past 3,000 pairs
+                assert abs(p_s - ref_p_s) <= 1e-12, phase
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 20, 24])
+    def test_p_s_matches_a_50_digit_power(self, n):
+        space = SearchSpace(n)
+        for phase in (math.pi, math.pi / 2.0, 1.0, self.PHASES[12], self.PHASES[89],
+                      2.0 * math.pi):
+            pairs, p_s = first_peak_iterations(space, HBAR, phase)
+            ref = p_s_after_pairs_50_digits(space, HBAR, phase, pairs)
+            assert abs(p_s - ref) <= 1e-14, (phase, pairs)
+
+    @pytest.mark.parametrize("n", [20, 32, 64])
+    def test_phase_pi_at_large_n(self, n):
+        space = SearchSpace(n)
+        pairs, p_s = first_peak_iterations(space, HBAR, math.pi)
+        assert abs(pairs - standard_grover_iterations(space)) <= 1
+        assert p_s >= 1.0 - 2.0 ** (2 - n)
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("phase", [math.pi, math.pi / 2.0])
+    def test_cost_does_not_grow_with_the_pair_count(self, n, phase):
+        import time
+
+        space = SearchSpace(n)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            first_peak_iterations(space, HBAR, phase)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.01
+
+    @pytest.mark.parametrize("max_pairs", [0, 1, 5, 11])
+    def test_max_pairs_caps_the_count(self, max_pairs):
+        # phase pi at n = 8 peaks after 12 pairs
+        space = SearchSpace(8)
+        pairs, p_s = first_peak_iterations(space, HBAR, math.pi, max_pairs)
+        ref_pairs, ref_p_s = first_peak_by_loop(space, HBAR, math.pi, max_pairs)
+        assert pairs == ref_pairs == max_pairs
+        assert abs(p_s - ref_p_s) <= 1e-12 and type(p_s) is float
+
+    def test_refuses_a_fractional_cap(self):
+        with pytest.raises(DomainError, match="max_pairs must be an integer"):
+            first_peak_iterations(SearchSpace(8), HBAR, math.pi, max_pairs=2.5)

@@ -62,8 +62,11 @@ from qlimits.dynamics import (
     control_bandwidth,
     eigenenergies,
     equator_state,
+    first_peak_iterations,
     grover_pulsed_schedule,
+    measure_modulated_suppression,
     modulated_detuning_suppression,
+    runtime_to_infidelity,
 )
 from qlimits.constants import HBAR
 from qlimits.errors import DomainError, QlimitsError
@@ -278,6 +281,22 @@ CALLS = {
                              ("bits", "work", "unit"), _nonneg),
     "adiabatic_schedule": (lambda n, e, eps: adiabatic_schedule(SearchSpace(n), e, eps),
                            ("bits", "work", "unit"), _schedule),
+    # segment and grid counts start at 256, 64 and 1; a drawn float stays a float
+    "adiabatic_schedule segments": (
+        lambda n, e, eps, k: adiabatic_schedule(SearchSpace(n), e, eps, segments=256 + k),
+        ("bits", "work", "unit", "count"), _schedule),
+    "first_peak_iterations": (
+        lambda n, e, phase, k: first_peak_iterations(SearchSpace(n), e, phase, k),
+        ("bits", "work", "phase", "count"),
+        lambda r: _key_bits(r[0]) and type(r[1]) is float and _prob(r[1])),
+    "runtime_to_infidelity": (
+        lambda n, e, eps, target, k: runtime_to_infidelity(SearchSpace(n), e, eps, target,
+                                                           grid_points=k),
+        ("bits", "work", "unit", "unit", "count"), _nonneg),
+    "measure_modulated_suppression": (
+        lambda n, r, omega, cycles, k: measure_modulated_suppression(
+            SearchSpace(n), r, omega, cycles=cycles, segments_per_cycle=64 + k),
+        ("bits", "unit", "freq", "count", "count"), _complex),
     "equator_state": (lambda n, omega: equator_state(SearchSpace(n), omega),
                       ("bits", "freq"), _state),
     "control_bandwidth": (lambda total, window: control_bandwidth(None, total, window),
@@ -285,6 +304,10 @@ CALLS = {
     "modulated_detuning_suppression": (modulated_detuning_suppression, ("unit",), _prob),
     "eigenenergies": (lambda n, omega, delta: eigenenergies(SearchSpace(n), omega, delta),
                       ("bits", "freq", "freq"), lambda e: all(map(_nonneg, e))),
+    # |delta| = omega, where rounding once took E- below zero
+    "eigenenergies at |delta| = omega": (
+        lambda n, omega, sign: eigenenergies(SearchSpace(n), omega, math.copysign(omega, sign)),
+        ("bits", "freq", "freq"), lambda e: all(map(_nonneg, e))),
     "averaged_overlap": (
         lambda n, delta, omega, diff, window: averaged_overlap(0.5j, delta, omega, diff, window,
                                                                SearchSpace(n)),
@@ -316,6 +339,7 @@ def calls(draw):
 @example(("control_bandwidth", (1.0, 5e-324)))
 @example(("init_readout_work", (1e308, 300.0)))
 @example(("eigenenergies", (4, 1e300, 0.0)))  # omega^2 overflows; E+ does not
+@example(("eigenenergies", (5, 300.0, 300.0)))  # E- once rounded to -6e-48 J
 def test_every_call_ends_in_a_result_or_a_qlimits_error(call):
     name, args = call
     function, _, in_range = CALLS[name]
@@ -340,3 +364,16 @@ def test_sweep_refuses_fewer_than_two_or_fractional_points(points):
     # numpy's refusal of a negative sample count
     with pytest.raises(DomainError, match="sweep points"):
         bht_sweep_minimum(20, 1.0, 300.0, 1.0, points=points)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: first_peak_iterations(SearchSpace(8), HBAR, math.pi, max_pairs=2.5),
+    lambda: runtime_to_infidelity(SearchSpace(6), 1.0, 0.1, 0.01, grid_points=2.5),
+    lambda: adiabatic_schedule(SearchSpace(6), 1.0, 0.1, segments=300.5),
+    lambda: measure_modulated_suppression(SearchSpace(8), 0.1, cycles=1.5),
+    lambda: measure_modulated_suppression(SearchSpace(8), 0.1, segments_per_cycle=64.5),
+], ids=["max_pairs", "grid_points", "segments", "cycles", "segments_per_cycle"])
+def test_fractional_counts_are_refused(call):
+    # each once ended in a raw TypeError
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()

@@ -51,7 +51,7 @@ def test_zero_hamiltonian_uniform_probability():
     space = SearchSpace(4)
     schedule = ControlSchedule((Segment(2.0, 0.0, 0.0),))
     trace = full_space_reference(space, schedule, 0.25, solution_index=5)
-    assert np.allclose(trace.p_s(), 1.0 / 16.0, atol=1e-15)
+    assert np.allclose(trace.prob_s, 1.0 / 16.0, atol=1e-15)
 
 
 def test_ballistic_agrees_with_reduction():

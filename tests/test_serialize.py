@@ -61,7 +61,7 @@ def test_trace_obj_matches_csv_fields():
     trace = sample_trace()
     obj = trace_to_obj(trace)
     assert len(obj) == len(trace.points)
-    assert obj[-1]["P_s"] == trace.final.obs.p_s
+    assert obj[-1]["P_s"] == trace.points[-1].obs.p_s
     assert set(obj[0]) == {
         "t_s", "omega_i", "omega_s", "P_s", "P_i", "re_A", "im_A",
         "alpha_ab", "norm_error",

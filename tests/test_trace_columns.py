@@ -390,7 +390,6 @@ def test_points_repeat_the_columns():
         assert (p.t, p.omega_i, p.omega_s, p.obs.p_s, p.obs.p_i, p.obs.a.real, p.obs.a.imag,
                 p.obs.alpha_ab, p.norm_error) == row
         assert type(p.obs.p_s) is float and type(p.t) is float
-    assert trace.final == trace.points[-1]
     assert trace.a().tolist() == [p.obs.a for p in trace.points]
 
 
