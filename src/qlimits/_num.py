@@ -45,17 +45,59 @@ def log2_radical(x: float) -> float:
     return 0.5 * (x + math.log2(-math.expm1(-x * LN2)))
 
 
-def bisect(f, lo: float, hi: float) -> float:
-    """Root of a monotone-increasing f, f(lo) <= 0 < f(hi), to 1e-12 relative."""
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def find_root(f, lo: float, hi: float) -> float:
+    """Root of a monotone-increasing f, f(lo) <= 0 < f(hi), to 1e-12 relative.
+
+    Brent's method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4): inverse quadratic or secant steps, and bisection
+    where they would not shrink fast enough.  The returned x is one end of
+    a sign-change bracket whose other end lies within 1e-12 |x| of it.  The
+    near-linear bound inversions take five to eight evaluations, both ends
+    included, where bisection needs 44.  A bisection is also forced
+    whenever the bracket's half-width exceeds |hi - lo| 2^(-k/2) after k
+    steps, so no f takes more than about twice bisection's count.
+    """
+    a, fa = lo, f(lo)
+    b, fb = hi, f(hi)
+    c, fc = a, fa
+    d = e = b - a
+    cap = abs(b - a)
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the best estimate, c the other end
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5e-12 * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        cap *= _SQRT_HALF  # the bracket must halve every two steps, or bisect
+        if abs(e) < tol or abs(fa) <= abs(fb) or abs(m) > cap:
+            d = e = m
         else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b, c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

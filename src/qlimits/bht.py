@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import LN2, N_BRACKET, bisect, ceil_tol, exp2, golden_min, log2_add, log2_radical
+from ._num import LN2, N_BRACKET, ceil_tol, exp2, find_root, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR
 from .errors import DomainError, InfeasibleError, checked, checked_int, in_double_range
 from .bounds import landauer_energy
@@ -249,7 +249,7 @@ def bht_min_image_bits(
         return 1
     if excess(hi) <= 0.0:
         raise DomainError("budget exceeds the bound at the n = 4096 bracket", work_budget)
-    return ceil_tol(bisect(excess, lo, hi))
+    return ceil_tol(find_root(excess, lo, hi))
 
 
 def bht_sweep_minimum(

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._num import LN2, N_BRACKET, bisect, exp2, golden_min, log2_add, log2_radical
+from ._num import LN2, N_BRACKET, exp2, find_root, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR, K_B
 from .errors import DomainError, InfeasibleError, checked, checked_int, in_double_range
 
@@ -241,7 +241,7 @@ def classical_bound(query: BoundQuery) -> BoundResult:
             time = exp2(log2_b - math.log2(query.work - floor))
         return result(in_double_range(time, "solved time", query))
 
-    # unknown == "n": monotone bisection on the log-requirement
+    # unknown == "n": Brent's method on the monotone log-requirement (five or six evaluations)
     _require(query, "time", "psuccess")
     budget_log2 = math.log2(query.budget())
 
@@ -262,7 +262,7 @@ def classical_bound(query: BoundQuery) -> BoundResult:
         )
     if excess(hi) <= 0.0:
         raise DomainError("budget exceeds the requirement at the n = 4096 bracket", query)
-    return result(bisect(excess, lo, hi))
+    return result(find_root(excess, lo, hi))
 
 
 def _classical_time_from_power(query: BoundQuery, e_l: float) -> float:

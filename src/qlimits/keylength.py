@@ -11,7 +11,8 @@ pin a key length through the quantum work-time bound W t >= sqrt(2^n P_s
 * deterministic length -- largest n whose full ballistic rotation fits:
   floor(2 log2(2 W t / (pi hbar) - 1)).
 
-Classical lengths invert the irreversible-search bound by bisection.
+Classical lengths invert the irreversible-search bound with Brent's method
+(``_num.find_root``, five or six evaluations a solve).
 
 Initialization/readout work (2n E_L) is excluded from the quantum
 inversions: for every scenario here it sits >= 20 orders of magnitude
