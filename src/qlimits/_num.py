@@ -17,6 +17,9 @@ N_BRACKET = (1.0, 4096.0)
 # Largest log2 that still exponentiates to a finite double.
 _MAX_FINITE_LOG2 = 1023.0
 
+# A real key length this close to an integer is that integer.
+_SNAP = 1e-9
+
 
 def exp2(x: float) -> float:
     """2**x as a float, +inf when it overflows."""
@@ -48,20 +51,22 @@ def log2_radical(x: float) -> float:
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def find_root(f, lo: float, hi: float) -> float:
-    """Root of a monotone-increasing f, f(lo) <= 0 < f(hi), to 1e-12 relative.
+def find_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of a monotone-increasing f, f_lo = f(lo) <= 0 < f_hi = f(hi), to
+    1e-12 relative.
 
     Brent's method (Brent 1973, *Algorithms for Minimization without
     Derivatives*, ch. 4): inverse quadratic or secant steps, and bisection
     where they would not shrink fast enough.  The returned x is one end of
-    a sign-change bracket whose other end lies within 1e-12 |x| of it.  The
-    near-linear bound inversions take five to eight evaluations, both ends
-    included, where bisection needs 44.  A bisection is also forced
-    whenever the bracket's half-width exceeds |hi - lo| 2^(-k/2) after k
-    steps, so no f takes more than about twice bisection's count.
+    a sign-change bracket whose other end lies within 1e-12 |x| of it.  Past
+    the two ends, which the caller has evaluated, the near-linear bound
+    inversions take three to six evaluations, bisection about 42.  A
+    bisection is also forced whenever the bracket's half-width exceeds
+    |hi - lo| 2^(-k/2) after k steps, so no f takes more than about twice
+    bisection's count.
     """
-    a, fa = lo, f(lo)
-    b, fb = hi, f(hi)
+    a, fa = lo, f_lo
+    b, fb = hi, f_hi
     c, fc = a, fa
     d = e = b - a
     cap = abs(b - a)
@@ -122,18 +127,18 @@ def golden_min(f, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def floor_tol(x: float, tol: float = 1e-9) -> int:
-    """floor(x), snapping values within ``tol`` of an integer."""
+def floor_tol(x: float) -> int:
+    """floor(x), snapping values within _SNAP of an integer."""
     r = round(x)
-    if abs(x - r) <= tol:
+    if abs(x - r) <= _SNAP:
         return int(r)
     return math.floor(x)
 
 
-def ceil_tol(x: float, tol: float = 1e-9) -> int:
-    """ceil(x), snapping values within ``tol`` of an integer."""
+def ceil_tol(x: float) -> int:
+    """ceil(x), snapping values within _SNAP of an integer."""
     r = round(x)
-    if abs(x - r) <= tol:
+    if abs(x - r) <= _SNAP:
         return int(r)
     return math.ceil(x)
 

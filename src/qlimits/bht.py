@@ -245,11 +245,13 @@ def bht_min_image_bits(
         return log2_w - target
 
     lo, hi = N_BRACKET
-    if excess(lo) > 0.0:
+    f_lo = excess(lo)
+    if f_lo > 0.0:
         return 1
-    if excess(hi) <= 0.0:
+    f_hi = excess(hi)
+    if f_hi <= 0.0:
         raise DomainError("budget exceeds the bound at the n = 4096 bracket", work_budget)
-    return ceil_tol(find_root(excess, lo, hi))
+    return ceil_tol(find_root(excess, lo, hi, f_lo, f_hi))
 
 
 def bht_sweep_minimum(

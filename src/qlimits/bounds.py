@@ -28,9 +28,9 @@ Ballistic search saturates the quantum bound up to O(2^-n/2):
 
     P_s(t) = 1/2^n + (1 - 1/2^n) sin^2(W t / ((sqrt(2^n)+1) hbar))
 
-All solvers invert these forms for whichever field is unknown; quantities
-with 2^n factors are handled in log2 space so n up to a few thousand bits
-cannot overflow.
+All solvers invert these forms for whichever field is unknown.  Each form
+is exp2 of one log2 expression, so a result is finite wherever its true
+value is a finite double, n up to a few thousand bits included.
 """
 
 from __future__ import annotations
@@ -212,16 +212,10 @@ def classical_bound(query: BoundQuery) -> BoundResult:
                 floor,
                 query,
             )
-        # log2(E_L + h/4t): h/4t underflows for huge t
-        per_guess_log2 = log2_add(
-            math.log2(e_l) if e_l > 0.0 else -math.inf,
-            math.log2(H / 4.0) - math.log2(query.time),
-        )
-        # (budget - floor) 2^-denom; whole powers of two split off never overflow
-        denom_log2 = query.n + per_guess_log2
-        mantissa, exponent = math.frexp(budget - floor)
-        shift = round(denom_log2)
-        p = mantissa * exp2(shift - denom_log2) * exp2(exponent - shift)
+        # (W - floor) / (2^n (E_L + h/4t)); h/4t underflows for huge t
+        per_guess_log2 = log2_add(math.log2(e_l) if e_l > 0.0 else -math.inf,
+                                  math.log2(H / 4.0) - math.log2(query.time))
+        p = exp2(math.log2(budget - floor) - query.n - per_guess_log2)
         return result(_probability(p, query))
 
     if query.unknown == "time":
@@ -236,12 +230,10 @@ def classical_bound(query: BoundQuery) -> BoundResult:
                 floor,
                 query,
             )
-        time = exp2(log2_b) / (query.work - floor)
-        if time == math.inf:  # B alone may overflow where B / (W - A) does not
-            time = exp2(log2_b - math.log2(query.work - floor))
+        time = exp2(log2_b - math.log2(query.work - floor))  # B / (W - A)
         return result(in_double_range(time, "solved time", query))
 
-    # unknown == "n": Brent's method on the monotone log-requirement (five or six evaluations)
+    # unknown == "n": Brent's method on the monotone log-requirement
     _require(query, "time", "psuccess")
     budget_log2 = math.log2(query.budget())
 
@@ -252,7 +244,8 @@ def classical_bound(query: BoundQuery) -> BoundResult:
         )
 
     lo, hi = N_BRACKET
-    if excess(lo) >= 0.0:
+    f_lo = excess(lo)
+    if f_lo >= 0.0:
         raise InfeasibleError(
             "budget is below the requirement already at n = 1",
             classical_work_requirement(
@@ -260,9 +253,10 @@ def classical_bound(query: BoundQuery) -> BoundResult:
             ),
             query,
         )
-    if excess(hi) <= 0.0:
+    f_hi = excess(hi)
+    if f_hi <= 0.0:
         raise DomainError("budget exceeds the requirement at the n = 4096 bracket", query)
-    return result(find_root(excess, lo, hi))
+    return result(find_root(excess, lo, hi, f_lo, f_hi))
 
 
 def _classical_time_from_power(query: BoundQuery, e_l: float) -> float:
@@ -271,29 +265,27 @@ def _classical_time_from_power(query: BoundQuery, e_l: float) -> float:
     log2_power = math.log2(query.power)
     log2_root = 0.5 * log2_add(2.0 * log2_a, 2.0 + log2_power + log2_b)
     time = exp2(log2_add(log2_a, log2_root) - 1.0 - log2_power)
-    if not 0.0 < time < math.inf:
+    if not (time > 0.0 and math.isfinite(time)):
         raise InfeasibleError("the power-form time lies past double range",
                               math.inf, query)
     return time
 
 
 def quantum_work_requirement(n: float, time: float, p_success: float) -> tuple[float, bool]:
-    """(W, offset_flag): W = sqrt(2^n P_s - 1) hbar / t, 0 when vacuous.
-
-    hbar / t joins the root in log2 space only where the root alone
-    overflows, so W stays finite up to the largest double (inf past it).
-    """
+    """(W, offset_flag): W = sqrt(2^n P_s - 1) hbar / t (inf past double range), 0 if vacuous."""
     checked("n", n, -math.inf)
     checked("time", time)
     checked("success probability", p_success, 0.0, 1.0, "(]")
-    log2_np = n + math.log2(p_success)
-    if log2_np <= 0.0:
+    log2_action = _quantum_log2_action(n, p_success)
+    if log2_action is None:
         return 0.0, True
-    log2_root = log2_radical(log2_np)
-    root = exp2(log2_root)
-    if root < math.inf:
-        return root * HBAR / time, False
-    return exp2(log2_root + math.log2(HBAR) - math.log2(time)), False
+    return exp2(log2_action - math.log2(time)), False
+
+
+def _quantum_log2_action(n: float, p_success: float) -> float | None:
+    """log2(W t) = log2(sqrt(2^n P_s - 1) hbar), or None where vacuous (P_s <= 2^-n)."""
+    log2_np = n + math.log2(p_success)
+    return log2_radical(log2_np) + math.log2(HBAR) if log2_np > 0.0 else None
 
 
 def quantum_log2_ratio(work: float, time: float, p_success: float) -> float:
@@ -323,21 +315,14 @@ def quantum_bound(query: BoundQuery) -> BoundResult:
 
     if query.unknown == "time":
         _require(query, "n", "psuccess")
-        p = query.success_probability
-        # W t = root * hbar: the requirement at t = 1 s is root * hbar
-        root_hbar, offset = quantum_work_requirement(query.n, 1.0, p)
-        if offset:
+        log2_action = _quantum_log2_action(query.n, query.success_probability)
+        if log2_action is None:
             return result(0.0, True)
-        if query.power is not None:
-            # P t^2 = root * hbar
-            time = math.sqrt(root_hbar / query.power)
-            if time == math.inf:  # the square may overflow where t does not
-                log2_root_hbar = log2_radical(query.n + math.log2(p)) + math.log2(HBAR)
-                time = exp2(0.5 * (log2_root_hbar - math.log2(query.power)))
+        _require(query, "work")
+        if query.power is not None:  # P t^2 = W t
+            time = exp2(0.5 * (log2_action - math.log2(query.power)))
         else:
-            _require(query, "work")
-            # the same product, solved for t: W t = root * hbar
-            time, _ = quantum_work_requirement(query.n, query.work, p)
+            time = exp2(log2_action - math.log2(query.work))
         return result(in_double_range(time, "solved time", query))
 
     if query.unknown == "psuccess":
@@ -370,17 +355,18 @@ def gate_bound(
     checked("corrected error count", corrected_errors, ends="[)")
     e_l = landauer_energy(temperature)
     checked("n", n)
-    root = exp2(0.5 * (n + math.log2(p_success)))
-    dynamic = HBAR * (root - 1.0) * (math.pi - 2.0 ** (1.0 - n / 2.0)) / time
+    h = max(0.5 * (n + math.log2(p_success)), 0.0)  # sqrt(P_s 2^n) - 1 = 2^(2 log2_radical(h))
+    dynamic = exp2(2.0 * log2_radical(h) + math.log2(HBAR * (math.pi - 2.0 ** (1.0 - n / 2.0)))
+                   - math.log2(time))
     landauer = (2.0 * n + corrected_errors) * e_l if e_l > 0.0 else 0.0  # 2n may overflow
-    return in_double_range(landauer + max(dynamic, 0.0), "solved work", (n, p_success, time))
+    return in_double_range(landauer + dynamic, "solved work", (n, p_success, time))
 
 
 def ballistic_deterministic_time(n: float, work: float) -> float:
     """t_F = (pi/2)(sqrt(2^n) + 1) hbar / W."""
     checked("work", work)
     checked("n", n, -math.inf)
-    t_final = 0.5 * math.pi * (exp2(0.5 * n) + 1.0) * HBAR / work
+    t_final = exp2(log2_add(0.5 * n, 0.0) + math.log2(0.5 * math.pi * HBAR) - math.log2(work))
     return in_double_range(t_final, "solved time", n)
 
 
@@ -398,9 +384,8 @@ def ballistic_success(n: float, work: float, time: float) -> float:
     checked("time", time, 0.0, t_final * (1.0 + 1e-12), "[]")  # the form holds up to t_F
     checked("n", n, ends="[)")
     p0 = exp2(-float(n))
-    angle = work * time / ((exp2(0.5 * n) + 1.0) * HBAR)
-    if math.isnan(angle):  # W t and sqrt(2^n) both overflow: take the ratio in log2
-        angle = exp2(math.log2(work) + math.log2(time) - 0.5 * n - math.log2(HBAR))
+    log2_time = math.log2(time) if time > 0.0 else -math.inf
+    angle = exp2(math.log2(work) + log2_time - log2_add(0.5 * n, 0.0) - math.log2(HBAR))
     return p0 + (1.0 - p0) * math.sin(angle) ** 2
 
 

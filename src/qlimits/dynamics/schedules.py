@@ -17,9 +17,6 @@ from .core import (
     ControlSchedule,
     EffectiveState,
     SearchSpace,
-    _pairwise_product,
-    _pauli_components,
-    _su2,
     propagate,
 )
 
@@ -95,32 +92,35 @@ def first_peak_iterations(
     then.  Used to characterize non-reflection pulse phases, where no
     closed-form iteration count exists.
 
-    Up to a phase a pulse pair is one SU(2) rotation V by an angle theta,
-    so <s|V^j|i> = g cos(j theta) + w sin(j theta) and P_s after j pairs is
-    A + R cos(2 j theta - psi).  P_s(j + 1) < P_s(j) exactly when
-    sin((2j + 1) theta - psi) > 0, which gives the first peak in O(1),
-    whatever the number of pairs.
+    Each pulse is I + (e^(-i phase) - 1) P for its projector, |s><s| then
+    |i><i|, so up to a phase a pair is [[a, -b*], [b, a*]] with
+    a = 1 - (1 - e^(-i phase)) g^2, b = (1 - e^(i phase)) g sqrt(1 - g^2):
+    a rotation V by theta <= pi/2 (Re a >= 1 - 2 g^2 >= 0).  So <s|V^j|i>
+    = g cos(j theta) + w sin(j theta), P_s after j pairs is A + R cos(2 j
+    theta - psi), and P_s(j + 1) < P_s(j) exactly when sin((2j + 1) theta
+    - psi) > 0: the first peak in O(1), whatever the number of pairs.
     """
+    checked("pulse energy", pulse_energy)
+    checked("pulse phase", pulse_phase, 0.0, 2.0 * math.pi, "(]")
     if max_pairs is None:
         max_pairs = int(math.ceil(4.0 * math.pi * 2.0 ** (space.n / 2.0))) + 2
     checked_int("max_pairs", max_pairs, 0)
-    pair = grover_pulsed_schedule(space, pulse_energy, pulse_phase, 1)
-    _, x, z = _pauli_components(space, pair.omega_i, pair.omega_s)
-    a, b = (complex(v[0]) for v in _pairwise_product(*_su2(x[None], z[None],
-                                                           pair.durations[None])))
-    if a.real < 0.0:  # -V gives the same P_s and turns by at most pi/2
-        a, b = -a, -b
-    g = space.overlap
+    g, gg = space.overlap, 2.0 ** -space.n
+    root = math.sqrt(1.0 - gg)
+    # 1 - e^(-i phase), with 1 - cos(phase) = 2 sin^2(phase/2) exact near phase 0
+    kick = complex(2.0 * math.sin(0.5 * pulse_phase) ** 2, math.sin(pulse_phase))
+    a, b = 1.0 - kick * gg, kick.conjugate() * g * root
     sin_theta = math.hypot(a.imag, abs(b))
     theta = math.atan2(sin_theta, a.real)  # exact where theta is near 2^(-n/2), unlike acos
-    w = (1j * g * a.imag + math.sqrt(1.0 - g * g) * b) / sin_theta if sin_theta else 0j
-    r_cos, r_sin = 0.5 * (g * g - abs(w) ** 2), g * w.real  # R cos(psi), R sin(psi)
+    w = (1j * g * a.imag + root * b) / sin_theta if sin_theta else 0j
+    r_cos, r_sin = 0.5 * (gg - abs(w) ** 2), g * w.real  # R cos(psi), R sin(psi)
     if theta > 0.0 and (r_cos or r_sin):
         # (2j + 1) theta - psi = 2 j theta - lag (mod 2 pi): its sine is > 0 at
         # j = 0 if lag > pi, else first where 2 j theta passes lag, since steps
         # of 2 theta <= pi cannot jump the half period where it is
         lag = (math.atan2(r_sin, r_cos) - theta) % (2.0 * math.pi)
-        pairs = min(0 if lag > math.pi else math.floor(lag / (2.0 * theta)) + 1, max_pairs)
+        steps = min(lag / (2.0 * theta), max_pairs)  # the quotient may overflow
+        pairs = min(0 if lag > math.pi else math.floor(steps) + 1, max_pairs)
     else:  # P_s never moves
         pairs = max_pairs
     s = g * math.cos(pairs * theta) + w * math.sin(pairs * theta)

@@ -12,7 +12,7 @@ pin a key length through the quantum work-time bound W t >= sqrt(2^n P_s
   floor(2 log2(2 W t / (pi hbar) - 1)).
 
 Classical lengths invert the irreversible-search bound with Brent's method
-(``_num.find_root``, five or six evaluations a solve).
+(``_num.find_root``, five to seven evaluations a solve, both ends included).
 
 Initialization/readout work (2n E_L) is excluded from the quantum
 inversions: for every scenario here it sits >= 20 orders of magnitude

@@ -1,11 +1,13 @@
 import math
+import random
+import sys
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlimits._num import exp2, log2_radical
 from qlimits.bht import bht_work_closed_form, optimal_quantum_time
 from qlimits.bounds import (
     BoundQuery,
@@ -608,12 +610,16 @@ class TestSolvedPastDoubleRange:
         assert not offset
         assert work == pytest.approx(float(_decimal_root_hbar(n, 1.0) / Decimal(t)), rel=1e-12)
 
-    def test_quantum_work_in_range_unchanged(self):
+    def test_quantum_work_in_range_matches_50_digits(self):
         for n in (11.5, 64.0, 300.0, 2040.0, 2046.0):
             for t in (1e-30, 1.0, 1e30):
                 for p in (1.0, 1e-3):
-                    root = exp2(log2_radical(n + math.log2(p)))
-                    assert quantum_work_requirement(n, t, p) == (root * HBAR / t, False)
+                    work, offset = quantum_work_requirement(n, t, p)
+                    with localcontext() as ctx:
+                        ctx.prec = 50
+                        want = _decimal_root_hbar(n, p) / Decimal(t)
+                    assert not offset
+                    assert work == pytest.approx(float(want), rel=1e-12, abs=0.0), (n, t, p)
 
     @pytest.mark.parametrize("fields", [
         dict(unknown="time", n=5000, work=1.0, success_probability=1.0),
@@ -657,15 +663,19 @@ class TestSolvedPastDoubleRange:
         required = _decimal_classical_requirement(1200.0, result.value, 0.0, 1.0)
         assert float(required) == pytest.approx(1e300, rel=1e-12)
 
-    def test_in_range_times_unchanged(self):
-        # W t = root * hbar, as solved from the requirement at t = 1 s
+    def test_in_range_times_match_50_digits(self):
+        # W t = root * hbar, and P t^2 = root * hbar in the power form
         for n in (8, 64, 1000, 2000):
-            root_hbar, _ = quantum_work_requirement(n, 1.0, 1.0)
             for work in (1e-30, 1.0, 1e30):
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    want = _decimal_root_hbar(n, 1.0) / Decimal(work)
+                    want_power = want.sqrt()
                 query = BoundQuery(unknown="time", n=n, work=work, success_probability=1.0)
-                assert quantum_bound(query).value == root_hbar / work
+                assert quantum_bound(query).value == pytest.approx(float(want), rel=1e-12, abs=0.0)
                 query = BoundQuery(unknown="time", n=n, power=work, success_probability=1.0)
-                assert quantum_bound(query).value == math.sqrt(root_hbar / work)
+                assert quantum_bound(query).value == pytest.approx(float(want_power), rel=1e-12,
+                                                                   abs=0.0)
 
     @given(
         kind=st.sampled_from(["classical", "quantum"]),
@@ -687,3 +697,153 @@ class TestSolvedPastDoubleRange:
         except InfeasibleError:
             return
         assert math.isfinite(value) and value >= 0.0
+
+
+# (n, t, W, P_s, T, u) over the ranges the bounds are evaluated and inverted
+# at, drawn with a fixed seed; u in [0, 1) places a ballistic time below t_F
+CONTRACT_CASES = [
+    (2.0 ** rng.uniform(0.0, 12.0), 10.0 ** rng.uniform(-300.0, 308.0),
+     10.0 ** rng.uniform(-300.0, 308.0), 10.0 ** rng.uniform(-300.0, 0.0),
+     rng.choice((0.0, 2.7, 300.0)), rng.random())
+    for rng in [random.Random(18)] for _ in range(2000)
+]
+
+
+def _mp_terms(n, p, temp):
+    """(2^n P_s, E_L) at mpmath's working precision."""
+    return mpmath.mpf(2) ** n * p, mpmath.mpf(K_B) * temp * mpmath.log(2)
+
+
+def _mp_action(n, p):
+    """sqrt(2^n P_s - 1) hbar, None where the quantum bound is vacuous."""
+    guesses, _ = _mp_terms(n, p, 0.0)
+    return mpmath.sqrt(guesses - 1) * HBAR if guesses > 1 else None
+
+
+def _mp_final_time(n, work):
+    """t_F = (pi/2)(sqrt(2^n) + 1) hbar / W."""
+    return mpmath.pi / 2 * (mpmath.mpf(2) ** (mpmath.mpf(n) / 2) + 1) * HBAR / work
+
+
+def _mp_classical_psuccess(n, t, work, temp):
+    _, e_l = _mp_terms(n, 1.0, temp)
+    return (work - 2 * n * e_l) / (mpmath.mpf(2) ** n * (e_l + mpmath.mpf(H) / (4 * t)))
+
+
+def _mp_classical_time(n, work, p, temp):
+    guesses, e_l = _mp_terms(n, p, temp)
+    excess = work - (guesses + 2 * n) * e_l
+    return guesses * mpmath.mpf(H) / 4 / excess if excess > 0 else None
+
+
+def _mp_gate(n, t, p, temp):
+    guesses, e_l = _mp_terms(n, p, temp)
+    dynamic = HBAR * (mpmath.sqrt(guesses) - 1) * (mpmath.pi - mpmath.mpf(2) ** (1 - n / 2)) / t
+    return 2 * n * e_l + max(dynamic, 0)
+
+
+def _assert_value(call, want, context):
+    """call() against a 50-digit value: within 1e-12 relative where ``want``
+    is a normal double, InfeasibleError past double range (or where ``want``
+    is None), within the least normal double below it."""
+    if want is None or want > sys.float_info.max:
+        with pytest.raises(InfeasibleError):
+            call()
+        return
+    tolerance = 1e-12 * want if want >= sys.float_info.min else sys.float_info.min
+    got = call()
+    assert abs(got - want) <= tolerance, (context, got, float(want))
+
+
+class TestAccuracyContract:
+    """Every closed form in ``bounds`` is one log2 expression, finite wherever
+    its true value is a finite double; each is held to 50-digit mpmath."""
+
+    @pytest.fixture(autouse=True)
+    def fifty_digits(self):
+        with mpmath.workdps(50):
+            yield
+
+    def test_classical_psuccess(self):
+        for n, t, work, _, temp, _ in CONTRACT_CASES:
+            query = BoundQuery("psuccess", n=n, work=work, time=t, temperature=temp)
+            want = _mp_classical_psuccess(n, t, work, temp)
+            if want > 1 + 2e-9:  # the budget buys more than certainty
+                with pytest.raises(DomainError):
+                    classical_bound(query)
+            elif not 1 < want:  # above 1 by less than 2e-9 snaps to 1
+                _assert_value(lambda: classical_bound(query).value,
+                              want if want > 0 else None, query)
+
+    def test_classical_time(self):
+        for n, _, work, p, temp, _ in CONTRACT_CASES:
+            query = BoundQuery("time", n=n, work=work, temperature=temp, success_probability=p)
+            _assert_value(lambda: classical_bound(query).value,
+                          _mp_classical_time(n, work, p, temp), query)
+
+    def test_quantum_work(self):
+        for n, t, _, p, _, _ in CONTRACT_CASES:
+            query = BoundQuery("work", n=n, time=t, success_probability=p)
+            action = _mp_action(n, p)
+            if action is None:
+                assert quantum_work_requirement(n, t, p) == (0.0, True)
+            else:
+                _assert_value(lambda: quantum_bound(query).value, action / t, query)
+
+    @pytest.mark.parametrize("budget", ["work", "power"])
+    def test_quantum_time(self, budget):
+        for n, _, work, p, _, _ in CONTRACT_CASES:
+            query = BoundQuery("time", n=n, success_probability=p, **{budget: work})
+            action = _mp_action(n, p)
+            if action is None:
+                result = quantum_bound(query)
+                assert result.value == 0.0 and result.offset_regime
+            else:
+                want = action / work if budget == "work" else mpmath.sqrt(action / work)
+                _assert_value(lambda: quantum_bound(query).value, want, query)
+
+    def test_gate_work(self):
+        for n, t, _, p, temp, _ in CONTRACT_CASES:
+            _assert_value(lambda: gate_bound(n, p, t, temperature=temp),
+                          _mp_gate(n, t, p, temp), (n, p, t, temp))
+
+    def test_ballistic_final_time(self):
+        for n, _, work, _, _, _ in CONTRACT_CASES:
+            _assert_value(lambda: ballistic_deterministic_time(n, work),
+                          _mp_final_time(n, work), (n, work))
+
+    def test_ballistic_success_within_1e_12_absolute(self):
+        for n, t, work, _, _, u in CONTRACT_CASES:
+            t_final = _mp_final_time(n, work)
+            if t_final <= sys.float_info.max:  # else any finite t lies below t_F
+                t = float(u * t_final)
+            p0 = mpmath.mpf(2) ** -n
+            angle = work * mpmath.mpf(t) / ((mpmath.mpf(2) ** (n / 2) + 1) * HBAR)
+            want = p0 + (1 - p0) * mpmath.sin(angle) ** 2
+            assert abs(ballistic_success(n, work, t) - want) <= 1e-12, (n, work, t)
+
+    # Each of these once gave 0.0 or a false InfeasibleError.
+    @pytest.mark.parametrize("call, reference, value", [
+        (lambda: classical_bound(BoundQuery("time", n=10, work=1e-300, temperature=0.0,
+                                            success_probability=1e-300)).value,
+         lambda: _mp_classical_time(10, 1e-300, 1e-300, 0.0), 1.696e-31),
+        (lambda: quantum_bound(BoundQuery("time", n=20, power=1e300,
+                                          success_probability=1.0)).value,
+         lambda: mpmath.sqrt(_mp_action(20, 1.0) / 1e300), 3.286e-166),
+        (lambda: gate_bound(2100, 1.0, 1e300),
+         lambda: _mp_gate(2100, 1e300, 1.0, 0.0), 3.997e-18),
+        (lambda: ballistic_deterministic_time(2100, 1e300),
+         lambda: _mp_final_time(2100, 1e300), 1.998e-18),
+        (lambda: ballistic_success(2100, 1e300, 1e-18),
+         lambda: mpmath.sin(mpmath.mpf(1e300) * mpmath.mpf(1e-18)
+                            / ((mpmath.mpf(2) ** 1050 + 1) * HBAR)) ** 2, 0.50061),
+    ], ids=["classical-time", "quantum-power-time", "gate-work", "ballistic-final-time",
+            "ballistic-success"])
+    def test_values_once_lost(self, call, reference, value):
+        got = call()
+        assert got == pytest.approx(float(reference()), rel=1e-12, abs=0.0)
+        assert got == pytest.approx(value, rel=1e-3, abs=0.0)
+
+    def test_ballistic_success_at_zero_time_is_two_to_minus_n(self):
+        for n in (0.0, 1.0, 10.0, 1074.0, 2100.0):
+            assert ballistic_success(n, 1.0, 0.0) == 2.0 ** -n

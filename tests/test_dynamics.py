@@ -614,6 +614,21 @@ class TestFirstPeakClosedForm:
         assert abs(pairs - standard_grover_iterations(space)) <= 1
         assert p_s >= 1.0 - 2.0 ** (2 - n)
 
+    @pytest.mark.parametrize("n", [136, 512, 1024])
+    @pytest.mark.parametrize("phase", [math.pi / 2.0, 1.0, 2.5])
+    def test_ideal_pulses_past_n_of_100(self, n, phase):
+        # the amplitude on |s> turns by about 2^(1 - n/2) sin(phase/2) a pair
+        pairs, p_s = first_peak_iterations(SearchSpace(n), HBAR, phase)
+        assert p_s >= 1.0 - 1e-12
+        quarter_turn = math.pi * 2.0 ** (n / 2.0) / (4.0 * math.sin(phase / 2.0))
+        assert abs(pairs - quarter_turn) <= 1e-9 * quarter_turn
+
+    @pytest.mark.parametrize("n", [64, 136, 1024])
+    def test_small_phase_peaks_below_one(self, n):
+        # at phase 0.1 the pair's rotation axis misses |s>: the peak is physics
+        _, p_s = first_peak_iterations(SearchSpace(n), HBAR, 0.1)
+        assert abs(p_s - 0.904200550) <= 1e-9
+
     @pytest.mark.parametrize("n", [64, 256, 1024])
     @pytest.mark.parametrize("phase", [math.pi, math.pi / 2.0])
     def test_cost_does_not_grow_with_the_pair_count(self, n, phase):

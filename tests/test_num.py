@@ -61,6 +61,11 @@ class TestRadical:
         assert log2_radical(4000.0) == 2000.0
 
 
+def solve(f, lo=N_BRACKET[0], hi=N_BRACKET[1]):
+    """find_root on [lo, hi], with the end values taken through f itself."""
+    return find_root(f, lo, hi, f(lo), f(hi))
+
+
 def counted(f):
     """f that keeps its (x, f(x)) calls in ``.seen``."""
     def g(x):
@@ -108,20 +113,20 @@ class TestFindRoot:
             "atan": lambda x: math.atan(scale * (x - root)),
             "log": lambda x: math.log(x / root),
         }
-        found = find_root(forms[shape], lo, hi)
+        found = solve(forms[shape], lo, hi)
         assert abs(found - root) <= 1e-12 * root
 
     def test_root_at_lower_end(self):
-        assert find_root(lambda x: x - 2.0, 2.0, 5.0) == pytest.approx(2.0, rel=1e-12)
+        assert solve(lambda x: x - 2.0, 2.0, 5.0) == pytest.approx(2.0, rel=1e-12)
         f = counted(lambda x: x - 1.0)  # f(lo) == 0 on the solvers' bracket
-        assert find_root(f, *N_BRACKET) == 1.0
+        assert solve(f) == 1.0
         assert len(f.seen) <= 150
 
     @pytest.mark.parametrize("shape", sorted(HARD_SHAPES))
     @pytest.mark.parametrize("root", [1.0001, 3.3, 77.7, 1234.5678901, 4095.9])
     def test_hard_shapes_converge_within_150_evaluations(self, shape, root):
         f = counted(HARD_SHAPES[shape](root))
-        found = find_root(f, *N_BRACKET)
+        found = solve(f)
         assert len(f.seen) <= 150
         assert abs(found - root) <= 1e-12 * abs(found)
         assert_final_bracket(f, found)
@@ -132,7 +137,7 @@ class TestFindRoot:
         rng = random.Random(5)
         for _ in range(4000):
             f = counted(HARD_SHAPES["step"](10.0 ** rng.uniform(0.0, 3.6)))
-            assert_final_bracket(f, find_root(f, *N_BRACKET))
+            assert_final_bracket(f, solve(f))
 
 
 class TestGoldenMin:
@@ -286,7 +291,7 @@ class TestCallersMatchOldLoops:
             old = ceil_tol(old_bisect(excess, *N_BRACKET))
             query = BoundQuery("n", work=work, time=t, temperature=temp, success_probability=p)
             n = classical_bound(query).value
-            assert n == find_root(excess, *N_BRACKET)
+            assert n == solve(excess)
             assert ceil_tol(n) == old
             assert classical_keylength(work, t, temp, p) == old
 
@@ -297,7 +302,7 @@ class TestRootFinderOnSolvers:
         worst = 0.0
         with mpmath.workdps(50):
             for excess, mp_excess in SOLVES:
-                found = find_root(excess, *N_BRACKET)
+                found = solve(excess)
                 exact = mpmath.findroot(mp_excess, N_BRACKET, solver="anderson")
                 worst = max(worst, float(abs(found - exact) / exact))
         assert worst <= 1e-12
@@ -306,7 +311,7 @@ class TestRootFinderOnSolvers:
         calls = []
         for excess, _ in SOLVES:
             f = counted(excess)
-            assert_final_bracket(f, find_root(f, *N_BRACKET))
+            assert_final_bracket(f, solve(f))
             calls.append(len(f.seen))
         assert statistics.median(calls) <= 7
         assert max(calls) <= 10
