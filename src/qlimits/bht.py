@@ -34,8 +34,9 @@ import numpy as np
 
 from ._num import LN2, N_BRACKET, ceil_tol, exp2, find_root, golden_min, log2_add, log2_radical
 from .constants import CONSTANTS_VERSION, H, HBAR
-from .errors import DomainError, InfeasibleError, checked, checked_int, in_double_range
+from .errors import CapacityError, DomainError, InfeasibleError, checked, checked_int, in_double_range
 from .bounds import landauer_energy
+from .dynamics.core import MAX_TRACE_SAMPLES
 
 BHT_TAG = "bht-collision-v1"
 
@@ -271,6 +272,8 @@ def bht_sweep_minimum(
     """
     checked("sweep oracle n", n, -math.inf, 48.0, "(]")
     checked_int("sweep points", points, 2)
+    if points > MAX_TRACE_SAMPLES:
+        raise CapacityError(f"a sweep is limited to {MAX_TRACE_SAMPLES} points", points)
     # the grid starts at k = 1: bht_work there checks every argument
     bht_work(n, 1.0, t_total, temperature, p_success)
     e_l = landauer_energy(temperature)

@@ -33,6 +33,7 @@ from .core import (
     evolve,
     final_state,
 )
+from .schedules import _check_segment_count
 
 # Half width at half maximum of a boxcar moving average, in units of 1/window.
 HWHM_FACTOR = 3.79
@@ -193,6 +194,8 @@ def measure_modulated_suppression(
     checked("omega", omega)
     checked_int("cycles", cycles, 1)
     checked_int("segments per period", segments_per_cycle, 64)
+    count = cycles * segments_per_cycle
+    _check_segment_count(count)
     if omega_c is None:
         omega_c = 5.0 * omega
     delta0 = r * checked("omega_c", omega_c)
@@ -201,9 +204,8 @@ def measure_modulated_suppression(
     state = equator_state(space, omega)
     period = 2.0 * math.pi / omega_c
     tau = period / segments_per_cycle
-    count = cycles * segments_per_cycle
     t_mid = (np.arange(count) + 0.5) * tau
-    delta = delta0 * np.array([math.sin(omega_c * t) for t in t_mid.tolist()])
+    delta = delta0 * np.fromiter(map(math.sin, (omega_c * t_mid).tolist()), float, count)
     schedule = ControlSchedule(np.column_stack((np.full(count, tau), omega + delta,
                                                 omega - delta)))
     trace = evolve(state, schedule, tau / 4.0)

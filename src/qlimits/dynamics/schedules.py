@@ -114,7 +114,8 @@ def first_peak_iterations(
     theta = math.atan2(sin_theta, a.real)  # exact where theta is near 2^(-n/2), unlike acos
     w = (1j * g * a.imag + root * b) / sin_theta if sin_theta else 0j
     r_cos, r_sin = 0.5 * (gg - abs(w) ** 2), g * w.real  # R cos(psi), R sin(psi)
-    if theta > 0.0 and (r_cos or r_sin):
+    # Re a = 0 (n = 1, phase pi): P_s steps by 2 r_cos a pair, truly below rounding
+    if theta > 0.0 and a.real and (r_cos or r_sin):
         # (2j + 1) theta - psi = 2 j theta - lag (mod 2 pi): its sine is > 0 at
         # j = 0 if lag > pi, else first where 2 j theta passes lag, since steps
         # of 2 theta <= pi cannot jump the half period where it is
@@ -151,17 +152,6 @@ def adiabatic_total_time(space: SearchSpace, energy_scale: float, error_budget: 
     return in_double_range(total, "sweep time", (energy_scale, error_budget))
 
 
-def _local_sweep_position(space: SearchSpace, energy_scale: float, error_budget: float, t: float) -> float:
-    """Invert the locally paced c(t); tangent-shaped in time."""
-    g = space.overlap
-    root = math.sqrt(1.0 - g * g)
-    theta0 = math.atan(root / g)
-    rate = 2.0 * g * root * error_budget * energy_scale / HBAR
-    theta = rate * t - theta0
-    theta = min(max(theta, -theta0), theta0)
-    return 0.5 * (1.0 + (g / root) * math.tan(theta))
-
-
 def adiabatic_schedule(
     space: SearchSpace,
     energy_scale: float,
@@ -190,9 +180,14 @@ def adiabatic_schedule(
     total = adiabatic_total_time(space, energy_scale, error_budget)
     h = total / segments
     t_mid = (np.arange(segments) + 0.5) * h
-    if kind == "local":
-        c = np.array([_local_sweep_position(space, energy_scale, error_budget, t)
-                      for t in t_mid.tolist()])
+    if kind == "local":  # c(t) inverts the pacing; libm's tan, as numpy's SIMD tan varies by host
+        g = space.overlap
+        root = math.sqrt(1.0 - g * g)
+        theta0 = math.atan(root / g)
+        rate = 2.0 * g * root * error_budget * energy_scale / HBAR
+        with np.errstate(invalid="ignore"):  # inf rate * 0 = NaN: ControlSchedule refuses it
+            theta = np.clip(rate * t_mid - theta0, -theta0, theta0)
+        c = 0.5 * (1.0 + (g / root) * np.fromiter(map(math.tan, theta.tolist()), float, segments))
     else:
         c = t_mid / total
     with np.errstate(over="ignore"):  # ControlSchedule refuses an overflowed E/hbar
@@ -228,6 +223,8 @@ def runtime_to_infidelity(
     checked("target infidelity", target_infidelity, 0.0, 1.0, "(]")
     checked("scale range end", scale_range[1], checked("scale range start", scale_range[0]))
     checked_int("grid points", grid_points, 1)
+    if grid_points > MAX_TRACE_SAMPLES:
+        raise CapacityError(f"a scan is limited to {MAX_TRACE_SAMPLES} grid points", grid_points)
     base = adiabatic_schedule(space, energy_scale, error_budget, kind="local")
     factors = np.exp(
         np.linspace(math.log(scale_range[0]), math.log(scale_range[1]), grid_points)
@@ -248,9 +245,7 @@ def runtime_to_infidelity(
         return float(factors[0]) * t_total
     # log-linear interpolation between the bracketing grid points
     f_lo, f_hi = factors[k - 1], factors[k]
-    e_lo, e_hi = envelope[k - 1], envelope[k]
-    if e_lo <= target_infidelity or e_lo == e_hi:
-        return float(f_hi) * t_total
+    e_lo, e_hi = envelope[k - 1], envelope[k]  # e_lo > target >= e_hi: k is the first below
     w = (math.log(e_lo) - math.log(target_infidelity)) / (
         math.log(e_lo) - math.log(max(e_hi, 1e-300))
     )

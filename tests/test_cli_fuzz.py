@@ -94,6 +94,8 @@ def _check_csv(text: str) -> None:
 # epsilon * E underflows; E / hbar overflows
 @example("simulate --protocol adiabatic --n 6 --work-radps 48.5 --error-budget 5e-324".split())
 @example("simulate --protocol adiabatic --n 4 --work 1e300 --error-budget 1e-300".split())
+# the pacing rate overflows while the segment duration underflows: inf * 0
+@example("simulate --protocol=adiabatic --n=1 --work=1e+300".split())
 @example("bound ballistic --n 1.7976931348623157e308 --time 1e308s --work 1e300".split())
 # an infinite temperature or matter density echoed into the result
 @example("keylength --work 1e16 --time 5a --psuccess 0.01 --temp inf --mode classical".split())

@@ -642,6 +642,13 @@ class TestFirstPeakClosedForm:
             elapsed.append(time.perf_counter() - start)
         assert min(elapsed) < 0.01
 
+    @pytest.mark.parametrize("phase", [math.pi, math.pi + 1e-8, math.pi - 2e-8])
+    def test_n_1_near_phase_pi_never_moves(self, phase):
+        # theta = pi/2 and P_s = 1/2 after every pair: no rounding-noise peak
+        pairs, p_s = first_peak_iterations(SearchSpace(1), HBAR, phase)
+        assert pairs == 20  # the default max_pairs, ceil(4 pi sqrt(2)) + 2
+        assert abs(p_s - 0.5) <= 1e-14
+
     @pytest.mark.parametrize("max_pairs", [0, 1, 5, 11])
     def test_max_pairs_caps_the_count(self, max_pairs):
         # phase pi at n = 8 peaks after 12 pairs

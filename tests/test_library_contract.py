@@ -69,7 +69,7 @@ from qlimits.dynamics import (
     runtime_to_infidelity,
 )
 from qlimits.constants import HBAR
-from qlimits.errors import DomainError, QlimitsError
+from qlimits.errors import CapacityError, DomainError, QlimitsError
 from qlimits.keylength import (
     CosmologyParams,
     KeylengthReport,
@@ -376,4 +376,15 @@ def test_sweep_refuses_fewer_than_two_or_fractional_points(points):
 def test_fractional_counts_are_refused(call):
     # each once ended in a raw TypeError
     with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: runtime_to_infidelity(SearchSpace(6), 1.0, 0.1, 0.01, grid_points=2**62),
+    lambda: measure_modulated_suppression(SearchSpace(8), 0.1, cycles=2**62),
+    lambda: bht_sweep_minimum(20, 1.0, 300.0, 1.0, points=2**62),
+], ids=["grid_points", "cycles", "sweep points"])
+def test_counts_are_refused_before_allocating(call):
+    # each once ended in numpy's raw ValueError ("array is too big") or MemoryError
+    with pytest.raises(CapacityError, match="is limited to"):
         call()
