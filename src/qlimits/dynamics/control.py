@@ -117,6 +117,8 @@ def control_bandwidth(
     A single-segment (time-independent) schedule has zero requirement.
     """
     checked("window", window, 0.0, checked("total time", total_time), "(]")
+    if schedule is not None and schedule.durations.size == 1:
+        return 0.0
     demand = in_double_range(HWHM_FACTOR / window, "bandwidth", window)
     return max(demand - HWHM_FACTOR / total_time, 0.0)
 

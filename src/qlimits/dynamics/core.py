@@ -46,7 +46,7 @@ NORM_TOLERANCE = 1e-9
 
 # Most (scale factor, segment) propagators :func:`propagate` holds at once;
 # its temporaries stay this size whatever the schedule length.
-BLOCK_ELEMENTS = 4096
+BLOCK_ELEMENTS = 8192
 
 # Most samples one trace may hold; at about 233 bytes per CSV row this is
 # some 3.9 GB of output.
@@ -373,8 +373,16 @@ def _su2(x, z, dt):
     rabi = np.hypot(x, z)
     angle = rabi * dt
     # where rabi == 0, x = z = 0 and sin(rabi dt)/rabi drops out
-    sin_over = np.sin(angle) / np.where(rabi > 0.0, rabi, 1.0)
-    return np.cos(angle) - 1j * (z * sin_over), -1j * (x * sin_over)
+    sin_over = np.sin(angle)
+    sin_over /= np.where(rabi > 0.0, rabi, 1.0)
+    # the parts are written in place with the bits, signed zeros included, of
+    # cos - 1j (z sin_over) and -1j (x sin_over)
+    alpha = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=alpha.real)
+    np.subtract(0.0, z * sin_over, out=alpha.imag)
+    beta = np.zeros(angle.shape, dtype=complex)
+    np.negative(x * sin_over, out=beta.imag)
+    return alpha, beta
 
 
 # A frequency or time that overflows ends in a non-finite norm, which the
@@ -425,8 +433,16 @@ def _pairwise_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     while a.shape[1] > 1:
         m = a.shape[1] // 2 * 2
         a1, b1, a2, b2 = a[:, 0:m:2], b[:, 0:m:2], a[:, 1:m:2], b[:, 1:m:2]
-        pa = a2 * a1 - b2.conj() * b1
-        pb = b2 * a1 + a2.conj() * b1
+        # a2 a1 - conj(b2) b1 and b2 a1 + conj(a2) b1 through two scratches;
+        # no product is written over its own operand, which at one element
+        # takes numpy's unfused scalar loop and moves the last bit
+        conj = np.conj(b2)
+        tmp = np.multiply(conj, b1)
+        pa = a2 * a1
+        pa -= tmp
+        np.multiply(np.conj(a2, out=conj), b1, out=tmp)
+        pb = b2 * a1
+        pb += tmp
         if m < a.shape[1]:
             pa = np.concatenate((pa, a[:, m:]), axis=1)
             pb = np.concatenate((pb, b[:, m:]), axis=1)
@@ -448,11 +464,19 @@ def propagate(
     exp(-i mean dt) [[alpha, -beta*], [beta, alpha*]].  The SU(2) parts are
     taken in blocks of at most BLOCK_ELEMENTS // len(factors) segments,
     reduced pairwise and applied to the whole batch; the phases add up to
-    exp(-i factor * sum(mean * duration)), applied once at the end.  A norm
-    drift beyond 1e-9 in any row raises :class:`ConsistencyError`.
+    exp(-i factor * sum(mean * duration)), applied once at the end.  Columns
+    that are not 1-D and of one length, or factors that are not a non-empty
+    1-D array of finite positive values, raise :class:`DomainError` before
+    any propagation; a norm drift beyond 1e-9 in any row raises
+    :class:`ConsistencyError`.
     """
+    shapes = [np.shape(column) for column in arrays]
+    if len(shapes) != 3 or len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
+        raise DomainError("schedule arrays must be three 1-D columns of one length", shapes)
     durations, omega_i, omega_s = arrays
     factors = np.asarray(factors, dtype=float)
+    if factors.ndim != 1:
+        raise DomainError("scale factors must be a 1-D array", factors.shape)
     checked("number of scale factors", factors.size, 1.0, math.inf, "[)")
     checked("scale factor", float(factors.min()))  # NaN is the least too
     checked("scale factor", float(factors.max()))

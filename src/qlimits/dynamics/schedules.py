@@ -221,14 +221,16 @@ def runtime_to_infidelity(
     batched :func:`~qlimits.dynamics.core.propagate` call.
     """
     checked("target infidelity", target_infidelity, 0.0, 1.0, "(]")
-    checked("scale range end", scale_range[1], checked("scale range start", scale_range[0]))
+    try:
+        start, end = scale_range
+    except (TypeError, ValueError):
+        raise DomainError("scale range must be a (start, end) pair", scale_range) from None
+    checked("scale range end", end, checked("scale range start", start))
     checked_int("grid points", grid_points, 1)
     if grid_points > MAX_TRACE_SAMPLES:
         raise CapacityError(f"a scan is limited to {MAX_TRACE_SAMPLES} grid points", grid_points)
     base = adiabatic_schedule(space, energy_scale, error_budget, kind="local")
-    factors = np.exp(
-        np.linspace(math.log(scale_range[0]), math.log(scale_range[1]), grid_points)
-    )
+    factors = np.exp(np.linspace(math.log(start), math.log(end), grid_points))
     c1, c2 = propagate(EffectiveState.initial(space), base.arrays(), factors)
     g = space.overlap
     infidelity = 1.0 - np.abs(g * c1 + math.sqrt(1.0 - g * g) * c2) ** 2

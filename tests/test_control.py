@@ -168,6 +168,12 @@ class TestControlBandwidth:
         total = schedule.total_duration
         assert control_bandwidth(schedule, total, total) == 0.0
 
+    def test_one_segment_schedule_is_free_in_any_window(self):
+        # max(3.79/1 - 3.79/10, 0) = 3.411 without the schedule
+        schedule = ControlSchedule(((10.0, 1.0, 1.0),))
+        assert control_bandwidth(schedule, 10.0, 1.0) == 0.0
+        assert control_bandwidth(None, 10.0, 1.0) == pytest.approx(3.411, rel=1e-12)
+
     def test_rejects_oversized_window(self):
         with pytest.raises(DomainError):
             control_bandwidth(None, 1.0, 2.0)

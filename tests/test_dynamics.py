@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from qlimits.constants import HBAR
 from qlimits.dynamics import (
@@ -28,7 +29,8 @@ from qlimits.dynamics import (
     schedule_infidelity,
     standard_grover_iterations,
 )
-from qlimits.dynamics.core import BLOCK_ELEMENTS, MAX_TRACE_SAMPLES, _pauli_components
+from qlimits.dynamics.core import (BLOCK_ELEMENTS, MAX_TRACE_SAMPLES, _pairwise_product,
+                                   _pauli_components, _su2)
 from qlimits.errors import CapacityError, ConsistencyError, DomainError, InfeasibleError
 
 
@@ -493,6 +495,151 @@ class TestPropagateKernel:
         schedule = ControlSchedule((Segment(1.0, 1.0, 0.5),))
         with pytest.raises(DomainError, match="number of scale factors"):
             propagate(EffectiveState.initial(SearchSpace(4)), schedule.arrays(), np.array([]))
+
+
+def su2_by_expression(x, z, dt):
+    """The segment kernel's specification: (alpha, beta) as the complex
+    expressions cos - 1j (z sin/rabi) and -1j (x sin/rabi)."""
+    rabi = np.hypot(x, z)
+    angle = rabi * dt
+    sin_over = np.sin(angle) / np.where(rabi > 0.0, rabi, 1.0)
+    return np.cos(angle) - 1j * (z * sin_over), -1j * (x * sin_over)
+
+
+def pairwise_product_by_expression(a, b):
+    """The pairwise reduction's specification, one expression per product."""
+    while a.shape[1] > 1:
+        m = a.shape[1] // 2 * 2
+        a1, b1, a2, b2 = a[:, 0:m:2], b[:, 0:m:2], a[:, 1:m:2], b[:, 1:m:2]
+        pa = a2 * a1 - b2.conj() * b1
+        pb = b2 * a1 + a2.conj() * b1
+        if m < a.shape[1]:
+            pa = np.concatenate((pa, a[:, m:]), axis=1)
+            pb = np.concatenate((pb, b[:, m:]), axis=1)
+        a, b = pa, pb
+    return a[:, 0], b[:, 0]
+
+
+def same_bits(got, want):
+    """Equal shapes and bit patterns: signed zeros count, NaNs match themselves."""
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def random_pauli_columns(rng, count):
+    """(x, z) with a fifth of the segments at rabi = 0 (+0 or -0 in z) and
+    z of either sign elsewhere."""
+    x = rng.uniform(0.0, 3.0, count)
+    z = rng.uniform(-3.0, 3.0, count)
+    zero = rng.random(count) < 0.2
+    x[zero] = 0.0
+    z[zero] = np.where(rng.random(count) < 0.5, 0.0, -0.0)[zero]
+    return x, z
+
+
+class TestKernelBits:
+    @pytest.mark.parametrize("count", [1, 2, 7, 300])
+    def test_su2_is_the_expression_on_one_dimension(self, count):
+        rng = np.random.default_rng(count)
+        for _ in range(50):
+            x, z = random_pauli_columns(rng, count)
+            dt = rng.uniform(0.0, 5.0, count)
+            for got, want in zip(_su2(x, z, dt), su2_by_expression(x, z, dt)):
+                assert same_bits(got, want)
+
+    @pytest.mark.parametrize("batch, count", [(1, 1), (1, 40), (5, 1), (5, 33), (97, 84)])
+    def test_su2_is_the_expression_on_a_batch(self, batch, count):
+        rng = np.random.default_rng(batch * 1000 + count)
+        for _ in range(50):
+            x, z = random_pauli_columns(rng, count)
+            dt = rng.uniform(0.125, 16.0, batch)[:, None] * rng.uniform(0.0, 1.0, count)
+            for got, want in zip(_su2(x, z, dt), su2_by_expression(x, z, dt)):
+                assert same_bits(got, want)
+
+    def test_su2_signed_zeros_at_rabi_zero(self):
+        alpha, beta = _su2(np.zeros(2), np.array([0.0, -0.0]), np.array([0.5, 2.0]))
+        assert np.all(alpha == 1.0) and np.all(beta.real == 0.0)
+        assert not np.any(np.signbit(alpha.imag))  # +0, as 0 - z sin/rabi
+        assert np.all(np.signbit(beta.imag))  # -0, as -(x sin/rabi)
+
+    # one element is the case where a product written over its own operand
+    # would take numpy's unfused scalar loop
+    @pytest.mark.parametrize("batch", [1, 2, 97])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 156, 257])
+    def test_pairwise_product_is_the_expression(self, batch, count):
+        rng = np.random.default_rng(batch * 1000 + count)
+        for _ in range(20):
+            x, z = random_pauli_columns(rng, count)
+            dt = rng.uniform(0.125, 16.0, batch)[:, None] * rng.uniform(0.0, 1.0, count)
+            a, b = _su2(x, z, dt)
+            for got, want in zip(_pairwise_product(a, b), pairwise_product_by_expression(a, b)):
+                assert same_bits(got, want)
+
+
+def stretched_amplitudes(state, arrays, factors):
+    """Reference for a batch: each stretched segment's exp(-i (H/hbar) dt)
+    from LAPACK's eigendecomposition of H/hbar, applied one after the other
+    in Python scalars.  It is :func:`per_segment_amplitudes` for a whole
+    batch at once, where scipy's expm would take seconds."""
+    durations, omega_i, omega_s = arrays
+    g = state.space.overlap
+    gg = g * g
+    h = np.empty((durations.size, 2, 2))
+    h[:, 0, 0] = omega_i + omega_s * gg
+    h[:, 0, 1] = h[:, 1, 0] = omega_s * g * math.sqrt(1.0 - gg)
+    h[:, 1, 1] = omega_s * (1.0 - gg)
+    energies, vectors = np.linalg.eigh(h)
+    out = []
+    for factor in factors.tolist():
+        phases = np.exp(-1j * energies * (factor * durations)[:, None])
+        u = np.einsum("sij,sj,skj->sik", vectors, phases, vectors)
+        c1, c2 = state.c1, state.c2
+        for u11, u12, u21, u22 in u.reshape(-1, 4).tolist():
+            c1, c2 = u11 * c1 + u12 * c2, u21 * c1 + u22 * c2
+        out.append((c1, c2))
+    return np.array(out).T
+
+
+@st.composite
+def stretched_batches(draw):
+    """(state, arrays, factors): 1-128 factors in [1/8, 16] and 1 to 3
+    blocks of segments (block edges drawn on purpose), a share of them at
+    zero frequency."""
+    batch = draw(st.integers(1, 128))
+    block = BLOCK_ELEMENTS // batch
+    count = draw(st.integers(1, 3 * block)
+                 | st.sampled_from([block - 1, block, block + 1, 2 * block + 1, 3 * block]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = SearchSpace(draw(st.integers(1, 20)))
+    durations = rng.uniform(0.05, 1.0, count) * 50.0 / count
+    omegas = rng.uniform(0.0, 2.0, (2, count))
+    omegas[:, rng.random(count) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
+    factors = np.exp(rng.uniform(math.log(0.125), math.log(16.0), batch))
+    return random_state(rng, space), (durations, *omegas), factors
+
+
+class TestPropagateProperty:
+    def test_reference_is_the_per_segment_product(self):
+        rng = np.random.default_rng(8)
+        schedule = random_schedule(rng, 40, zero_every=3)
+        state = random_state(rng, SearchSpace(6))
+        factors = np.array([0.125, 1.0, 16.0])
+        ref = stretched_amplitudes(state, schedule.arrays(), factors)
+        for k, factor in enumerate(factors):
+            want = per_segment_amplitudes(state, schedule, factor)
+            assert np.abs(ref[:, k] - want).max() <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(stretched_batches())
+    # one factor and a block plus one segment: the last block is one element
+    @example((EffectiveState.initial(SearchSpace(9)),
+              (np.full(BLOCK_ELEMENTS + 1, 1e-3), np.ones(BLOCK_ELEMENTS + 1),
+               np.zeros(BLOCK_ELEMENTS + 1)), np.ones(1)))
+    def test_batch_matches_per_segment_product(self, batch):
+        state, arrays, factors = batch
+        c1, c2 = propagate(state, arrays, factors)
+        ref = stretched_amplitudes(state, arrays, factors)
+        assert np.abs(c1 - ref[0]).max() <= 1e-12
+        assert np.abs(c2 - ref[1]).max() <= 1e-12
 
 
 def runtime_to_infidelity_by_loop(space, energy_scale, error_budget, target_infidelity,

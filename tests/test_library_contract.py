@@ -66,6 +66,7 @@ from qlimits.dynamics import (
     grover_pulsed_schedule,
     measure_modulated_suppression,
     modulated_detuning_suppression,
+    propagate,
     runtime_to_infidelity,
 )
 from qlimits.constants import HBAR
@@ -387,4 +388,33 @@ def test_fractional_counts_are_refused(call):
 def test_counts_are_refused_before_allocating(call):
     # each once ended in numpy's raw ValueError ("array is too big") or MemoryError
     with pytest.raises(CapacityError, match="is limited to"):
+        call()
+
+
+_COLUMNS = ControlSchedule(((1.0, 1.0, 0.5), (2.0, 0.5, 1.0))).arrays()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: propagate(EffectiveState.initial(SearchSpace(4)), _COLUMNS, 1.0),
+     "scale factors must be a 1-D array"),
+    (lambda: propagate(EffectiveState.initial(SearchSpace(4)), _COLUMNS, [[1.0], [2.0]]),
+     "scale factors must be a 1-D array"),
+    (lambda: propagate(EffectiveState.initial(SearchSpace(4)),
+                       (_COLUMNS[0][:1], *_COLUMNS[1:]), [1.0]),
+     "three 1-D columns of one length"),
+    (lambda: propagate(EffectiveState.initial(SearchSpace(4)), _COLUMNS[:2], [1.0]),
+     "three 1-D columns of one length"),
+    (lambda: runtime_to_infidelity(SearchSpace(6), 1.0, 0.1, 0.01, scale_range=(1.0,)),
+     "scale range must be a"),
+    (lambda: runtime_to_infidelity(SearchSpace(6), 1.0, 0.1, 0.01, scale_range=2.0),
+     "scale range must be a"),
+    (lambda: runtime_to_infidelity(SearchSpace(6), 1.0, 0.1, 0.01,
+                                   scale_range=(0.125, 16.0, 64.0)),
+     "scale range must be a"),
+], ids=["0-d factors", "2-D factors", "unequal columns", "two columns",
+        "1-tuple range", "float range", "3-tuple range"])
+def test_batched_scan_shapes_are_refused(call, message):
+    # each once ended in a raw IndexError, ValueError or TypeError, or (2-D
+    # factors, a 3-tuple range) in a result that mixed or dropped inputs
+    with pytest.raises(DomainError, match=message):
         call()
