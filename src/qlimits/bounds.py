@@ -92,10 +92,11 @@ class BoundQuery:
             ("work", self.work),
             ("time", self.time),
             ("power", self.power),
-            ("power * time", self.power * self.time if self.power and self.time else None),
         ):
             if value is not None:
                 checked(name, value)
+        if self.power is not None and self.time is not None:
+            checked("power * time", self.power * self.time)
         if self.temperature is not None:
             checked("temperature", self.temperature, ends="[)")
         if self.success_probability is not None:

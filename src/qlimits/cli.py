@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     # traces are plot-ready CSV unless asked otherwise
     p = sub.add_parser("simulate", parents=[common("csv")], help="run a search protocol and emit a trace")
     p.add_argument("--protocol", choices=("ballistic", "grover", "adiabatic", "custom"), required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, required=True)
     budget = p.add_mutually_exclusive_group()
     budget.add_argument("--work", type=float, help="energy scale in joules")
     budget.add_argument("--work-radps", type=float, help="energy scale as W/hbar in rad/s")
@@ -118,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keylength", parents=[common()], help="key-length solvers")
     p.add_argument("--scenario", metavar="NAME")
-    p.add_argument("--work", type=float)
-    p.add_argument("--power", type=float)
+    budget = p.add_mutually_exclusive_group()
+    budget.add_argument("--work", type=float)
+    budget.add_argument("--power", type=float)
     p.add_argument("--time", type=_duration)
     p.add_argument("--psuccess", type=float)
     p.add_argument("--temp", type=float)
@@ -136,8 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psuccess", type=float, default=1.0)
     p.add_argument("--samples", type=float, help="evaluate the work at this fixed k")
     p.add_argument("--invert", action="store_true", help="solve the minimum image size")
-    p.add_argument("--work", type=float)
-    p.add_argument("--power", type=float)
+    budget = p.add_mutually_exclusive_group()
+    budget.add_argument("--work", type=float)
+    budget.add_argument("--power", type=float)
 
     p = sub.add_parser("cosmic", parents=[common()], help="cosmic event-horizon energy budget")
     p.add_argument("--h0", type=float, required=True, help="Hubble constant in km/s/Mpc")
@@ -152,26 +154,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the JSON config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """Finds --config before the full parse, which reports what this cannot read."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--config")
+    return parser
+
+
+def _config_flags(argv: list[str]) -> dict[str, str]:
+    """The --config file's entries as flags, {"--key=value": key}: ``true``
+    gives "--key", ``false`` and ``null`` nothing, a list or an object a
+    :class:`ParseError`."""
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        path = _config_parser().parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # --config without a path
+        return {}
+    if path is None:
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read config file: {exc}", args.config) from None
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+        raise ParseError(f"cannot read config file: {exc}", path) from None
     if not isinstance(cfg, dict):
-        raise ParseError("config file must contain a JSON object", args.config)
-    durations = {"time", "dt"}
+        raise ParseError("config file must contain a JSON object", path)
+    flags = {}
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ParseError(f"unknown config key {key!r}", args.config)
-        if getattr(args, attr) is None:
-            if attr in durations and isinstance(value, str):
-                value = parse_duration(value)
-            setattr(args, attr, value)
+        if isinstance(value, (list, dict)):
+            raise ParseError(f"config key {key!r} must be a string, number or boolean", value)
+        if value is not False and value is not None:
+            flags[f"--{key}" if value is True else f"--{key}={value}"] = key
+    return flags
+
+
+def parse_argv(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed once, with the --config entries put in as flags right
+    after the command word: each is read by its flag's own rules, and the
+    command line's flags, coming later, win.  An entry left over is a
+    :class:`ParseError`."""
+    flags = _config_flags(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args([*argv[:1], *flags, *argv[1:]])
+    unknown = [flags[token] for token in extra if token in flags]
+    if unknown:
+        raise ParseError(f"unknown config key {unknown[0]!r}", args.config)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _resolve_budget(args, time: float) -> float:
@@ -197,8 +227,6 @@ def _cmd_simulate(args):
             except json.JSONDecodeError as exc:
                 raise ParseError(f"schedule file is not valid JSON: {exc}",
                                  args.schedule_file) from None
-    if args.n is None:
-        raise UsageError("--n is required")
     space = SearchSpace(args.n)
     if args.protocol != "custom":
         if args.work is not None:
@@ -407,13 +435,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
-        _apply_config(args)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
         result = _COMMANDS[args.command](args)
         if isinstance(result, str):  # a trace already written as CSV
             text = result
@@ -427,6 +450,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return 0
+    except SystemExit as exc:  # argparse wrote the usage error, help or version
+        return int(exc.code) if exc.code is not None else 0
     except UsageError as exc:
         sys.stderr.write(f"qlimits {args.command}: error: {exc}\n")
         return 2

@@ -200,7 +200,7 @@ def measure_modulated_suppression(
     _check_segment_count(count)
     if omega_c is None:
         omega_c = 5.0 * omega
-    delta0 = r * checked("omega_c", omega_c)
+    delta0 = checked("r", r, -math.inf) * checked("omega_c", omega_c)
     # a larger amplitude would drive a frequency negative
     checked("modulation amplitude r*omega_c", delta0, -omega, omega, "[]")
     state = equator_state(space, omega)

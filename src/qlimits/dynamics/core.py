@@ -90,8 +90,12 @@ class EffectiveState:
     space: SearchSpace
 
     def __post_init__(self):
-        checked("squared state norm", _abs2(self.c1) + _abs2(self.c2),
-                1.0 - 1e-6, 1.0 + 1e-6, "[]")
+        try:
+            norm = _abs2(self.c1) + _abs2(self.c2)
+        except AttributeError:  # text, None, a list
+            raise DomainError("state amplitudes must be complex numbers",
+                              (self.c1, self.c2)) from None
+        checked("squared state norm", norm, 1.0 - 1e-6, 1.0 + 1e-6, "[]")
 
     @classmethod
     def initial(cls, space: SearchSpace) -> "EffectiveState":
@@ -101,6 +105,18 @@ class EffectiveState:
         """<s|psi> in the orthonormal basis."""
         g = self.space.overlap
         return g * self.c1 + math.sqrt(1.0 - g * g) * self.c2
+
+
+def _real_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array.  Text, None, complex numbers and ragged
+    rows are refused as "<name> must be real numbers"; a bool counts as 0 or 1."""
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError):  # ragged rows
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must be real numbers", values)
+    return array.astype(float, copy=False)
 
 
 class Segment(NamedTuple("Segment", [("duration", float), ("omega_i", float),
@@ -121,20 +137,20 @@ class ControlSchedule:
     """Piecewise-constant control: three read-only float columns
     ``durations``, ``omega_i`` and ``omega_s``, one entry per segment.
 
-    ``rows`` is anything ``np.array`` reads as (k, 3) floats: a (k, 3)
-    array, (duration, omega_i, omega_s) triples or :class:`Segment` rows.
-    Every row must pass :class:`Segment`'s check; the first value in row
-    order that does not raises :class:`DomainError`.
+    ``rows`` is anything ``np.asarray`` reads as (k, 3) real numbers: a
+    (k, 3) array, (duration, omega_i, omega_s) triples or :class:`Segment`
+    rows.  Every row must pass :class:`Segment`'s check; the first value in
+    row order that does not raises :class:`DomainError`.
     ``declared_duration``, when given by a schedule constructor, must match
     the summed segment durations to 1e-12 relative.
     """
 
     def __init__(self, rows, declared_duration: float | None = None):
-        table = np.array(rows, dtype=float)
+        table = _real_array("schedule rows", rows)
         if table.ndim != 2 or table.shape[1] != 3 or table.size == 0:
             raise DomainError("schedule must contain at least one segment, as "
                               "(duration, omega_i, omega_s) rows", table.shape)
-        columns = np.ascontiguousarray(table.T)
+        columns = table.T.copy()
         # every value lies in its column's interval if the column's least and
         # greatest do (NaN is both); else a row by row pass finds the first
         try:
@@ -284,7 +300,7 @@ def eigenenergies(space: SearchSpace, omega: float, delta_omega: float) -> tuple
     E_pm = hbar*omega +- hbar*sqrt(delta^2 + (omega^2 - delta^2)/2^n).
     """
     checked("omega", omega, ends="[)")
-    checked("|delta_omega|", abs(delta_omega), 0.0, omega, "[]")  # no negative frequency
+    checked("delta_omega", delta_omega, -omega, omega, "[]")  # no negative frequency
     g = space.overlap
     split = math.hypot(delta_omega * math.sqrt(1.0 - g * g), omega * g)
     upper = in_double_range(omega + split, "upper eigenfrequency", (omega, delta_omega))
@@ -465,16 +481,20 @@ def propagate(
     taken in blocks of at most BLOCK_ELEMENTS // len(factors) segments,
     reduced pairwise and applied to the whole batch; the phases add up to
     exp(-i factor * sum(mean * duration)), applied once at the end.  Columns
-    that are not 1-D and of one length, or factors that are not a non-empty
-    1-D array of finite positive values, raise :class:`DomainError` before
-    any propagation; a norm drift beyond 1e-9 in any row raises
+    that are not 1-D real arrays of one length, or factors that are not a
+    non-empty 1-D array of finite positive values, raise :class:`DomainError`
+    before any propagation; a norm drift beyond 1e-9 in any row raises
     :class:`ConsistencyError`.
     """
-    shapes = [np.shape(column) for column in arrays]
+    try:
+        columns = [_real_array("schedule arrays", column) for column in arrays]
+    except TypeError:  # not a sequence of columns
+        columns = []
+    shapes = [column.shape for column in columns]
     if len(shapes) != 3 or len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
         raise DomainError("schedule arrays must be three 1-D columns of one length", shapes)
-    durations, omega_i, omega_s = arrays
-    factors = np.asarray(factors, dtype=float)
+    durations, omega_i, omega_s = columns
+    factors = _real_array("scale factors", factors)
     if factors.ndim != 1:
         raise DomainError("scale factors must be a 1-D array", factors.shape)
     checked("number of scale factors", factors.size, 1.0, math.inf, "[)")

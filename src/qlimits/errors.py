@@ -45,19 +45,24 @@ def checked(name: str, value, lo: float = 0.0, hi: float = math.inf, ends: str =
     This is the one place that decides whether a numeric argument is in
     range.  The refusal reads "<name> must be finite and > 0" (or ">= 0")
     for (0, inf) and [0, inf), "<name> must be finite" for (-inf, inf), and
-    "<name> must lie in (lo, hi]" (with ``ends``) otherwise.
+    "<name> must lie in (lo, hi]" (with ``ends``) otherwise.  A value the
+    comparisons cannot order (text, None, a complex number, a list, an
+    array of several values) reads "<name> must be a real number".
     """
-    if ends == "()":
-        if lo < value < hi:
+    try:
+        if ends == "()":
+            if lo < value < hi:
+                return value
+        elif ends == "(]":
+            if lo < value <= hi:
+                return value
+        elif ends == "[)":
+            if lo <= value < hi:
+                return value
+        elif lo <= value <= hi:
             return value
-    elif ends == "(]":
-        if lo < value <= hi:
-            return value
-    elif ends == "[)":
-        if lo <= value < hi:
-            return value
-    elif lo <= value <= hi:
-        return value
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number", value) from None
     rule = (_OPEN_ABOVE.get((lo, hi, ends))
             or f"lie in {ends[0]}{_text(lo)}, {_text(hi)}{ends[1]}")
     raise DomainError(f"{name} must {rule}", value)

@@ -75,7 +75,7 @@ class CosmologyParams:
     def from_km_s_mpc(
         cls, h0_km_s_mpc: float, omega_lambda: float, rho_matter: float | None = None
     ) -> "CosmologyParams":
-        return cls(h0_km_s_mpc * 1e3 / MEGAPARSEC, omega_lambda, rho_matter)
+        return cls(checked("H0", h0_km_s_mpc) * 1e3 / MEGAPARSEC, omega_lambda, rho_matter)
 
 
 # Planck-collaboration values used by the reference calculations.

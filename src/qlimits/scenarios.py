@@ -75,7 +75,7 @@ def scenario(name: str) -> Scenario:
     """Look up a scenario by name."""
     try:
         return SCENARIOS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be a key
         raise ScenarioLookupError(
             f"unknown scenario {name!r}; valid names: {sorted(SCENARIOS)}", name
         ) from None

@@ -321,7 +321,8 @@ def schedule_to_obj(schedule) -> dict:
 
 
 def schedule_from_obj(obj: dict):
-    """Parse the schedule-file schema {"segments": [{duration_s, ...}]}."""
+    """Parse the schedule-file schema {"segments": [{duration_s, ...}]};
+    every field holds a JSON number."""
     from .dynamics import ControlSchedule
 
     if not isinstance(obj, dict) or not isinstance(obj.get("segments"), Sequence):
@@ -329,7 +330,10 @@ def schedule_from_obj(obj: dict):
     rows = []
     for i, entry in enumerate(obj["segments"]):
         try:
-            rows.append([float(entry[key]) for key in _SCHEDULE_FIELDS])
-        except (KeyError, TypeError, ValueError) as exc:
+            row = [entry[key] for key in _SCHEDULE_FIELDS]
+            if not all(type(v) in (int, float) for v in row):  # true, text, null
+                raise TypeError("segment fields must be JSON numbers")
+            rows.append([float(v) for v in row])
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"bad schedule segment #{i}: {exc}", entry) from None
     return ControlSchedule(rows)

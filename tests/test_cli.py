@@ -265,6 +265,20 @@ class TestSimulateCommand:
         assert code == 1 and out == ""
         assert json.loads(err)["kind"] == "parse"
 
+    @pytest.mark.parametrize("field, value", [("duration_s", True), ("omega_i_radps", "2")])
+    def test_schedule_segment_fields_must_be_json_numbers(self, capsys, tmp_path, field,
+                                                          value):
+        # true and "2" were once read as float(true) = 1 s and float("2") = 2 rad/s
+        segment = {"duration_s": 1.0, "omega_i_radps": 2.0, "omega_s_radps": 2.0, field: value}
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"segments": [segment]}))
+        code, out, err = run(capsys, "simulate", "--protocol", "custom", "--n", "3",
+                             "--schedule-file", str(schedule))
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["kind"] == "parse"
+        assert error["message"].startswith("bad schedule segment #0")
+
     def test_reruns_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "simulate", "--protocol", "grover", "--n", "8",
                          "--work", "1e-30")
@@ -388,6 +402,79 @@ class TestOtherCommands:
             capsys, "keylength", "--config", str(config), "--scenario", "dyson"
         )
         assert payload["quantum_bits"] == 667
+
+
+def write_config(tmp_path, entries: dict) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+class TestConfigEntriesAreFlags:
+    """A config entry "key": value is the flag --key=value, read by the same
+    parser ahead of the command line's own flags.  Each test here failed while
+    the file was read apart from the parser."""
+
+    def test_a_value_is_read_by_its_flags_type(self, capsys, tmp_path):
+        # "40" once reached the bound as text and ended in a raw TypeError
+        payload = run_json(capsys, "bound", "quantum", "--time", "1s", "--psuccess", "1",
+                           "--config", write_config(tmp_path, {"n": "40"}))
+        assert payload["inputs"]["n"] == 40
+
+    def test_a_list_is_one_structured_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "bound", "quantum", "--time", "1s", "--psuccess", "1",
+                             "--config", write_config(tmp_path, {"n": [40]}))
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        error = json.loads(err, parse_constant=_reject_constant)
+        assert error["kind"] == "parse" and "'n'" in error["message"]
+
+    @pytest.mark.parametrize("argv, flags, entries", [
+        # a flag with a default (table, False) was once never set from the file
+        (["keylength", "--scenario", "datacenter"], ["--mode", "quantum"], {"mode": "quantum"}),
+        (["bht", "--work", "1e16", "--time", "5a", "--temp", "300", "--psuccess", "1e-2"],
+         ["--invert"], {"invert": True}),
+        # a required flag could once come only from the command line
+        (["simulate"], ["--protocol", "ballistic", "--n", "8", "--work-radps", "100"],
+         {"protocol": "ballistic", "n": 8, "work-radps": 100}),
+        (["bht", "--n", "40"], ["--time", "1s", "--temp", "300"], {"time": "1s", "temp": 300}),
+    ], ids=["mode", "invert", "simulate required", "bht required"])
+    def test_an_entry_does_what_its_flag_does(self, capsys, tmp_path, argv, flags, entries):
+        from_flags = run(capsys, *argv, *flags)
+        from_file = run(capsys, *argv, "--config", write_config(tmp_path, entries))
+        assert from_flags[0] == 0 and from_file == from_flags
+
+    def test_a_key_that_is_no_flag_of_the_command_is_a_parse_error(self, capsys, tmp_path):
+        # "command" names the namespace attribute of the subcommand, not a flag
+        code, out, err = run(capsys, "bht", "--n", "40", "--time", "1s", "--temp", "300",
+                             "--config", write_config(tmp_path, {"command": "bht"}))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["kind"] == "parse"
+
+    def test_a_bare_number_is_no_duration(self, capsys, tmp_path):
+        # {"time": 5} once meant 5 s; it is --time=5, which needs a unit
+        code, out, err = run(capsys, "bht", "--n", "40", "--temp", "300",
+                             "--config", write_config(tmp_path, {"time": 5}))
+        assert (code, out) == (2, "")
+        assert "argument --time" in err
+
+    def test_false_and_null_leave_the_flag_unset(self, capsys, tmp_path):
+        argv = ["bht", "--n", "40", "--time", "1s", "--temp", "300"]
+        config = write_config(tmp_path, {"invert": False, "samples": None})
+        assert run(capsys, *argv, "--config", config) == run(capsys, *argv)
+
+    @pytest.mark.parametrize("argv, entries", [
+        (["keylength", "--mode", "quantum", "--work", "1", "--power", "1"], {}),
+        (["keylength", "--mode", "quantum", "--work", "1"], {"power": 1}),
+        (["bht", "--invert", "--temp", "300", "--work", "1", "--power", "1"], {}),
+        (["bht", "--invert", "--temp", "300", "--power", "1"], {"work": 1}),
+    ], ids=["keylength flags", "keylength file", "bht flags", "bht file"])
+    def test_work_with_power_is_a_usage_error(self, capsys, tmp_path, argv, entries):
+        # the power was once dropped in favour of the work
+        code, out, err = run(capsys, *argv, "--time", "1s", "--psuccess", "1",
+                             "--config", write_config(tmp_path, entries))
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
 
 
 def test_one_parser_serves_every_call(capsys):

@@ -8,17 +8,18 @@
   where the requirement lies past double range.
 
 Arguments come from the edge values the CLI fuzzer uses (``edge_values.py``)
-mixed with in-domain draws.  Spaces keep n <= 8 and the sweep 64 points, so
+and values that are not real numbers, mixed with in-domain draws.  Spaces keep n <= 8 and the sweep 64 points, so
 every call is cheap.
 """
 
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from edge_values import EDGE_FLOATS
+from edge_values import EDGE_FLOATS, NON_REALS
 from qlimits.bht import (
     BhtPlan,
     bht_fixed_samples,
@@ -62,6 +63,7 @@ from qlimits.dynamics import (
     control_bandwidth,
     eigenenergies,
     equator_state,
+    evolve,
     first_peak_iterations,
     grover_pulsed_schedule,
     measure_modulated_suppression,
@@ -85,7 +87,7 @@ from qlimits.keylength import (
 )
 from qlimits.scenarios import Scenario, scenario
 
-EDGE = st.sampled_from(EDGE_FLOATS)
+EDGE = st.sampled_from(EDGE_FLOATS + NON_REALS)
 
 
 def _log_uniform(lo, hi):
@@ -106,6 +108,16 @@ KINDS = {
     "freq": _log_uniform(-3.0, 3.0),
     "phase": st.floats(0.0, 7.0),
     "name": st.sampled_from(("datacenter", "dyson", "cosmic", "moonbase")),
+    # a trace's duration and sample step: with the edge values a trace that
+    # passes the capacity check holds at most some 3e4 samples
+    "span": st.sampled_from((0.5, 1.0, 2.0)),
+    "step": st.sampled_from((0.01, 0.1, 1.0)),
+    # schedule rows, columns given as lists, and scale factors
+    "rows": st.lists(st.tuples(_log_uniform(-3.0, 3.0), _log_uniform(-3.0, 3.0),
+                               _log_uniform(-3.0, 3.0)), min_size=1, max_size=3),
+    "columns": st.tuples(_log_uniform(-3.0, 3.0), _log_uniform(-3.0, 3.0),
+                         _log_uniform(-3.0, 3.0)).map(lambda row: tuple([v] for v in row)),
+    "factors": st.lists(_log_uniform(-3.0, 3.0), min_size=1, max_size=4),
 }
 
 
@@ -150,6 +162,15 @@ def _complex(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
+def _amplitudes(pair) -> bool:
+    return all(map(_complex, np.concatenate(pair).tolist()))
+
+
+def _trace(trace) -> bool:
+    return (np.isfinite(np.column_stack(trace.columns())).all()
+            and ((trace.prob_s >= 0.0) & (trace.prob_s <= 1.0)).all())
+
+
 def _state(state: EffectiveState) -> bool:
     return _complex(state.c1) and _complex(state.c2)
 
@@ -160,6 +181,15 @@ def _report(rows: list[KeylengthReport]) -> bool:
     return all(row.error.split(":")[0] in names if row.error is not None
                else _key_bits(row.quantum_secure_bits) and _key_bits(row.solved_classical_bits)
                for row in rows)
+
+
+def _or_drawn(arithmetic, drawn):
+    """The test's own arithmetic on drawn values, or, where a value is not a
+    number it can take, ``drawn`` as it is, for the call to refuse."""
+    try:
+        return arithmetic()
+    except TypeError:
+        return drawn
 
 
 def _subclasses(cls):
@@ -265,6 +295,7 @@ CALLS = {
                 ("time", "freq", "freq"), _schedule),
     "ControlSchedule": (lambda d1, w1, d2, w2: ControlSchedule([(d1, w1, 0.0), (d2, 0.0, w2)]),
                         ("time", "freq", "time", "freq"), _schedule),
+    "ControlSchedule rows": (ControlSchedule, ("rows",), _schedule),
     "ControlSchedule.scaled": (lambda d, f: ControlSchedule([(d, 1.0, 1.0)]).scaled(f),
                                ("time", "freq"), _schedule),
     "ControlSchedule.truncated": (lambda d, t: ControlSchedule([(d, 1.0, 1.0)]).truncated(t),
@@ -284,7 +315,8 @@ CALLS = {
                            ("bits", "work", "unit"), _schedule),
     # segment and grid counts start at 256, 64 and 1; a drawn float stays a float
     "adiabatic_schedule segments": (
-        lambda n, e, eps, k: adiabatic_schedule(SearchSpace(n), e, eps, segments=256 + k),
+        lambda n, e, eps, k: adiabatic_schedule(SearchSpace(n), e, eps,
+                                                segments=_or_drawn(lambda: 256 + k, k)),
         ("bits", "work", "unit", "count"), _schedule),
     "first_peak_iterations": (
         lambda n, e, phase, k: first_peak_iterations(SearchSpace(n), e, phase, k),
@@ -294,9 +326,20 @@ CALLS = {
         lambda n, e, eps, target, k: runtime_to_infidelity(SearchSpace(n), e, eps, target,
                                                            grid_points=k),
         ("bits", "work", "unit", "unit", "count"), _nonneg),
+    "runtime_to_infidelity scale_range": (
+        lambda n, start, end: runtime_to_infidelity(SearchSpace(n), 1.0, 0.1, 0.5,
+                                                    scale_range=(start, end)),
+        ("bits", "k", "k"), _nonneg),
+    "evolve": (lambda n, span, step: evolve(EffectiveState.initial(SearchSpace(n)),
+                                            ControlSchedule([(span, 1.0, 1.0)]), step),
+               ("bits", "span", "step"), _trace),
+    "propagate": (lambda n, columns, factors: propagate(EffectiveState.initial(SearchSpace(n)),
+                                                        columns, factors),
+                  ("bits", "columns", "factors"), _amplitudes),
     "measure_modulated_suppression": (
         lambda n, r, omega, cycles, k: measure_modulated_suppression(
-            SearchSpace(n), r, omega, cycles=cycles, segments_per_cycle=64 + k),
+            SearchSpace(n), r, omega, cycles=cycles,
+            segments_per_cycle=_or_drawn(lambda: 64 + k, k)),
         ("bits", "unit", "freq", "count", "count"), _complex),
     "equator_state": (lambda n, omega: equator_state(SearchSpace(n), omega),
                       ("bits", "freq"), _state),
@@ -307,7 +350,8 @@ CALLS = {
                       ("bits", "freq", "freq"), lambda e: all(map(_nonneg, e))),
     # |delta| = omega, where rounding once took E- below zero
     "eigenenergies at |delta| = omega": (
-        lambda n, omega, sign: eigenenergies(SearchSpace(n), omega, math.copysign(omega, sign)),
+        lambda n, omega, sign: eigenenergies(
+            SearchSpace(n), omega, _or_drawn(lambda: math.copysign(omega, sign), sign)),
         ("bits", "freq", "freq"), lambda e: all(map(_nonneg, e))),
     "averaged_overlap": (
         lambda n, delta, omega, diff, window: averaged_overlap(0.5j, delta, omega, diff, window,
@@ -341,6 +385,14 @@ def calls(draw):
 @example(("init_readout_work", (1e308, 300.0)))
 @example(("eigenenergies", (4, 1e300, 0.0)))  # omega^2 overflows; E+ does not
 @example(("eigenenergies", (5, 300.0, 300.0)))  # E- once rounded to -6e-48 J
+# arguments that are not real numbers once ended in a raw TypeError or ValueError
+@example(("bht_optimal", ("40", 1.0, 300.0, 1.0)))
+@example(("evolve", (4, 1.0, "0.1")))
+@example(("runtime_to_infidelity scale_range", (6, "a", "b")))
+@example(("propagate", (4, 1.0, [1.0])))
+@example(("propagate", (4, ([1.0], [1.0], [1.0]), [1.0])))
+@example(("propagate", (4, ([1.0], [1.0], [1.0]), ["x"])))
+@example(("ControlSchedule rows", ("abc",)))
 def test_every_call_ends_in_a_result_or_a_qlimits_error(call):
     name, args = call
     function, _, in_range = CALLS[name]
