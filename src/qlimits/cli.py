@@ -223,10 +223,11 @@ def _cmd_simulate(args):
             raise UsageError("--protocol custom requires --schedule-file")
         with open(args.schedule_file, encoding="utf-8") as fh:
             try:
-                schedule = schedule_from_obj(json.load(fh))
-            except json.JSONDecodeError as exc:
+                obj = json.load(fh)
+            except ValueError as exc:  # not UTF-8, not JSON
                 raise ParseError(f"schedule file is not valid JSON: {exc}",
                                  args.schedule_file) from None
+        schedule = schedule_from_obj(obj)
     space = SearchSpace(args.n)
     if args.protocol != "custom":
         if args.work is not None:

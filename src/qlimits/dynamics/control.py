@@ -28,7 +28,6 @@ from ..errors import DomainError, checked, checked_int, in_double_range
 from .core import (
     ControlSchedule,
     EffectiveState,
-    Observables,
     SearchSpace,
     evolve,
     final_state,
@@ -41,24 +40,22 @@ HWHM_FACTOR = 3.79
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def analytic_rates(
-    obs: Observables, omega_i: float, omega_s: float, space: SearchSpace
-) -> tuple[float, complex]:
-    """Closed-form (dP_s/dt, dA/dt) at the given observables.
+def analytic_rates(p_s, p_i, a, omega_i: float, omega_s: float, space: SearchSpace):
+    """Closed-form (dP_s/dt, dA/dt) at P_s, P_i and A = <psi|s><i|psi>.
 
-    Both follow from the Schrodinger equation and are exact (no windowing
-    or frozen-population approximation), so they match finite differences
-    of the simulator to second order in the step.
+    Elementwise: ``p_s``, ``p_i`` and ``a`` are numbers or a trace's columns
+    (``trace.prob_s``, ``trace.prob_i``, ``trace.a()``) under the one pair of
+    frequencies given.  Both rates follow from the Schrodinger equation and
+    are exact (no windowing or frozen-population approximation), so they
+    match finite differences of the simulator to second order in the step.
     """
     checked("frequencies", omega_i, ends="[)")
     checked("frequencies", omega_s, ends="[)")
     g = space.overlap
     omega = 0.5 * (omega_i + omega_s)
     delta = 0.5 * (omega_i - omega_s)
-    dps_dt = 2.0 * (omega + delta) * g * obs.a.imag
-    da_dt = -1j * delta * (2.0 * obs.a - g * (obs.p_i + obs.p_s)) + 1j * g * omega * (
-        obs.p_i - obs.p_s
-    )
+    dps_dt = 2.0 * (omega + delta) * g * a.imag
+    da_dt = -1j * delta * (2.0 * a - g * (p_i + p_s)) + 1j * g * omega * (p_i - p_s)
     return dps_dt, da_dt
 
 

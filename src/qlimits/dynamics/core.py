@@ -32,7 +32,7 @@ H/hbar are omega +- Omega with Omega = sqrt(delta_omega^2 +
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -92,7 +92,7 @@ class EffectiveState:
     def __post_init__(self):
         try:
             norm = _abs2(self.c1) + _abs2(self.c2)
-        except AttributeError:  # text, None, a list
+        except (AttributeError, TypeError):  # text, None, a list, a Decimal
             raise DomainError("state amplitudes must be complex numbers",
                               (self.c1, self.c2)) from None
         checked("squared state norm", norm, 1.0 - 1e-6, 1.0 + 1e-6, "[]")
@@ -142,7 +142,8 @@ class ControlSchedule:
     rows.  Every row must pass :class:`Segment`'s check; the first value in
     row order that does not raises :class:`DomainError`.
     ``declared_duration``, when given by a schedule constructor, must match
-    the summed segment durations to 1e-12 relative.
+    the summed segment durations to 1e-12 relative; it is checked, not kept,
+    so two schedules are equal when their columns are.
     """
 
     def __init__(self, rows, declared_duration: float | None = None):
@@ -161,7 +162,6 @@ class ControlSchedule:
                 Segment(*row)
         columns.flags.writeable = False
         self.durations, self.omega_i, self.omega_s = columns
-        self.declared_duration = declared_duration
         try:
             self.total_duration = math.fsum(self.durations.tolist())
         except OverflowError:
@@ -175,8 +175,7 @@ class ControlSchedule:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ControlSchedule):
             return NotImplemented
-        return (self.declared_duration == other.declared_duration
-                and all(map(np.array_equal, self.arrays(), other.arrays())))
+        return all(map(np.array_equal, self.arrays(), other.arrays()))
 
     @cached_property
     def segments(self) -> tuple[Segment, ...]:
@@ -217,8 +216,6 @@ class Observables:
     p_i: float            # |<i|psi>|^2
     a: complex            # <psi|s><i|psi>
     alpha_ab: float       # arg(a), rad
-    e_plus: float         # upper eigenenergy, J
-    e_minus: float        # lower eigenenergy, J
 
 
 @dataclass(frozen=True)
@@ -250,7 +247,11 @@ class Trace:
     alpha_ab: np.ndarray
     norm_error: np.ndarray
     space: SearchSpace
-    p0_subnormal: bool = field(default=False)
+
+    @property
+    def p0_subnormal(self) -> bool:
+        """True when 2^-n is subnormal and P_s at t = 0 loses precision."""
+        return self.space.p0_subnormal
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The nine columns in the order t, omega_i, omega_s, P_s, P_i,
@@ -261,17 +262,9 @@ class Trace:
     @cached_property
     def points(self) -> tuple[TracePoint, ...]:
         """The rows as :class:`TracePoint` objects, built on first use."""
-        energies: dict[tuple[float, float], tuple[float, float]] = {}
-        points = []
         rows = zip(*(c.tolist() for c in self.columns()))
-        for t, wi, ws, p_s, p_i, re_a, im_a, alpha, err in rows:
-            e = energies.get((wi, ws))
-            if e is None:
-                e = energies[wi, ws] = eigenenergies(self.space, 0.5 * (wi + ws),
-                                                     0.5 * (wi - ws))
-            points.append(TracePoint(t, wi, ws, Observables(p_s, p_i, complex(re_a, im_a),
-                                                            alpha, *e), err))
-        return tuple(points)
+        return tuple(TracePoint(t, wi, ws, Observables(p_s, p_i, complex(re_a, im_a), alpha), err)
+                     for t, wi, ws, p_s, p_i, re_a, im_a, alpha, err in rows)
 
     def a(self) -> np.ndarray:
         out = np.empty(self.t.size, dtype=complex)
@@ -323,6 +316,14 @@ def _pauli_components(space: SearchSpace, omega_i, omega_s):
     return 0.5 * (omega_i + omega_s), x, z
 
 
+def _checked_schedule(schedule) -> ControlSchedule:
+    """``schedule``, refused as :class:`DomainError` unless a :class:`ControlSchedule`,
+    whose constructor has checked its columns."""
+    if not isinstance(schedule, ControlSchedule):
+        raise DomainError("schedule must be a ControlSchedule", schedule)
+    return schedule
+
+
 # an infinite step puts 0 * inf among the candidates, which the filter drops
 @np.errstate(invalid="ignore")
 def _sample_grid(schedule: ControlSchedule, step: float):
@@ -331,14 +332,15 @@ def _sample_grid(schedule: ControlSchedule, step: float):
     end.  ``offsets`` count from each sample's segment start; segment k owns
     samples edges[k]:edges[k + 1] (``edges`` is a list).  A segment holds
     at most duration/step + 2 samples, so a trace past MAX_TRACE_SAMPLES
-    raises :class:`CapacityError` before any array is made.
+    raises :class:`CapacityError` before any array is made.  A schedule that
+    is not a :class:`ControlSchedule` raises :class:`DomainError`.
     """
+    durations = _checked_schedule(schedule).durations
     checked("sample_step", step, 0.0, math.inf, "(]")
-    bound = schedule.total_duration / step + 2 * schedule.durations.size + 1
+    bound = schedule.total_duration / step + 2 * durations.size + 1
     if not bound <= MAX_TRACE_SAMPLES:
         raise CapacityError(f"a trace is limited to {MAX_TRACE_SAMPLES} samples; "
                             "raise the sample step", (bound, step))
-    durations = schedule.durations
     ends = np.cumsum(durations)  # sequential, as a running t_start += duration
     starts = np.concatenate(([0.0], ends[:-1]))
     first = np.ceil(starts / step - 1e-9)
@@ -380,7 +382,7 @@ def _sampled_trace(space: SearchSpace, schedule: ControlSchedule, t: np.ndarray,
     counts = np.diff(edges[1:], prepend=0)
     return Trace(t, np.repeat(schedule.omega_i, counts), np.repeat(schedule.omega_s, counts),
                  np.minimum(_abs2(s_amp), 1.0), np.minimum(_abs2(i_amp), 1.0),
-                 a.real, a.imag, np.angle(a), norm_error, space, space.p0_subnormal)
+                 a.real, a.imag, np.angle(a), norm_error, space)
 
 
 def _su2(x, z, dt):
@@ -469,31 +471,23 @@ def _pairwise_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
 @np.errstate(over="ignore", invalid="ignore")
 def propagate(
     state: EffectiveState,
-    arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
+    schedule: ControlSchedule,
     factors: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Final amplitudes (c1, c2) after a schedule stretched by each factor.
+    """Final amplitudes (c1, c2) after ``schedule`` stretched by each factor.
 
-    ``arrays`` is a schedule's ``(durations, omega_i, omega_s)``; entry k of
-    each result belongs to the schedule with every duration multiplied by
-    ``factors[k]``.  Each segment propagator is the exact exponential
-    exp(-i mean dt) [[alpha, -beta*], [beta, alpha*]].  The SU(2) parts are
+    Entry k of each result belongs to the schedule with every duration
+    multiplied by ``factors[k]``.  Each segment propagator is the exact
+    exponential exp(-i mean dt) [[alpha, -beta*], [beta, alpha*]].  The SU(2) parts are
     taken in blocks of at most BLOCK_ELEMENTS // len(factors) segments,
     reduced pairwise and applied to the whole batch; the phases add up to
-    exp(-i factor * sum(mean * duration)), applied once at the end.  Columns
-    that are not 1-D real arrays of one length, or factors that are not a
-    non-empty 1-D array of finite positive values, raise :class:`DomainError`
+    exp(-i factor * sum(mean * duration)), applied once at the end.  A
+    schedule that is not a :class:`ControlSchedule`, or factors that are not
+    a non-empty 1-D array of finite positive values, raise :class:`DomainError`
     before any propagation; a norm drift beyond 1e-9 in any row raises
     :class:`ConsistencyError`.
     """
-    try:
-        columns = [_real_array("schedule arrays", column) for column in arrays]
-    except TypeError:  # not a sequence of columns
-        columns = []
-    shapes = [column.shape for column in columns]
-    if len(shapes) != 3 or len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
-        raise DomainError("schedule arrays must be three 1-D columns of one length", shapes)
-    durations, omega_i, omega_s = columns
+    durations, omega_i, omega_s = _checked_schedule(schedule).arrays()
     factors = _real_array("scale factors", factors)
     if factors.ndim != 1:
         raise DomainError("scale factors must be a 1-D array", factors.shape)
@@ -518,5 +512,5 @@ def propagate(
 
 def final_state(state: EffectiveState, schedule: ControlSchedule) -> EffectiveState:
     """The state after the full schedule (no sampling; exact propagators)."""
-    c1, c2 = propagate(state, schedule.arrays(), np.ones(1))
+    c1, c2 = propagate(state, schedule, np.ones(1))
     return EffectiveState(complex(c1[0]), complex(c2[0]), state.space)

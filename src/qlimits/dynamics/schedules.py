@@ -231,7 +231,7 @@ def runtime_to_infidelity(
         raise CapacityError(f"a scan is limited to {MAX_TRACE_SAMPLES} grid points", grid_points)
     base = adiabatic_schedule(space, energy_scale, error_budget, kind="local")
     factors = np.exp(np.linspace(math.log(start), math.log(end), grid_points))
-    c1, c2 = propagate(EffectiveState.initial(space), base.arrays(), factors)
+    c1, c2 = propagate(EffectiveState.initial(space), base, factors)
     g = space.overlap
     infidelity = 1.0 - np.abs(g * c1 + math.sqrt(1.0 - g * g) * c2) ** 2
     envelope = np.maximum.accumulate(infidelity[::-1])[::-1]

@@ -37,6 +37,11 @@ class DomainError(QlimitsError, ValueError):
     kind = "domain"
 
 
+# a plain int or float passes on one set lookup; a subclass (bool, numpy's
+# float64) takes the isinstance test
+_REAL_TYPES = frozenset((int, float))
+
+
 def checked(name: str, value, lo: float = 0.0, hi: float = math.inf, ends: str = "()"):
     """``value`` if it lies between ``lo`` and ``hi``, else a :class:`DomainError`
     carrying it.  ``ends`` is "()", "(]", "[)" or "[]": a bracket closes its
@@ -45,24 +50,23 @@ def checked(name: str, value, lo: float = 0.0, hi: float = math.inf, ends: str =
     This is the one place that decides whether a numeric argument is in
     range.  The refusal reads "<name> must be finite and > 0" (or ">= 0")
     for (0, inf) and [0, inf), "<name> must be finite" for (-inf, inf), and
-    "<name> must lie in (lo, hi]" (with ``ends``) otherwise.  A value the
-    comparisons cannot order (text, None, a complex number, a list, an
-    array of several values) reads "<name> must be a real number".
+    "<name> must lie in (lo, hi]" (with ``ends``) otherwise.  A value that
+    is not an ``int`` or a ``float`` (text, None, a complex number, a list,
+    an array, a ``Decimal``) reads "<name> must be a real number".
     """
-    try:
-        if ends == "()":
-            if lo < value < hi:
-                return value
-        elif ends == "(]":
-            if lo < value <= hi:
-                return value
-        elif ends == "[)":
-            if lo <= value < hi:
-                return value
-        elif lo <= value <= hi:
+    if type(value) not in _REAL_TYPES and not isinstance(value, (int, float)):
+        raise DomainError(f"{name} must be a real number", value)
+    if ends == "()":
+        if lo < value < hi:
             return value
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number", value) from None
+    elif ends == "(]":
+        if lo < value <= hi:
+            return value
+    elif ends == "[)":
+        if lo <= value < hi:
+            return value
+    elif lo <= value <= hi:
+        return value
     rule = (_OPEN_ABOVE.get((lo, hi, ends))
             or f"lie in {ends[0]}{_text(lo)}, {_text(hi)}{ends[1]}")
     raise DomainError(f"{name} must {rule}", value)

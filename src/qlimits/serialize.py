@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Sequence
 from functools import lru_cache
 from typing import Any
 
@@ -56,11 +55,10 @@ def result_to_csv(doc) -> str:
     return "\n".join(lines) + "\n"
 
 
-class FloatRows(Sequence):
+class FloatRows:
     """Rows of finite float columns under fixed keys, formatted in bulk.
 
-    The writers format the columns directly; a row becomes a dict (the
-    JSON-object form of the row) only when a caller indexes or iterates.
+    The writers format the columns directly, as JSON objects or CSV lines.
     Every entry must be finite, so plain ``%.17g`` equals
     :func:`format_float17` cell for cell.
     """
@@ -80,14 +78,6 @@ class FloatRows(Sequence):
 
     def __len__(self) -> int:
         return self.columns[0].size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return dict(zip(self.keys, [c[index].item() for c in self.columns]))
-
-    def __iter__(self):
-        return (dict(zip(self.keys, row)) for row in zip(*(c.tolist() for c in self.columns)))
 
     def join(self, template: str, sep: str) -> str:
         """Every row through ``template % row`` (a ``%.17g`` slot per column), joined
@@ -321,11 +311,11 @@ def schedule_to_obj(schedule) -> dict:
 
 
 def schedule_from_obj(obj: dict):
-    """Parse the schedule-file schema {"segments": [{duration_s, ...}]};
-    every field holds a JSON number."""
+    """Parse the schedule-file schema {"segments": [{duration_s, ...}]}, as
+    ``json.load`` gives it; every field holds a JSON number."""
     from .dynamics import ControlSchedule
 
-    if not isinstance(obj, dict) or not isinstance(obj.get("segments"), Sequence):
+    if not isinstance(obj, dict) or not isinstance(obj.get("segments"), list):
         raise ParseError("schedule JSON must contain a 'segments' array", obj)
     rows = []
     for i, entry in enumerate(obj["segments"]):

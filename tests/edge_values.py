@@ -5,6 +5,7 @@ the library, values that are not a real number at all."""
 
 import math
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -17,5 +18,5 @@ NUMBERS = tuple(map(repr, EDGE_FLOATS))
 DURATIONS = tuple(f"{x}{unit}" for x in NUMBERS for unit in ("s", "a", "Ga", "Ta"))
 
 # where the library takes one real number: text, null, a list, a complex
-# number and an array of two values
-NON_REALS = ("40", None, [40], 1j, np.array([1.0, 2.0]))
+# number, arrays of two values and of one, and a Decimal
+NON_REALS = ("40", None, [40], 1j, np.array([1.0, 2.0]), np.array([40.0]), Decimal("40"))

@@ -204,9 +204,10 @@ def test_c10_rates_and_eigenvalues():
             EffectiveState.initial(space),
             ControlSchedule((Segment(t, omega_i, omega_s),)),
         )
-        return observables_of(state, omega_i, omega_s)
+        return observables_of(state)
 
-    dps, da = analytic_rates(obs_at(t0), omega_i, omega_s, space)
+    obs = obs_at(t0)
+    dps, da = analytic_rates(obs.p_s, obs.p_i, obs.a, omega_i, omega_s, space)
     steps = [1e-2, 5e-3]
     errs_ps, errs_a = [], []
     for h in steps:

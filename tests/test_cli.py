@@ -265,6 +265,31 @@ class TestSimulateCommand:
         assert code == 1 and out == ""
         assert json.loads(err)["kind"] == "parse"
 
+    @pytest.mark.parametrize("body, kind, message", [
+        # bytes that are not UTF-8 once escaped main as a raw UnicodeDecodeError
+        (b"\xff\xfe{}", "parse", "schedule file is not valid JSON"),
+        (b"segments: []", "parse", "schedule file is not valid JSON"),
+        # the parser's and the schedule's own refusals keep their messages
+        (b'{"segments": [{"duration_s": 1.0}]}', "parse", "bad schedule segment #0"),
+        (b'{"segments": [{"duration_s": -1.0, "omega_i_radps": 1.0, "omega_s_radps": 1.0}]}',
+         "domain", "segment duration must be finite and > 0"),
+    ])
+    def test_schedule_file_errors_are_structured(self, capsys, tmp_path, body, kind, message):
+        schedule = tmp_path / "schedule.json"
+        schedule.write_bytes(body)
+        code, out, err = run(capsys, "simulate", "--protocol", "custom", "--n", "3",
+                             "--schedule-file", str(schedule))
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["kind"] == kind and error["message"].startswith(message)
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_schedule_path_that_cannot_be_read_is_an_io_error(self, capsys, tmp_path, name):
+        code, out, err = run(capsys, "simulate", "--protocol", "custom", "--n", "3",
+                             "--schedule-file", str(tmp_path / name))
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "io"
+
     @pytest.mark.parametrize("field, value", [("duration_s", True), ("omega_i_radps", "2")])
     def test_schedule_segment_fields_must_be_json_numbers(self, capsys, tmp_path, field,
                                                           value):

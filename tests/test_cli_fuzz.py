@@ -11,7 +11,8 @@ come from the pool of edge values in ``edge_values.py``, durations from the
 same pool with every unit suffix.  An argv may also name a ``--config`` file
 whose keys are the command's flags and whose values come from the same
 pools, as JSON numbers where the pool holds numbers, or are true, false,
-null or a list.
+null or a list.  A ``--schedule-file`` is one of ``SCHEDULE_BODIES``
+written out, a missing path or a directory.
 """
 
 import contextlib
@@ -27,6 +28,38 @@ from edge_values import DURATIONS, EDGE_FLOATS, NUMBERS
 from qlimits.cli import main, parse_argv
 
 COUNTS = ("-1", "0", "1", "5")
+
+_SEGMENT = {"duration_s": "1.0", "omega_i_radps": "2.0", "omega_s_radps": "0.5"}
+
+
+def _schedule(**fields) -> bytes:
+    """A one-segment schedule file; each field is JSON text, None leaves it out."""
+    pairs = {**_SEGMENT, **fields}.items()
+    segment = ", ".join(f'"{key}": {text}' for key, text in pairs if text is not None)
+    return f'{{"segments": [{{{segment}}}]}}'.encode()
+
+
+# schedule-file bodies by name: a valid schedule, text that is not UTF-8 or
+# not JSON, a segments value that is no array, fields that are no JSON number
+# or are missing, and each finite edge value, 1e400 and -1e400 as a JSON
+# number in one of the fields in turn
+_EDGE_JSON = (*(x for x in NUMBERS if x not in ("inf", "-inf", "nan")), "1e400", "-1e400")
+SCHEDULE_BODIES = {
+    "valid": _schedule(),
+    "not-utf8": b"\xff\xfe{}",
+    "not-json": b"segments: [1, 2]",
+    "segments-text": b'{"segments": "abc"}',
+    "segments-number": b'{"segments": 5}',
+    "field-true": _schedule(omega_s_radps="true"),
+    "field-text": _schedule(omega_s_radps='"2"'),
+    "field-null": _schedule(omega_s_radps="null"),
+    "missing-key": _schedule(omega_s_radps=None),
+    **{f"edge-{text}": _schedule(**{list(_SEGMENT)[i % 3]: text})
+       for i, text in enumerate(_EDGE_JSON)},
+}
+# written under the test's own directory, for which "@schedules" stands
+SCHEDULE_FILES = (*(f"@schedules/{name}.json" for name in SCHEDULE_BODIES),
+                  "@schedules/missing.json", "@schedules")
 
 # per subcommand: (leading words, flags always given, flags given or not);
 # a flag maps to its value pool, or to None when it takes no value
@@ -44,10 +77,10 @@ COMMANDS = {
         "work": NUMBERS, "power": NUMBERS}),
     "cosmic": ((), {"h0": NUMBERS, "omega-lambda": NUMBERS + ("0.7",)}, {
         "rho-m": NUMBERS, "form": ("fromOmega", "fromDensity")}),
-    "simulate": ((), {"protocol": ("ballistic", "grover", "adiabatic"),
+    "simulate": ((), {"protocol": ("ballistic", "grover", "adiabatic", "custom"),
                       "n": tuple(map(str, range(-1, 7)))}, {
         "work": NUMBERS, "work-radps": NUMBERS, "time": DURATIONS, "pulse-phase": NUMBERS,
-        "error-budget": NUMBERS, "dt": DURATIONS}),
+        "error-budget": NUMBERS, "dt": DURATIONS, "schedule-file": SCHEDULE_FILES}),
 }
 
 
@@ -108,6 +141,14 @@ def config_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("config")
 
 
+@pytest.fixture(scope="module")
+def schedule_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("schedules")
+    for name, body in SCHEDULE_BODIES.items():
+        (path / f"{name}.json").write_bytes(body)
+    return str(path)
+
+
 @settings(max_examples=500, deadline=None)
 @given(argvs())
 # NaN temperatures passed BoundQuery, Scenario and landauer_energy
@@ -139,11 +180,17 @@ def config_dir(tmp_path_factory):
 @example(("bound quantum --time 1s --psuccess 1".split(), {"n": [40]}))
 # no budget at all for the classical time
 @example(_plain("bound classical --n 8 --temp 300 --psuccess 0.5 --solve time"))
-def test_every_argv_ends_in_a_result_or_one_structured_error(config_dir, call):
+# a schedule file that is not UTF-8 once escaped main as a raw UnicodeDecodeError
+@example(_plain("simulate --protocol custom --n 3 --schedule-file @schedules/not-utf8.json"))
+@example(_plain("simulate --protocol custom --n 3 --schedule-file @schedules/edge-1e400.json"))
+@example(_plain("simulate --protocol custom --n 3 --schedule-file @schedules"))
+@example(("simulate --protocol custom --n 3".split(), {"schedule-file": "@schedules/valid.json"}))
+def test_every_argv_ends_in_a_result_or_one_structured_error(config_dir, schedule_dir, call):
     argv, config = call
+    argv = [token.replace("@schedules", schedule_dir) for token in argv]
     if config is not None:
         path = config_dir / "cfg.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config).replace("@schedules", schedule_dir))
         argv = [*argv, "--config", str(path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

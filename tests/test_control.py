@@ -12,6 +12,7 @@ from qlimits.dynamics import (
     averaged_overlap,
     control_bandwidth,
     equator_state,
+    evolve,
     final_state,
     measure_modulated_suppression,
     modulated_detuning_suppression,
@@ -25,24 +26,24 @@ def observables_after(space, omega_i, omega_s, t):
     state = final_state(
         EffectiveState.initial(space), ControlSchedule((Segment(t, omega_i, omega_s),))
     )
-    return observables_of(state, omega_i, omega_s)
+    return observables_of(state)
 
 
 class TestAnalyticRates:
     def test_zero_phase_means_zero_gain(self):
         space = SearchSpace(6)
-        obs = observables_of(EffectiveState.initial(space), 1.0, 0.5)
+        obs = observables_of(EffectiveState.initial(space))
         assert obs.alpha_ab == 0.0
-        dps, _ = analytic_rates(obs, 1.0, 0.5, space)
+        dps, _ = analytic_rates(obs.p_s, obs.p_i, obs.a, 1.0, 0.5, space)
         assert dps == 0.0
 
     def test_balanced_resonant_state_is_stationary_in_a(self):
         # delta = 0 and P_i = P_s: both terms of dA/dt vanish
         space = SearchSpace(8)
         state = equator_state(space, omega=1.0)
-        obs = observables_of(state, 1.0, 1.0)
+        obs = observables_of(state)
         assert obs.p_i == pytest.approx(obs.p_s, abs=1e-9)
-        _, da = analytic_rates(obs, 1.0, 1.0, space)
+        _, da = analytic_rates(obs.p_s, obs.p_i, obs.a, 1.0, 1.0, space)
         assert abs(da) < 1e-9
 
     def test_matches_finite_difference_ballistic(self):
@@ -50,7 +51,7 @@ class TestAnalyticRates:
         omega = 2.0 ** (space.n / 2.0)  # g*omega = 1
         t_mid = (math.pi / 4.0) / 1.0   # half way to the peak
         obs = observables_after(space, omega, omega, t_mid)
-        dps, _ = analytic_rates(obs, omega, omega, space)
+        dps, _ = analytic_rates(obs.p_s, obs.p_i, obs.a, omega, omega, space)
         h = 1e-4 / omega
         fd = (
             observables_after(space, omega, omega, t_mid + h).p_s
@@ -63,7 +64,7 @@ class TestAnalyticRates:
         omega_i, omega_s = 1.3, 0.4
         t0 = 0.7
         obs = observables_after(space, omega_i, omega_s, t0)
-        dps, da = analytic_rates(obs, omega_i, omega_s, space)
+        dps, da = analytic_rates(obs.p_s, obs.p_i, obs.a, omega_i, omega_s, space)
         errors_ps, errors_a = [], []
         steps = [1e-2, 5e-3, 2.5e-3]
         for h in steps:
@@ -74,6 +75,19 @@ class TestAnalyticRates:
         for errs in (errors_ps, errors_a):
             order = math.log(errs[0] / errs[1]) / math.log(steps[0] / steps[1])
             assert order >= 1.9
+
+
+    def test_trace_columns_give_the_per_row_rates(self):
+        space = SearchSpace(6)
+        omega_i, omega_s = 1.3, 0.4
+        trace = evolve(EffectiveState.initial(space),
+                       ControlSchedule((Segment(2.0, omega_i, omega_s),)), 0.05)
+        a = trace.a()
+        dps, da = analytic_rates(trace.prob_s, trace.prob_i, a, omega_i, omega_s, space)
+        rows = [analytic_rates(p_s, p_i, a_k, omega_i, omega_s, space) for p_s, p_i, a_k
+                in zip(trace.prob_s.tolist(), trace.prob_i.tolist(), a.tolist())]
+        assert dps.tolist() == [row[0] for row in rows]
+        assert da.tolist() == [row[1] for row in rows]
 
 
 class TestPhaseVelocity:
@@ -90,8 +104,8 @@ class TestPhaseVelocity:
             h = 0.05 / omega
             seg = Segment(h, omega + delta, omega - delta)
             end = final_state(state, ControlSchedule((seg,)))
-            alpha0 = observables_of(state, omega + delta, omega - delta).alpha_ab
-            alpha1 = observables_of(end, omega + delta, omega - delta).alpha_ab
+            alpha0 = observables_of(state).alpha_ab
+            alpha1 = observables_of(end).alpha_ab
             coefficients.append((alpha1 - alpha0) / h / delta)
         for c in coefficients[1:]:
             assert c == pytest.approx(coefficients[0], rel=5e-2)
@@ -220,7 +234,7 @@ class TestOptimalDetuning:
         c_window = 100.0
         window = 2.0 * c_window / omega
         state = equator_state(space, omega)
-        obs0 = observables_of(state, omega, omega)
+        obs0 = observables_of(state)
         estimate = optimal_detuning(
             obs0.a, c_window, obs0.p_i - obs0.p_s, obs0.p_i, obs0.p_s, space, "bulk"
         )
@@ -231,7 +245,7 @@ class TestOptimalDetuning:
         for delta in deltas:
             seg = Segment(window, omega + delta, omega - delta)
             end = final_state(state, ControlSchedule((seg,)))
-            p_end = observables_of(end, omega + delta, omega - delta).p_s
+            p_end = observables_of(end).p_s
             gains.append((p_end - obs0.p_s) / window)
         best = float(deltas[int(np.argmax(gains))]) * window / 2.0
         assert best <= 4.0 / c_window + 1e-15

@@ -175,10 +175,10 @@ class TestEvolve:
         schedule = ballistic_schedule(space, HBAR * 50.0)
         trace = evolve(EffectiveState.initial(space), schedule, schedule.total_duration / 400)
         b = prefactor_b(0.0, 10)
-        p0 = trace.points[0].obs.p_s
-        for p in trace.points:
-            bound = b * (p.obs.e_plus / HBAR) ** 2 * p.t**2 / 2**10
-            assert p.obs.p_s - p0 <= bound + 1e-12
+        omega = float(schedule.omega_i[0])  # one constant segment: one E_plus
+        e_plus, _ = eigenenergies(space, omega, 0.0)
+        bound = b * (e_plus / HBAR) ** 2 * trace.t**2 / 2**10
+        assert np.all(trace.prob_s - trace.prob_s[0] <= bound + 1e-12)
 
     def test_eigenstates_have_zero_phase(self):
         space = SearchSpace(9)
@@ -435,7 +435,7 @@ class TestPropagateKernel:
         space = SearchSpace(int(rng.integers(1, 21)))
         schedule = random_schedule(rng, count, zero_every=5)
         state = random_state(rng, space)
-        c1, c2 = propagate(state, schedule.arrays(), self.FACTORS)
+        c1, c2 = propagate(state, schedule, self.FACTORS)
         for k, factor in enumerate(self.FACTORS):
             ref = per_segment_amplitudes(state, schedule, factor)
             assert abs(c1[k] - ref[0]) <= 1e-12
@@ -455,7 +455,7 @@ class TestPropagateKernel:
     def test_all_zero_frequency_schedule_is_identity(self):
         space = SearchSpace(5)
         schedule = ControlSchedule((Segment(0.4, 0.0, 0.0),) * 9)
-        c1, c2 = propagate(EffectiveState.initial(space), schedule.arrays(), self.FACTORS)
+        c1, c2 = propagate(EffectiveState.initial(space), schedule, self.FACTORS)
         assert np.all(c1 == 1.0) and np.all(c2 == 0.0)
 
     def test_temporaries_do_not_grow_with_batch_times_segments(self):
@@ -463,11 +463,11 @@ class TestPropagateKernel:
 
         rng = np.random.default_rng(3)
         count, batch = 8_000, 97
-        arrays = random_schedule(rng, count).arrays()
+        schedule = random_schedule(rng, count)
         factors = np.linspace(0.5, 2.0, batch)
         tracemalloc.start()
         try:
-            propagate(EffectiveState.initial(SearchSpace(9)), arrays, factors)
+            propagate(EffectiveState.initial(SearchSpace(9)), schedule, factors)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -481,20 +481,19 @@ class TestPropagateKernel:
         state = EffectiveState(1.0 + 1e-7 + 0.0j, 0.0j, space)  # within 1e-6, beyond 1e-9
         schedule = ControlSchedule((Segment(1.0, 1.0, 0.5),))
         with pytest.raises(ConsistencyError):
-            propagate(state, schedule.arrays(), self.FACTORS)
+            propagate(state, schedule, self.FACTORS)
         with pytest.raises(ConsistencyError):
             final_state(state, schedule)
 
     def test_rejects_nonpositive_factor(self):
         schedule = ControlSchedule((Segment(1.0, 1.0, 0.5),))
         with pytest.raises(DomainError):
-            propagate(EffectiveState.initial(SearchSpace(4)), schedule.arrays(),
-                      np.array([1.0, 0.0]))
+            propagate(EffectiveState.initial(SearchSpace(4)), schedule, np.array([1.0, 0.0]))
 
     def test_rejects_empty_factors(self):
         schedule = ControlSchedule((Segment(1.0, 1.0, 0.5),))
         with pytest.raises(DomainError, match="number of scale factors"):
-            propagate(EffectiveState.initial(SearchSpace(4)), schedule.arrays(), np.array([]))
+            propagate(EffectiveState.initial(SearchSpace(4)), schedule, np.array([]))
 
 
 def su2_by_expression(x, z, dt):
@@ -601,7 +600,7 @@ def stretched_amplitudes(state, arrays, factors):
 
 @st.composite
 def stretched_batches(draw):
-    """(state, arrays, factors): 1-128 factors in [1/8, 16] and 1 to 3
+    """(state, schedule, factors): 1-128 factors in [1/8, 16] and 1 to 3
     blocks of segments (block edges drawn on purpose), a share of them at
     zero frequency."""
     batch = draw(st.integers(1, 128))
@@ -614,7 +613,7 @@ def stretched_batches(draw):
     omegas = rng.uniform(0.0, 2.0, (2, count))
     omegas[:, rng.random(count) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
     factors = np.exp(rng.uniform(math.log(0.125), math.log(16.0), batch))
-    return random_state(rng, space), (durations, *omegas), factors
+    return random_state(rng, space), ControlSchedule(np.column_stack((durations, *omegas))), factors
 
 
 class TestPropagateProperty:
@@ -632,12 +631,11 @@ class TestPropagateProperty:
     @given(stretched_batches())
     # one factor and a block plus one segment: the last block is one element
     @example((EffectiveState.initial(SearchSpace(9)),
-              (np.full(BLOCK_ELEMENTS + 1, 1e-3), np.ones(BLOCK_ELEMENTS + 1),
-               np.zeros(BLOCK_ELEMENTS + 1)), np.ones(1)))
+              ControlSchedule(np.tile((1e-3, 1.0, 0.0), (BLOCK_ELEMENTS + 1, 1))), np.ones(1)))
     def test_batch_matches_per_segment_product(self, batch):
-        state, arrays, factors = batch
-        c1, c2 = propagate(state, arrays, factors)
-        ref = stretched_amplitudes(state, arrays, factors)
+        state, schedule, factors = batch
+        c1, c2 = propagate(state, schedule, factors)
+        ref = stretched_amplitudes(state, schedule.arrays(), factors)
         assert np.abs(c1 - ref[0]).max() <= 1e-12
         assert np.abs(c2 - ref[1]).max() <= 1e-12
 

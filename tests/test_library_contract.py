@@ -14,6 +14,7 @@ every call is cheap.
 
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -64,12 +65,15 @@ from qlimits.dynamics import (
     eigenenergies,
     equator_state,
     evolve,
+    final_state,
     first_peak_iterations,
+    full_space_reference,
     grover_pulsed_schedule,
     measure_modulated_suppression,
     modulated_detuning_suppression,
     propagate,
     runtime_to_infidelity,
+    schedule_infidelity,
 )
 from qlimits.constants import HBAR
 from qlimits.errors import CapacityError, DomainError, QlimitsError
@@ -88,6 +92,10 @@ from qlimits.keylength import (
 from qlimits.scenarios import Scenario, scenario
 
 EDGE = st.sampled_from(EDGE_FLOATS + NON_REALS)
+
+# where the library takes a schedule: its rows as a list, its columns as a
+# tuple, None and text
+NON_SCHEDULES = ([[1.0, 1.0, 0.5]], ([1.0], [1.0], [0.5]), None, "schedule")
 
 
 def _log_uniform(lo, hi):
@@ -112,12 +120,14 @@ KINDS = {
     # passes the capacity check holds at most some 3e4 samples
     "span": st.sampled_from((0.5, 1.0, 2.0)),
     "step": st.sampled_from((0.01, 0.1, 1.0)),
-    # schedule rows, columns given as lists, and scale factors
+    # schedule rows and scale factors
     "rows": st.lists(st.tuples(_log_uniform(-3.0, 3.0), _log_uniform(-3.0, 3.0),
                                _log_uniform(-3.0, 3.0)), min_size=1, max_size=3),
-    "columns": st.tuples(_log_uniform(-3.0, 3.0), _log_uniform(-3.0, 3.0),
-                         _log_uniform(-3.0, 3.0)).map(lambda row: tuple([v] for v in row)),
     "factors": st.lists(_log_uniform(-3.0, 3.0), min_size=1, max_size=4),
+    # a schedule of a few seconds, or a value that is not a ControlSchedule
+    "schedule": st.builds(lambda span, w: ControlSchedule([(span, w, 1.0), (span, 1.0, w)]),
+                          st.sampled_from((0.5, 1.0, 2.0)), _log_uniform(-3.0, 3.0))
+    | st.sampled_from(NON_SCHEDULES),
 }
 
 
@@ -333,9 +343,20 @@ CALLS = {
     "evolve": (lambda n, span, step: evolve(EffectiveState.initial(SearchSpace(n)),
                                             ControlSchedule([(span, 1.0, 1.0)]), step),
                ("bits", "span", "step"), _trace),
-    "propagate": (lambda n, columns, factors: propagate(EffectiveState.initial(SearchSpace(n)),
-                                                        columns, factors),
-                  ("bits", "columns", "factors"), _amplitudes),
+    "evolve schedule": (lambda n, schedule, step: evolve(EffectiveState.initial(SearchSpace(n)),
+                                                         schedule, step),
+                        ("bits", "schedule", "step"), _trace),
+    "propagate": (lambda n, schedule, factors: propagate(EffectiveState.initial(SearchSpace(n)),
+                                                         schedule, factors),
+                  ("bits", "schedule", "factors"), _amplitudes),
+    "final_state": (lambda n, schedule: final_state(EffectiveState.initial(SearchSpace(n)),
+                                                    schedule),
+                    ("bits", "schedule"), _state),
+    "full_space_reference": (
+        lambda n, schedule, step: full_space_reference(SearchSpace(n), schedule, step, 0),
+        ("bits", "schedule", "step"), _trace),
+    "schedule_infidelity": (lambda n, schedule: schedule_infidelity(SearchSpace(n), schedule),
+                            ("bits", "schedule"), _prob),
     "measure_modulated_suppression": (
         lambda n, r, omega, cycles, k: measure_modulated_suppression(
             SearchSpace(n), r, omega, cycles=cycles,
@@ -391,7 +412,12 @@ def calls(draw):
 @example(("runtime_to_infidelity scale_range", (6, "a", "b")))
 @example(("propagate", (4, 1.0, [1.0])))
 @example(("propagate", (4, ([1.0], [1.0], [1.0]), [1.0])))
-@example(("propagate", (4, ([1.0], [1.0], [1.0]), ["x"])))
+@example(("propagate", (4, ControlSchedule([(1.0, 1.0, 1.0)]), ["x"])))
+# a one-element array passed every range check, and a Decimal the ones above 0
+@example(("bht_optimal", (np.array([40.0]), 1.0, 300.0, 1.0)))
+@example(("landauer_energy", (np.array([300.0]),)))
+@example(("ControlSchedule.truncated", (1.0, np.array([0.5]))))
+@example(("bht_optimal", (Decimal("40"), 1.0, 300.0, 1.0)))
 @example(("ControlSchedule rows", ("abc",)))
 def test_every_call_ends_in_a_result_or_a_qlimits_error(call):
     name, args = call
@@ -443,19 +469,21 @@ def test_counts_are_refused_before_allocating(call):
         call()
 
 
-_COLUMNS = ControlSchedule(((1.0, 1.0, 0.5), (2.0, 0.5, 1.0))).arrays()
+_SCHEDULE = ControlSchedule(((1.0, 1.0, 0.5), (2.0, 0.5, 1.0)))
+_COLUMNS = _SCHEDULE.arrays()
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: propagate(EffectiveState.initial(SearchSpace(4)), _COLUMNS, 1.0),
+    (lambda: propagate(EffectiveState.initial(SearchSpace(4)), _SCHEDULE, 1.0),
      "scale factors must be a 1-D array"),
-    (lambda: propagate(EffectiveState.initial(SearchSpace(4)), _COLUMNS, [[1.0], [2.0]]),
+    (lambda: propagate(EffectiveState.initial(SearchSpace(4)), _SCHEDULE, [[1.0], [2.0]]),
      "scale factors must be a 1-D array"),
+    # columns in place of a schedule, which alone checks them
     (lambda: propagate(EffectiveState.initial(SearchSpace(4)),
                        (_COLUMNS[0][:1], *_COLUMNS[1:]), [1.0]),
-     "three 1-D columns of one length"),
+     "schedule must be a ControlSchedule"),
     (lambda: propagate(EffectiveState.initial(SearchSpace(4)), _COLUMNS[:2], [1.0]),
-     "three 1-D columns of one length"),
+     "schedule must be a ControlSchedule"),
     (lambda: runtime_to_infidelity(SearchSpace(6), 1.0, 0.1, 0.01, scale_range=(1.0,)),
      "scale range must be a"),
     (lambda: runtime_to_infidelity(SearchSpace(6), 1.0, 0.1, 0.01, scale_range=2.0),
@@ -469,4 +497,36 @@ def test_batched_scan_shapes_are_refused(call, message):
     # each once ended in a raw IndexError, ValueError or TypeError, or (2-D
     # factors, a 3-tuple range) in a result that mixed or dropped inputs
     with pytest.raises(DomainError, match=message):
+        call()
+
+
+_SCHEDULE_CALLS = {
+    "evolve": lambda s: evolve(EffectiveState.initial(SearchSpace(4)), s, 0.1),
+    "propagate": lambda s: propagate(EffectiveState.initial(SearchSpace(4)), s, [1.0]),
+    "final_state": lambda s: final_state(EffectiveState.initial(SearchSpace(4)), s),
+    "full_space_reference": lambda s: full_space_reference(SearchSpace(4), s, 0.1, 0),
+    "schedule_infidelity": lambda s: schedule_infidelity(SearchSpace(4), s),
+}
+
+
+@pytest.mark.parametrize("schedule", NON_SCHEDULES,
+                         ids=["list rows", "tuple of columns", "None", "text"])
+@pytest.mark.parametrize("name", sorted(_SCHEDULE_CALLS))
+def test_a_value_that_is_not_a_schedule_is_refused(name, schedule):
+    # each but propagate once ended in a raw AttributeError; propagate took
+    # columns that no schedule had checked
+    with pytest.raises(DomainError, match="schedule must be a ControlSchedule"):
+        _SCHEDULE_CALLS[name](schedule)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bht_optimal(np.array([40.0]), 1.0, 300.0, 1.0),
+    lambda: landauer_energy(np.array([300.0])),
+    lambda: ControlSchedule([(1.0, 1.0, 1.0)]).truncated(np.array([0.5])),
+    lambda: bht_optimal(Decimal("40"), 1.0, 300.0, 1.0),
+], ids=["bht_optimal array", "landauer_energy array", "truncated array", "bht_optimal Decimal"])
+def test_one_element_arrays_and_decimals_are_not_real_numbers(call):
+    # these passed every range check, then ended in a raw TypeError or
+    # returned an array or a schedule
+    with pytest.raises(DomainError, match="must be a real number"):
         call()

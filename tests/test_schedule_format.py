@@ -118,7 +118,8 @@ def test_array_triples_and_segments_give_equal_schedules():
         assert_rows_identical(schedule, ROWS)
     assert from_array.total_duration == 2.25
     assert from_array != ControlSchedule(ROWS[:2])
-    assert from_array != ControlSchedule(ROWS, declared_duration=2.25)
+    # a declared runtime is checked, not kept: equality compares the columns
+    assert from_array == ControlSchedule(ROWS, declared_duration=2.25)
 
 
 def test_columns_are_contiguous_and_read_only():

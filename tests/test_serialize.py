@@ -4,7 +4,16 @@ import math
 import pytest
 
 from qlimits.constants import HBAR
-from qlimits.dynamics import ControlSchedule, EffectiveState, SearchSpace, Segment, evolve
+from qlimits.dynamics import (
+    ControlSchedule,
+    EffectiveState,
+    SearchSpace,
+    Segment,
+    adiabatic_schedule,
+    ballistic_schedule,
+    evolve,
+    grover_pulsed_schedule,
+)
 from qlimits.errors import ParseError
 from qlimits.serialize import (
     TRACE_CSV_HEADER,
@@ -59,7 +68,7 @@ def test_trace_csv_numbers_parse_back():
 
 def test_trace_obj_matches_csv_fields():
     trace = sample_trace()
-    obj = trace_to_obj(trace)
+    obj = json.loads(dumps17(trace_to_obj(trace)))
     assert len(obj) == len(trace.points)
     assert obj[-1]["P_s"] == trace.points[-1].obs.p_s
     assert set(obj[0]) == {
@@ -69,9 +78,17 @@ def test_trace_obj_matches_csv_fields():
 
 
 def test_schedule_round_trip():
-    schedule = ControlSchedule((Segment(1.5, 0.7, 0.0), Segment(2.5, 0.0, 0.7)))
-    again = schedule_from_obj(schedule_to_obj(schedule))
-    assert again.segments == schedule.segments
+    # a declared runtime is checked, not kept, so the file gives back an equal
+    # schedule for every constructor; grover and ballistic ones once differed
+    space = SearchSpace(6)
+    for schedule in (grover_pulsed_schedule(space, HBAR, iterations=3),
+                     grover_pulsed_schedule(space, HBAR, 0.7, 2),
+                     ballistic_schedule(space, HBAR),
+                     adiabatic_schedule(space, HBAR, 0.1, kind="local"),
+                     adiabatic_schedule(space, HBAR, 0.1, kind="linear"),
+                     ControlSchedule((Segment(1.5, 0.7, 0.0), Segment(2.5, 0.0, 0.7)))):
+        again = schedule_from_obj(json.loads(dumps17(schedule_to_obj(schedule))))
+        assert again == schedule
 
 
 def test_schedule_parse_errors():
@@ -79,6 +96,10 @@ def test_schedule_parse_errors():
         schedule_from_obj({"not_segments": []})
     with pytest.raises(ParseError):
         schedule_from_obj({"segments": [{"duration_s": 1.0}]})
+    # segments must be a JSON array, as json.load gives it: not text, not a tuple
+    for segments in ("abc", ((1.0, 1.0, 1.0),)):
+        with pytest.raises(ParseError, match="'segments' array"):
+            schedule_from_obj({"segments": segments})
 
 
 def test_result_csv_flattens_nested_keys_and_a_dict_is_one_row():
