@@ -175,7 +175,7 @@ def _config_flags(argv: list[str]) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 JSON, too deep
         raise ParseError(f"cannot read config file: {exc}", path) from None
     if not isinstance(cfg, dict):
         raise ParseError("config file must contain a JSON object", path)
@@ -224,7 +224,7 @@ def _cmd_simulate(args):
         with open(args.schedule_file, encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
-            except ValueError as exc:  # not UTF-8, not JSON
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
                 raise ParseError(f"schedule file is not valid JSON: {exc}",
                                  args.schedule_file) from None
         schedule = schedule_from_obj(obj)

@@ -58,8 +58,9 @@ def result_to_csv(doc) -> str:
 class FloatRows:
     """Rows of finite float columns under fixed keys, formatted in bulk.
 
-    The writers format the columns directly, as JSON objects or CSV lines.
-    Every entry must be finite, so plain ``%.17g`` equals
+    The writers format the columns directly, as JSON objects or CSV lines,
+    a block of rows to a string; a column that holds one value is formatted
+    once.  Every entry must be finite, so plain ``%.17g`` equals
     :func:`format_float17` cell for cell.
     """
 
@@ -80,31 +81,49 @@ class FloatRows:
         return self.columns[0].size
 
     def join(self, template: str, sep: str) -> str:
-        """Every row through ``template % row`` (a ``%.17g`` slot per column), joined
-        by ``sep``: BLOCK_ROWS rows at a time, the columns formatted by :func:`_cell_slots`
-        (each keeps the slots some cell of it uses) and the template's text broadcast."""
+        """``template % row`` for every row, joined by ``sep``: :meth:`blocks` as one text."""
+        return "".join(self.blocks(template, sep))
+
+    def blocks(self, template: str, sep: str) -> list[str]:
+        """The text of :meth:`join`, BLOCK_ROWS rows a string.  A column whose rows hold
+        one bit pattern is formatted once by ``%.17g`` into the template's text, the
+        others by :func:`_cell_slots`; each block fills one row-major byte buffer, the
+        text broadcast over its rows and each column's used slots transposed in."""
         literals = _template_literals(template, sep)
         if len(literals) != len(self.columns) + 1:
             raise ConsistencyError("one %.17g slot per column is required", template)
-        pieces = []
+        texts, varying = [literals[0]], []
+        for column, literal in zip(self.columns, literals[1:]):
+            bits = column.view(np.uint64)
+            if bits.size and (bits == bits[0]).all():
+                texts[-1] += "%.17g" % column[0] + literal
+            else:
+                texts.append(literal)
+                varying.append(column)
+        texts = [np.frombuffer(t.encode(), np.uint8) for t in texts]
+        blocks = []
         for start in range(0, len(self), BLOCK_ROWS):
-            columns = [c[start:start + BLOCK_ROWS] for c in self.columns]
-            rows = columns[0].size
-            slots = _cell_slots(np.concatenate(columns)).reshape(44, len(columns), rows)
-            used = slots.any(axis=2)
-            parts = [np.broadcast_to(literals[0], (literals[0].size, rows))]
-            for j, literal in enumerate(literals[1:]):
-                parts += [slots[_ORDER[used[_ORDER, j]], j],
-                          np.broadcast_to(literal, (literal.size, rows))]
-            text = np.concatenate(parts).T.tobytes().translate(None, b"\0").decode()
-            pieces.append(text if start else text[len(sep):])  # no sep before the first row
-        return "".join(pieces)
+            cells = [c[start:start + BLOCK_ROWS] for c in varying]
+            rows = min(BLOCK_ROWS, len(self) - start)
+            slots = _cell_slots(np.concatenate(cells)).reshape(44, -1, rows) if cells else None
+            pieces = [texts[0]]
+            for j, text in enumerate(texts[1:]):
+                used = _ORDER[slots[:, j].any(axis=1)[_ORDER]]
+                pieces += [slots[used, j].T, text]
+            buf = np.empty((rows, sum(p.shape[-1] for p in pieces)), np.uint8)
+            at = 0
+            for piece in pieces:
+                buf[:, at:at + piece.shape[-1]] = piece
+                at += piece.shape[-1]
+            text = buf.tobytes().translate(None, b"\0").decode()
+            blocks.append(text if start else text[len(sep):])  # no sep before the first row
+        return blocks
 
 
 @lru_cache(maxsize=64)
 def _template_literals(template: str, sep: str) -> tuple:
-    """The text around the ``%.17g`` slots of a row template, ``sep`` first,
-    as uint8 columns; ``%%`` is a literal ``%``."""
+    """The text around the ``%.17g`` slots of a row template, ``sep`` first;
+    ``%%`` is a literal ``%``."""
     literals = [sep]
     for piece in re.split(r"(%%|%\.17g)", template):
         if piece == "%.17g":
@@ -113,10 +132,10 @@ def _template_literals(template: str, sep: str) -> tuple:
             literals[-1] += "%" if piece == "%%" else piece
     if "\0" in template + sep:  # NUL marks an unused slot
         raise ConsistencyError("a row template holds no NUL", template)
-    return tuple(np.frombuffer(s.encode(), np.uint8)[:, None] for s in literals)
+    return tuple(literals)
 
 
-# Rows per pass of FloatRows.join, which bounds its temporaries.
+# Rows per block of FloatRows.blocks (one string each), which bounds its temporaries.
 BLOCK_ROWS = 4096
 _K0, _E0 = -300, -324  # the least power of ten in the table, the least exponent X
 
@@ -222,7 +241,7 @@ def _write_rows(rows: FloatRows, out: list[str], indent: int, level: int) -> Non
         out.append("[]")
         return
     out.append("[\n")
-    out.append(rows.join(_json_row_template(rows.keys, indent, level), ",\n"))
+    out.extend(rows.blocks(_json_row_template(rows.keys, indent, level), ",\n"))
     out.append("\n" + " " * (indent * level) + "]")
 
 
@@ -297,7 +316,7 @@ _SCHEDULE_FIELDS = ("duration_s", "omega_i_radps", "omega_s_radps")
 def trace_to_csv(trace) -> str:
     """A trace as CSV with the fixed observable column order."""
     rows = FloatRows(_TRACE_FIELDS, trace.columns())
-    return TRACE_CSV_HEADER + rows.join(_TRACE_CSV_ROW, "") + "\n"
+    return "".join([TRACE_CSV_HEADER, *rows.blocks(_TRACE_CSV_ROW, ""), "\n"])
 
 
 def trace_to_obj(trace) -> FloatRows:

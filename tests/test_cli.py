@@ -532,6 +532,19 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not strict JSON")
 
 
+@pytest.mark.parametrize("flag", ["--schedule-file", "--config"])
+def test_a_deeply_nested_file_is_a_parse_error(capsys, tmp_path, flag):
+    # json.load raises RecursionError, not a ValueError: the file once escaped
+    # main as a raw traceback through both readers
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "simulate", "--protocol", "custom", "--n", "3",
+                         flag, str(nested))
+    assert (code, out) == (1, "")
+    error = json.loads(err, parse_constant=_reject_constant)
+    assert error["kind"] == "parse" and error["offending_input"] == str(nested)
+
+
 @pytest.mark.parametrize("argv, message", [
     # Omega_Lambda^1.5 underflows to 0 in the denominator
     (["cosmic", "--h0", "67", "--omega-lambda", "1e-320"], "outside double range"),

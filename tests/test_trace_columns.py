@@ -609,6 +609,61 @@ def test_rows_split_into_blocks_join_as_one(monkeypatch):
         assert rows.join(template, sep).split("\n") == _old_join(rows, template, sep).split("\n")
 
 
+_RAMP = [0.5, 1.0 / 3.0, -2.0, 7.25, 1e-300, 3e20, -0.0, 0.0, 1e-5, 123456.0]
+
+
+def _constant_columns():
+    """Columns of one length in which some or all hold one bit pattern."""
+    return [
+        pytest.param([[1.5] * 10, [-0.0] * 10, [2.0] * 10], id="every-column-constant"),
+        pytest.param([[-0.0] * 10, [0.0] * 10, _RAMP], id="negative-zero-beside-zero"),
+        pytest.param([[5e-324] * 10, _RAMP, [-1.7976931348623157e308] * 10, [1e16] * 10,
+                      [1e-5] * 10], id="range-ends-and-g-switches"),
+        pytest.param([[0.1], [-0.0], [3.0]], id="one-row"),
+        pytest.param([[], [], []], id="zero-rows"),
+    ]
+
+
+@pytest.mark.parametrize("columns", _constant_columns())
+@pytest.mark.parametrize("block_rows", [4096, 4], ids=["one-block", "block-edges"])
+def test_constant_columns_format_as_every_cell(monkeypatch, columns, block_rows):
+    # a constant column is formatted once and joins the template's text; with
+    # four rows a block, the ten-row columns cross two block edges
+    monkeypatch.setattr(serialize, "BLOCK_ROWS", block_rows)
+    keys = ("%.17g", *(f"k%{i}" for i in range(1, len(columns))))
+    rows = FloatRows(keys, columns)
+    for template, sep in (("\n" + ",".join(["%.17g"] * len(columns)), ""),
+                          (_json_row_template(keys, 2, 1), ",\n")):
+        expected = sep.join(template % row for row in zip(*columns))
+        assert rows.join(template, sep) == expected == _old_join(rows, template, sep)
+        assert len(rows.blocks(template, sep)) == -(-len(rows) // block_rows)
+    assert dumps17({"x": rows}) == _old_dumps17({"x": [dict(zip(keys, row))
+                                                       for row in zip(*columns)]})
+
+
+def test_a_one_segment_trace_formats_its_constant_columns_once(monkeypatch):
+    # omega_i and omega_s hold one value in every row of a ballistic trace:
+    # seven columns of cells reach _cell_slots, not nine
+    sizes = []
+    cell_slots = serialize._cell_slots
+
+    def recording(x):
+        sizes.append(x.size)
+        return cell_slots(x)
+
+    monkeypatch.setattr(serialize, "_cell_slots", recording)
+    schedule = ballistic_schedule(SearchSpace(12), 1.0)
+    trace = evolve(EffectiveState.initial(SearchSpace(12)), schedule,
+                   schedule.total_duration / 1000)
+    rows = trace_to_obj(trace)
+    csv = trace_to_csv(trace)
+    assert sizes == [7 * len(rows)]
+    assert csv == serialize.TRACE_CSV_HEADER + _old_join(rows, _TRACE_CSV_ROW, "") + "\n"
+    json_row = _json_row_template(rows.keys, 2, 0)
+    assert dumps17(rows) == "[\n" + _old_join(rows, json_row, ",\n") + "\n]"
+    assert sizes == [7 * len(rows)] * 2
+
+
 def test_power_of_ten_table_is_exact_to_2_to_the_minus_104():
     for k, scale, hi, lo in zip(range(serialize._K0, 346), serialize._SCALE, serialize._HI,
                                 serialize._LO):
