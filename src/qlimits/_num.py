@@ -1,4 +1,4 @@
-"""Shared numerics: log2-space arithmetic, root-finders and tolerant rounding.
+"""Shared numerics: log2-space arithmetic, Newton and golden-section solvers, rounding.
 
 Key-length and collision-search work scales involve factors like 2^n for
 n up to a few thousand bits, far past the double-precision exponent range.
@@ -48,61 +48,22 @@ def log2_radical(x: float) -> float:
     return 0.5 * (x + math.log2(-math.expm1(-x * LN2)))
 
 
-_SQRT_HALF = math.sqrt(0.5)
+_NEWTON_STEPS = 64
 
 
-def find_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Root of a monotone-increasing f, f_lo = f(lo) <= 0 < f_hi = f(hi), to
-    1e-12 relative.
-
-    Brent's method (Brent 1973, *Algorithms for Minimization without
-    Derivatives*, ch. 4): inverse quadratic or secant steps, and bisection
-    where they would not shrink fast enough.  The returned x is one end of
-    a sign-change bracket whose other end lies within 1e-12 |x| of it.  Past
-    the two ends, which the caller has evaluated, the near-linear bound
-    inversions take three to six evaluations, bisection about 42.  A
-    bisection is also forced whenever the bracket's half-width exceeds
-    |hi - lo| 2^(-k/2) after k steps, so no f takes more than about twice
-    bisection's count.
+def newton(g, x: float) -> float:
+    """Root of g by Newton steps from x, g(x) returning (g(x), g'(x)), for a
+    g convex and increasing with x above the root, or concave and increasing
+    with x below it.  The steps then near the root from one side,
+    quadratically, so the loop stops once a step is under 1e-12 max(1, |x|).
     """
-    a, fa = lo, f_lo
-    b, fb = hi, f_hi
-    c, fc = a, fa
-    d = e = b - a
-    cap = abs(b - a)
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):  # b is the best estimate, c the other end
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 0.5e-12 * abs(b)
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        cap *= _SQRT_HALF  # the bracket must halve every two steps, or bisect
-        if abs(e) < tol or abs(fa) <= abs(fb) or abs(m) > cap:
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic through a, b, c
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
+    for _ in range(_NEWTON_STEPS):
+        value, slope = g(x)
+        step = value / slope
+        x -= step
+        if abs(step) <= 1e-12 * max(1.0, abs(x)):
+            break
+    return x
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import LN2, N_BRACKET, ceil_tol, exp2, find_root, golden_min, log2_add, log2_radical
+from ._num import LN2, N_BRACKET, ceil_tol, exp2, golden_min, log2_add, log2_radical, newton
 from .constants import CONSTANTS_VERSION, H, HBAR
 from .errors import CapacityError, DomainError, InfeasibleError, checked, checked_int, in_double_range
 from .bounds import landauer_energy
@@ -83,6 +83,9 @@ class BhtPlan:
 _LOG2_H_4 = math.log2(H / 4.0)
 _LOG2_HBAR = math.log2(HBAR)
 _LOG2_HALF_PI = math.log2(math.pi / 2.0)
+_LOG2_4_HBAR = math.log2(4.0 / HBAR)
+_LOG2_2PI = math.log2(2.0 * math.pi)
+_LOG2_5HBAR_4 = math.log2(1.25 * HBAR)
 
 
 def _check_plan(n: float, k: float, t_total: float, p_success: float) -> float:
@@ -131,18 +134,19 @@ def bht_work(n: float, k: float, t_total: float, temperature: float, p_success: 
 def _closed_form_log2(n: float, t_total: float, e_l: float, p_success: float) -> tuple[float, float]:
     """(log2 k*, log2 W*) of the budget-only closed forms.
 
-    x = (n+1) E_L 4 t/hbar + 2 pi is taken directly while it is finite and
-    from its log2 terms past that (near 1e290 s at 300 K).
+    x = (n+1) a + 2 pi, a = 4 E_L t/hbar, is taken directly while it is
+    finite and from its log2 terms past that (near 1e290 s at 300 K, or
+    1e293 K at 1 s).
     """
     x = (n + 1.0) * e_l * 4.0 * t_total / HBAR + 2.0 * math.pi
     if x < math.inf:
         log2_x = math.log2(x)
     else:
-        log2_x = log2_add(math.log2((n + 1.0) * e_l * 4.0 / HBAR) + math.log2(t_total),
-                          math.log2(2.0 * math.pi))
+        log2_x = log2_add(math.log2(n + 1.0) + math.log2(e_l) + _LOG2_4_HBAR
+                          + math.log2(t_total), _LOG2_2PI)
     base = (n + math.log2(p_success)) / 3.0
     log2_k = base - (2.0 / 3.0) * log2_x
-    log2_w = base + log2_x / 3.0 + math.log2(1.25 * HBAR) - math.log2(t_total)
+    log2_w = base + log2_x / 3.0 + _LOG2_5HBAR_4 - math.log2(t_total)
     return log2_k, log2_w
 
 
@@ -246,13 +250,29 @@ def bht_min_image_bits(
         return log2_w - target
 
     lo, hi = N_BRACKET
-    f_lo = excess(lo)
-    if f_lo > 0.0:
+    if excess(lo) > 0.0:
         return 1
-    f_hi = excess(hi)
-    if f_hi <= 0.0:
+    if excess(hi) <= 0.0:
         raise DomainError("budget exceeds the bound at the n = 4096 bracket", work_budget)
-    return ceil_tol(find_root(excess, lo, hi, f_lo, f_hi))
+    return ceil_tol(_image_bits_root(target, t_total, e_l, p_success))
+
+
+def _image_bits_root(target: float, t_total: float, e_l: float, p_success: float) -> float:
+    """The real n with log2 W*(n) = target: n + log2((n+1) a + 2 pi) = y.
+
+    The left side is concave with slope in [1, 1 + 1/((n+1) ln 2)], so
+    Newton steps from below the root stay below it.  As n < y, they start
+    at y - log2((y+1) a + 2 pi).
+    """
+    log2_a = math.log2(e_l) + _LOG2_4_HBAR + math.log2(t_total) if e_l > 0.0 else -math.inf
+    y = 3.0 * (target + math.log2(t_total) - _LOG2_5HBAR_4) - math.log2(p_success)
+
+    def g(n: float) -> tuple[float, float]:
+        reset = math.log2(n + 1.0) + log2_a
+        log2_x = log2_add(reset, _LOG2_2PI)
+        return n + log2_x - y, 1.0 + exp2(reset - log2_x) / ((n + 1.0) * LN2)
+
+    return newton(g, max(N_BRACKET[0], y - g(y)[0]))
 
 
 def bht_sweep_minimum(

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._num import LN2, N_BRACKET, exp2, find_root, golden_min, log2_add, log2_radical
+from ._num import LN2, N_BRACKET, exp2, golden_min, log2_add, log2_radical, newton
 from .constants import CONSTANTS_VERSION, H, HBAR, K_B
 from .errors import DomainError, InfeasibleError, checked, checked_int, in_double_range
 
@@ -168,6 +168,12 @@ def _classical_terms_log2(n: float, p_success: float, e_l: float) -> tuple[float
     return log2_a, guesses + math.log2(H / 4.0)
 
 
+def _log2_per_guess(time: float, e_l: float) -> float:
+    """log2(E_L + h/4t), the classical cost per guess; h/4t underflows for huge t."""
+    return log2_add(math.log2(e_l) if e_l > 0.0 else -math.inf,
+                    math.log2(H / 4.0) - math.log2(time))
+
+
 def _classical_requirement_log2(n: float, time: float, e_l: float, p_success: float) -> float:
     """log2 of the classical work requirement; -inf when it vanishes."""
     log2_a, log2_b = _classical_terms_log2(n, p_success, e_l)
@@ -213,10 +219,8 @@ def classical_bound(query: BoundQuery) -> BoundResult:
                 floor,
                 query,
             )
-        # (W - floor) / (2^n (E_L + h/4t)); h/4t underflows for huge t
-        per_guess_log2 = log2_add(math.log2(e_l) if e_l > 0.0 else -math.inf,
-                                  math.log2(H / 4.0) - math.log2(query.time))
-        p = exp2(math.log2(budget - floor) - query.n - per_guess_log2)
+        # (W - floor) / (2^n (E_L + h/4t))
+        p = exp2(math.log2(budget - floor) - query.n - _log2_per_guess(query.time, e_l))
         return result(_probability(p, query))
 
     if query.unknown == "time":
@@ -234,30 +238,38 @@ def classical_bound(query: BoundQuery) -> BoundResult:
         time = exp2(log2_b - math.log2(query.work - floor))  # B / (W - A)
         return result(in_double_range(time, "solved time", query))
 
-    # unknown == "n": Brent's method on the monotone log-requirement
+    # unknown == "n": the bracket ends decide feasibility, then
+    # 2^n c + b n = W, c = P_s (E_L + h/4t) and b = 2 E_L, is inverted directly
     _require(query, "time", "psuccess")
-    budget_log2 = math.log2(query.budget())
+    p = query.success_probability
+    budget = query.budget()
+    budget_log2 = math.log2(budget)
 
     def excess(n: float) -> float:
-        return (
-            _classical_requirement_log2(n, query.time, e_l, query.success_probability)
-            - budget_log2
-        )
+        return _classical_requirement_log2(n, query.time, e_l, p) - budget_log2
 
     lo, hi = N_BRACKET
-    f_lo = excess(lo)
-    if f_lo >= 0.0:
-        raise InfeasibleError(
-            "budget is below the requirement already at n = 1",
-            classical_work_requirement(
-                lo, query.time, t_kelvin, query.success_probability
-            ),
-            query,
-        )
-    f_hi = excess(hi)
-    if f_hi <= 0.0:
+    if excess(lo) >= 0.0:
+        raise InfeasibleError("budget is below the requirement already at n = 1",
+                              classical_work_requirement(lo, query.time, t_kelvin, p), query)
+    if excess(hi) <= 0.0:
         raise DomainError("budget exceeds the requirement at the n = 4096 bracket", query)
-    return result(find_root(excess, lo, hi, f_lo, f_hi))
+    log2_e_l = math.log2(e_l) if e_l > 0.0 else -math.inf
+    log2_c = math.log2(p) + _log2_per_guess(query.time, e_l)
+    if budget_log2 - 1.0 - log2_e_l >= 60.0:  # or E_L = 0: b n moves n by < 2^-48 relative
+        return result(budget_log2 - log2_c)
+    # u = W/b - n and v = log2 u give v + 2^v = y, y = log2(c/b) + W/b, a
+    # Lambert W form (Corless et al. 1996).  Newton steps on the convex,
+    # increasing v + 2^v - y near v from above when started at log2 y
+    # (y > 2) or y; n = v + log2(b/c) avoids the cancellation of W/b - u.
+    log2_b_c = 1.0 + log2_e_l - log2_c
+    y = budget / (2.0 * e_l) - log2_b_c
+
+    def g(v: float) -> tuple[float, float]:
+        u = exp2(v)
+        return v + u - y, 1.0 + u * LN2
+
+    return result(newton(g, math.log2(y) if y > 2.0 else y) + log2_b_c)
 
 
 def _classical_time_from_power(query: BoundQuery, e_l: float) -> float:

@@ -1,6 +1,6 @@
+import contextlib
 import math
 import random
-import statistics
 from decimal import Decimal, localcontext
 
 import mpmath
@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlimits._num import N_BRACKET, ceil_tol, find_root, golden_min, log2_radical
-from qlimits.bht import _closed_form_log2, bht_min_image_bits
+from qlimits import bht, bounds
+from qlimits._num import N_BRACKET, ceil_tol, golden_min, log2_radical, newton
+from qlimits.bht import (
+    _closed_form_log2,
+    _image_bits_root,
+    bht_min_image_bits,
+    bht_optimal,
+    bht_work_closed_form,
+)
 from qlimits.bounds import (
     BoundQuery,
     _classical_requirement_log2,
@@ -19,6 +26,7 @@ from qlimits.bounds import (
     prefactor_b,
 )
 from qlimits.constants import H, HBAR, K_B
+from qlimits.errors import DomainError, InfeasibleError
 from qlimits.keylength import classical_keylength
 
 LN2 = math.log(2.0)
@@ -61,83 +69,17 @@ class TestRadical:
         assert log2_radical(4000.0) == 2000.0
 
 
-def solve(f, lo=N_BRACKET[0], hi=N_BRACKET[1]):
-    """find_root on [lo, hi], with the end values taken through f itself."""
-    return find_root(f, lo, hi, f(lo), f(hi))
-
-
-def counted(f):
-    """f that keeps its (x, f(x)) calls in ``.seen``."""
-    def g(x):
-        y = f(x)
-        g.seen.append((x, y))
-        return y
-    g.seen = []
-    return g
-
-
-def assert_final_bracket(f, found):
-    """The closest sign change f was seen to make has both ends within
-    1e-12 |found| of found, unless found is an exact zero."""
-    if dict(f.seen)[found] == 0.0:
-        return
-    below = max(x for x, y in f.seen if y <= 0.0)
-    above = min(x for x, y in f.seen if y > 0.0)
-    assert max(abs(below - found), abs(above - found)) <= 1e-12 * abs(found)
-
-
-# monotone shapes that defeat interpolation, each with its root r
-HARD_SHAPES = {
-    "step": lambda r: lambda x: -1.0 if x < r else 1.0,
-    "-inf left": lambda r: lambda x: -math.inf if x < 0.5 * r else x - r,
-    "ninth power": lambda r: lambda x: (x - r) ** 9,
-    "power 0.01": lambda r: lambda x: math.copysign(abs(x - r) ** 0.01, x - r),
-    "slope 1e-300": lambda r: lambda x: 1e-300 * (x - r),
-}
-
-
-class TestFindRoot:
-    @given(
-        root=st.floats(min_value=1e-3, max_value=1e3),
-        below=st.floats(min_value=1e-6, max_value=0.999),
-        above=st.floats(min_value=1e-6, max_value=1e3),
-        scale=st.floats(min_value=1e-3, max_value=1e3),
-        shape=st.sampled_from(("linear", "cubic", "atan", "log")),
-    )
+class TestNewton:
+    @given(root=st.floats(min_value=1e-3, max_value=1e3),
+           start=st.floats(min_value=1.0, max_value=1e3))
     @settings(max_examples=300, deadline=None)
-    def test_finds_root_of_monotone_function(self, root, below, above, scale, shape):
-        lo, hi = root * (1.0 - below), root * (1.0 + above)
-        forms = {
-            "linear": lambda x: scale * (x - root),
-            "cubic": lambda x: scale * (x - root) ** 3,
-            "atan": lambda x: math.atan(scale * (x - root)),
-            "log": lambda x: math.log(x / root),
-        }
-        found = solve(forms[shape], lo, hi)
-        assert abs(found - root) <= 1e-12 * root
-
-    def test_root_at_lower_end(self):
-        assert solve(lambda x: x - 2.0, 2.0, 5.0) == pytest.approx(2.0, rel=1e-12)
-        f = counted(lambda x: x - 1.0)  # f(lo) == 0 on the solvers' bracket
-        assert solve(f) == 1.0
-        assert len(f.seen) <= 150
-
-    @pytest.mark.parametrize("shape", sorted(HARD_SHAPES))
-    @pytest.mark.parametrize("root", [1.0001, 3.3, 77.7, 1234.5678901, 4095.9])
-    def test_hard_shapes_converge_within_150_evaluations(self, shape, root):
-        f = counted(HARD_SHAPES[shape](root))
-        found = solve(f)
-        assert len(f.seen) <= 150
-        assert abs(found - root) <= 1e-12 * abs(found)
-        assert_final_bracket(f, found)
-
-    def test_final_bracket_of_step_functions(self):
-        # a bisection step that halves the bracket to just past 1e-12 |x|
-        # is rare; thousands of roots make it likely to show
-        rng = random.Random(5)
-        for _ in range(4000):
-            f = counted(HARD_SHAPES["step"](10.0 ** rng.uniform(0.0, 3.6)))
-            assert_final_bracket(f, solve(f))
+    def test_one_sided_steps_reach_the_root(self, root, start):
+        # x^2 - r^2 is convex and increasing from above, log x - log r
+        # concave and increasing from below
+        above = newton(lambda x: (x * x - root * root, 2.0 * x), root * start)
+        below = newton(lambda x: (math.log(x / root), 1.0 / x), root / start)
+        assert abs(above - root) <= 1e-15 * root
+        assert abs(below - root) <= 1e-15 * root
 
 
 class TestGoldenMin:
@@ -260,11 +202,54 @@ def bracketed(excess):
     return excess(lo) <= 0.0 < excess(hi)
 
 
+def classical_root(work, t, temp, p):
+    """classical_bound(unknown="n")'s real n."""
+    query = BoundQuery("n", work=work, time=t, temperature=temp, success_probability=p)
+    return classical_bound(query).value
+
+
+def image_root(work, t, temp, p):
+    """bht_min_image_bits's real n, before rounding up."""
+    return _image_bits_root(math.log2(work), t, landauer_energy(temp), p)
+
+
+def mp_root(mp_excess):
+    """The root of an mpmath excess on the n bracket, to 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.findroot(mp_excess, N_BRACKET, solver="anderson", maxsteps=200)
+
+
+def rel_error(found, exact):
+    return float(abs(found - exact) / exact)
+
+
+@contextlib.contextmanager
+def newton_steps():
+    """Counts the Newton steps of each solve in both solvers: yields a list
+    that gets one count per call of ``newton``."""
+    counts = []
+
+    def counting(g, x):
+        counts.append(0)
+
+        def step(v):
+            counts[-1] += 1
+            return g(v)
+        return newton(step, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "newton", counting)
+        patch.setattr(bht, "newton", counting)
+        yield counts
+
+
+SOLVERS = ((classical_excess, classical_root, mp_classical_excess),
+           (image_excess, image_root, mp_image_excess))
+
 SOLVES = [
-    (form(*case), mp_form(*case))
+    (root, case, mp_form)
     for case in SOLVER_CASES
-    for form, mp_form in ((classical_excess, mp_classical_excess),
-                          (image_excess, mp_image_excess))
+    for form, root, mp_form in SOLVERS
     if bracketed(form(*case))
 ]
 
@@ -289,29 +274,85 @@ class TestCallersMatchOldLoops:
             if not bracketed(excess):
                 continue
             old = ceil_tol(old_bisect(excess, *N_BRACKET))
-            query = BoundQuery("n", work=work, time=t, temperature=temp, success_probability=p)
-            n = classical_bound(query).value
-            assert n == solve(excess)
+            n = classical_root(work, t, temp, p)
+            assert rel_error(n, mp_root(mp_classical_excess(work, t, temp, p))) <= 1e-12
             assert ceil_tol(n) == old
             assert classical_keylength(work, t, temp, p) == old
 
 
 class TestRootFinderOnSolvers:
     def test_root_within_1e_12_of_50_digit_root(self):
-        assert len(SOLVES) >= 1000  # most cases reach the root-finder
-        worst = 0.0
-        with mpmath.workdps(50):
-            for excess, mp_excess in SOLVES:
-                found = solve(excess)
-                exact = mpmath.findroot(mp_excess, N_BRACKET, solver="anderson")
-                worst = max(worst, float(abs(found - exact) / exact))
+        assert len(SOLVES) >= 1000  # most cases reach the inversion
+        worst = max(rel_error(root(*case), mp_root(mp_form(*case)))
+                    for root, case, mp_form in SOLVES)
         assert worst <= 1e-12
 
-    def test_evaluation_budget_and_final_bracket(self):
-        calls = []
-        for excess, _ in SOLVES:
-            f = counted(excess)
-            assert_final_bracket(f, solve(f))
-            calls.append(len(f.seen))
-        assert statistics.median(calls) <= 7
-        assert max(calls) <= 10
+    def test_newton_step_budget(self):
+        with newton_steps() as counts:
+            for root, case, _ in SOLVES:
+                root(*case)
+        # every classical case here has W/(2 E_L) >= 2^60 and takes no step
+        assert len(counts) == sum(root is image_root for root, _, _ in SOLVES)
+        assert max(counts) <= 8
+
+
+class TestHotBathOverflow:
+    """From about T = 1e293 K down, x = (n+1) 4 E_L t/hbar + 2 pi and its
+    Landauer term (n+1) 4 E_L/hbar both overflow; the closed forms must
+    still follow the 50-digit W*(n)."""
+
+    @staticmethod
+    def mp_closed_form_work(n, t, temp, p):
+        with mpmath.workdps(50):
+            return mpmath.mpf(2) ** mp_image_excess(1.0, t, temp, p)(n)
+
+    def test_closed_form_work(self):
+        exact = self.mp_closed_form_work(500.0, 1e10, 1e300, 1.0)
+        assert rel_error(bht_work_closed_form(500.0, 1e10, 1e300, 1.0), exact) <= 1e-12
+        plan = bht_optimal(1000.0, 1e10, 1e300, 1.0)
+        exact = self.mp_closed_form_work(1000.0, 1e10, 1e300, 1.0)
+        assert rel_error(plan.closed_form_work, exact) <= 1e-12
+
+    def test_min_image_bits(self):
+        case = (309572.29, 3.4885e172, 1.0571e294, 4.0861e-271)
+        exact = mp_root(mp_image_excess(*case))
+        assert rel_error(image_root(*case), exact) <= 1e-12
+        assert bht_min_image_bits(*case) == math.ceil(exact) == 1412
+
+
+class TestWholeBracket:
+    """Both inversions over the whole n bracket, with budgets below
+    2^60 2 E_L so that the classical one takes its Lambert W branch."""
+
+    @given(
+        log10_temp=st.one_of(st.just(None), st.floats(min_value=-3.0, max_value=9.0)),
+        log2_scale=st.floats(min_value=-4.0, max_value=60.0),
+        log10_t=st.floats(min_value=-20.0, max_value=300.0),
+        log10_p=st.floats(min_value=-300.0, max_value=0.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_roots_and_bracket_ends(self, log10_temp, log2_scale, log10_t, log10_p):
+        # W is 2^scale 2 E_L, or 2^scale J at T = 0
+        temp = 0.0 if log10_temp is None else 10.0 ** log10_temp
+        e_l = landauer_energy(temp)
+        work = 2.0 ** log2_scale * (2.0 * e_l if e_l > 0.0 else 1.0)
+        case = (work, 10.0 ** log10_t, temp, 10.0 ** log10_p)
+        lo, hi = N_BRACKET
+        query = BoundQuery("n", work=work, time=case[1], temperature=temp,
+                           success_probability=case[3])
+        with newton_steps() as counts:
+            for form, root, mp_form in SOLVERS:
+                excess = form(*case)
+                f_lo, f_hi = excess(lo), excess(hi)
+                if form is classical_excess and f_lo >= 0.0:
+                    with pytest.raises(InfeasibleError, match="already at n = 1"):
+                        classical_bound(query)
+                elif form is image_excess and f_lo > 0.0:
+                    assert bht_min_image_bits(*case) == 1
+                elif f_hi <= 0.0:
+                    with pytest.raises(DomainError, match="at the n = 4096 bracket"):
+                        (classical_bound(query) if form is classical_excess
+                         else bht_min_image_bits(*case))
+                else:
+                    assert rel_error(root(*case), mp_root(mp_form(*case))) <= 1e-12
+        assert all(c <= 8 for c in counts)
