@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlimits import bht, bounds
-from qlimits._num import N_BRACKET, ceil_tol, golden_min, log2_radical, newton
+from qlimits._num import _NEWTON_STEPS, N_BRACKET, ceil_tol, golden_min, log2_radical, newton
 from qlimits.bht import (
     _closed_form_log2,
     _image_bits_root,
@@ -69,17 +69,72 @@ class TestRadical:
         assert log2_radical(4000.0) == 2000.0
 
 
-class TestNewton:
-    @given(root=st.floats(min_value=1e-3, max_value=1e3),
-           start=st.floats(min_value=1.0, max_value=1e3))
+def counted(g):
+    """g that keeps its (x, g(x)) calls in ``.seen``."""
+    def wrapped(x):
+        y = g(x)
+        wrapped.seen.append((x, y))
+        return y
+    wrapped.seen = []
+    return wrapped
+
+
+# increasing shapes that stress Newton's steps, each as a (value, slope)
+# form of its root r, with the bracket end the steps start from: above the
+# root where the shape is convex, below it where concave (a line is both)
+HARD_SHAPES = {
+    "slope 1e-300": (lambda r: lambda x: (1e-300 * (x - r), 1e-300), N_BRACKET[1]),
+    "slope 1e300": (lambda r: lambda x: (1e300 * (x - r), 1e300), N_BRACKET[0]),
+    "square": (lambda r: lambda x: (x * x - r * r, 2.0 * x), N_BRACKET[1]),
+    "log": (lambda r: lambda x: (math.log(x / r), 1.0 / x), N_BRACKET[0]),
+}
+
+
+class TestFindRoot:
+    """``_num.newton``, the root-finder both key-length inversions share."""
+
+    @given(
+        root=st.floats(min_value=1e-3, max_value=1e3),
+        below=st.floats(min_value=1e-6, max_value=0.999),
+        above=st.floats(min_value=1e-6, max_value=1e3),
+        scale=st.floats(min_value=1e-3, max_value=1e3),
+        shape=st.sampled_from(("linear", "square", "log", "sqrt")),
+    )
     @settings(max_examples=300, deadline=None)
-    def test_one_sided_steps_reach_the_root(self, root, start):
-        # x^2 - r^2 is convex and increasing from above, log x - log r
-        # concave and increasing from below
-        above = newton(lambda x: (x * x - root * root, 2.0 * x), root * start)
-        below = newton(lambda x: (math.log(x / root), 1.0 / x), root / start)
-        assert abs(above - root) <= 1e-15 * root
-        assert abs(below - root) <= 1e-15 * root
+    def test_finds_root_of_monotone_function(self, root, below, above, scale, shape):
+        lo, hi = root * (1.0 - below), root * (1.0 + above)
+        # convex shapes start above the root, concave ones below it
+        forms = {
+            "linear": (lambda x: (scale * (x - root), scale), hi),
+            "square": (lambda x: (scale * (x * x - root * root), 2.0 * scale * x), hi),
+            "log": (lambda x: (math.log(x / root), 1.0 / x), lo),
+            "sqrt": (lambda x: (scale * (math.sqrt(x) - math.sqrt(root)),
+                                0.5 * scale / math.sqrt(x)), lo),
+        }
+        g, start = forms[shape]
+        assert abs(newton(g, start) - root) <= 1e-15 * root
+
+    def test_root_at_lower_end(self):
+        g = counted(lambda x: (x - 1.0, 1.0))  # g(lo) == 0 on the solvers' bracket
+        assert newton(g, N_BRACKET[0]) == 1.0
+        assert len(g.seen) == 1
+        # a budget of exactly W*(1): the image-bit root sits on the bracket's lower end
+        t, temp, p = 1e3, 300.0, 1e-3
+        work = 2.0 ** _closed_form_log2(1.0, t, landauer_energy(temp), p)[1]
+        assert image_root(work, t, temp, p) == pytest.approx(1.0, rel=1e-12)
+        assert bht_min_image_bits(work, t, temp, p) == 1
+
+    @pytest.mark.parametrize("shape", sorted(HARD_SHAPES))
+    @pytest.mark.parametrize("root", [1.0001, 3.3, 77.7, 1234.5678901, 4095.9])
+    def test_hard_shapes_converge_within_150_evaluations(self, shape, root):
+        form, start = HARD_SHAPES[shape]
+        g = counted(form(root))
+        found = newton(g, start)
+        assert len(g.seen) < _NEWTON_STEPS <= 150  # stopped on its own test
+        assert abs(found - root) <= 1e-12 * abs(found)
+        # every step stays on the start's side of the root, to rounding
+        side = math.copysign(1.0, start - root)
+        assert all(side * (x - root) >= -1e-12 * root for x, _ in g.seen)
 
 
 class TestGoldenMin:
@@ -287,10 +342,14 @@ class TestRootFinderOnSolvers:
                     for root, case, mp_form in SOLVES)
         assert worst <= 1e-12
 
-    def test_newton_step_budget(self):
+    def test_evaluation_budget_and_final_bracket(self):
         with newton_steps() as counts:
             for root, case, _ in SOLVES:
-                root(*case)
+                found = root(*case)
+                # the double-precision excess, which ceil_tol rounds by,
+                # changes sign within 1e-12 |found| of found
+                excess = (classical_excess if root is classical_root else image_excess)(*case)
+                assert excess(found * (1.0 - 1e-12)) <= 0.0 < excess(found * (1.0 + 1e-12))
         # every classical case here has W/(2 E_L) >= 2^60 and takes no step
         assert len(counts) == sum(root is image_root for root, _, _ in SOLVES)
         assert max(counts) <= 8
