@@ -70,7 +70,12 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_min(f, a: float, b: float) -> float:
-    """argmin of a unimodal f on [a, b], to an absolute bracket width 1e-14."""
+    """argmin of a unimodal f on [a, b], narrowed to an absolute bracket width
+    1e-14.  Near a flat minimum the rounded values of f stop telling points
+    apart before that, so the minimum value is held far more tightly than
+    its argument: against 50 digits, optimal_k's prefactor is within 4e-15
+    relative while k is off by up to 1e-3 relative (2e-9 absolute), and
+    bht_sweep_minimum's W is within 6e-14 relative."""
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)

@@ -113,6 +113,16 @@ def in_double_range(value: float, name: str, offending_input) -> float:
     return value
 
 
+def in_positive_double_range(value: float, name: str, offending_input) -> float:
+    """:func:`in_double_range` for a quantity that is positive: 0.0 means
+    its true value lies below the least double, refused as
+    :class:`InfeasibleError` ("the <name> lies below double range", floor
+    0.0)."""
+    if value == 0.0:
+        raise InfeasibleError(f"the {name} lies below double range", 0.0, offending_input)
+    return in_double_range(value, name, offending_input)
+
+
 class CapacityError(QlimitsError):
     """A request exceeds a hard resource guard (memory, bracket, ...)."""
 

@@ -3,6 +3,7 @@ import random
 import re
 from decimal import Decimal, localcontext
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -281,6 +282,40 @@ def reference_sweep_minimum(n, t_total, temperature, p_success):
         return min(w(u), w(grid[j]), w(u_top))
 
 
+def mp_sweep_minimum(n, t_total, temperature, p_success):
+    """The least W over u = log2 k in [0, u_top] at 50 digits, with the
+    radicand as the library rounds it (see reference_sweep_minimum), found
+    without golden_min: W may fall again towards the top, where its slope
+    tends to -inf, so every interior minimum is found by bisection on the
+    sign of dW/du over a 128-cell grid, and the ends are candidates too."""
+    top = n + math.log2(p_success)
+    k_top = exp2(top)
+    while math.log2(k_top) > top:
+        k_top = math.nextafter(k_top, 0.0)
+    with mpmath.workdps(50):
+        u_top, top, t = mpmath.mpf(math.log2(k_top)), mpmath.mpf(top), mpmath.mpf(t_total)
+        per_sample = ((mpmath.mpf(n) + 1) * mpmath.mpf(landauer_energy(temperature))
+                      + mpmath.mpf(H) / (4 * t))
+        quantum = mpmath.mpf(HBAR) / t
+
+        def w(u):
+            return 2 ** u * per_sample + mpmath.sqrt(2 ** (top - u) - 1) * quantum
+
+        def falling(u):  # dW/du < 0, divided by ln 2
+            radicand = 2 ** (top - u) - 1
+            return 2 ** u * per_sample < quantum * (radicand + 1) / (2 * mpmath.sqrt(radicand))
+
+        grid = [u_top * i / 128 for i in range(129)]
+        ends = [mpmath.mpf(0), u_top]
+        for lo, hi in zip(grid, grid[1:-1]):
+            if falling(lo) and not falling(hi):
+                for _ in range(64):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if falling(mid) else (lo, mid)
+                ends.append(lo)
+        return min(w(u) for u in ends)
+
+
 def assert_sweep_contract(n, t_total, temperature, p_success, points):
     """1 <= k_min <= 2^n P_s under libm log2, W_min = bht_work at k_min, both
     Python floats, and W_min within 1e-12 of the reference minimum."""
@@ -314,6 +349,20 @@ class TestSweepMinimum:
             # any 2^n P_s >= 1: the sweep's reference carries the library's top
             p = 2.0 ** -rng.uniform(0.0, n)
             assert_sweep_contract(n, t, temp, p, rng.choice((2, 64, 3000)))
+
+    def test_w_min_against_a_fifty_digit_minimum(self):
+        # measured: within 5.8e-14 relative.  W = 2^(log2 W) is rounded by up
+        # to 9e-14 relative at the returned k, and golden_min places k only as
+        # well as such rounded values compare: the exact W there lies up to
+        # 6e-14 above the minimum
+        rng = random.Random(16)
+        for _ in range(40):
+            n, t, temp, _ = draw(rng, 48.0)
+            p = 2.0 ** -rng.uniform(0.0, n)
+            _, w_min = bht_sweep_minimum(n, t, temp, p, points=rng.choice((2, 64, 3000)))
+            want = mp_sweep_minimum(n, t, temp, p)
+            if want >= 2.0 ** -1022:  # a normal double
+                assert abs(w_min / want - 1) <= 6e-14, (n, t, temp, p)
 
     @pytest.mark.parametrize("n, p", [(1.0, 0.6), (0.5, 0.9), (2.0, 0.3)])
     def test_minimum_at_the_top_of_the_grid(self, n, p):

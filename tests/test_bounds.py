@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 import sys
 from decimal import Decimal, localcontext
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qlimits.bht import bht_work_closed_form, optimal_quantum_time
 from qlimits.bounds import (
     BoundQuery,
+    BoundResult,
     ballistic_deterministic_time,
     ballistic_success,
     battery_relative_uncertainty,
@@ -460,6 +463,167 @@ def _decimal_classical_requirement(n: float, time: float, temperature: float, p:
         return Decimal(2) ** Decimal(n) * Decimal(p) * per_guess + 2 * Decimal(n) * e_l
 
 
+class TestRecordContract:
+    """BoundQuery and BoundResult are frozen dataclasses with a hand-written
+    constructor; everything a dataclass gives stays as it was."""
+
+    QUERY = BoundQuery("time", 8, None, None, 300.0, 0.5, 2.0)
+
+    def test_field_order_and_defaults(self):
+        assert [(f.name, f.default) for f in dataclasses.fields(BoundQuery)] == [
+            ("unknown", dataclasses.MISSING), ("n", None), ("work", None), ("time", None),
+            ("temperature", None), ("success_probability", None), ("power", None)]
+        assert [(f.name, f.default) for f in dataclasses.fields(BoundResult)] == [
+            ("value", dataclasses.MISSING), ("bound_kind", dataclasses.MISSING),
+            ("formula_tag", dataclasses.MISSING), ("inputs", dataclasses.MISSING),
+            ("unit", dataclasses.MISSING), ("offset_regime", False)]
+        assert BoundQuery("work") == BoundQuery("work", None, None, None, None, None, None)
+        assert BoundResult(1.0, "k", "t", self.QUERY, "s").offset_regime is False
+
+    def test_positional_and_keyword_construction_agree(self):
+        keywords = BoundQuery(unknown="time", n=8, temperature=300.0, success_probability=0.5,
+                              power=2.0)
+        assert keywords == self.QUERY
+        assert (keywords.unknown, keywords.n, keywords.work, keywords.time, keywords.temperature,
+                keywords.success_probability, keywords.power) == (
+            "time", 8, None, None, 300.0, 0.5, 2.0)
+        assert BoundResult(1.5, "quantum", "tag", self.QUERY, "s", True) == BoundResult(
+            value=1.5, bound_kind="quantum", formula_tag="tag", inputs=self.QUERY, unit="s",
+            offset_regime=True)
+        with pytest.raises(TypeError):
+            BoundQuery("time", 8, None, None, 300.0, 0.5, 2.0, 1.0)
+        with pytest.raises(TypeError):
+            BoundQuery("time", mass=1.0)
+        with pytest.raises(TypeError):
+            BoundQuery()
+        with pytest.raises(TypeError):
+            BoundResult(1.0, "quantum", "tag", self.QUERY)
+
+    def test_repr(self):
+        assert repr(self.QUERY) == (
+            "BoundQuery(unknown='time', n=8, work=None, time=None, temperature=300.0, "
+            "success_probability=0.5, power=2.0)")
+        result = BoundResult(0.25, "quantum", "tag", BoundQuery("work", n=2), "J")
+        assert repr(result) == (
+            "BoundResult(value=0.25, bound_kind='quantum', formula_tag='tag', "
+            "inputs=BoundQuery(unknown='work', n=2, work=None, time=None, temperature=None, "
+            "success_probability=None, power=None), unit='J', offset_regime=False)")
+
+    def test_equality_and_hash(self):
+        twin = BoundQuery("time", n=8, temperature=300.0, success_probability=0.5, power=2.0)
+        assert twin == self.QUERY and hash(twin) == hash(self.QUERY)
+        assert twin != BoundQuery("time", n=8, temperature=300.0, success_probability=0.5,
+                                  work=2.0)
+        assert twin != ("time", 8, None, None, 300.0, 0.5, 2.0)
+        result = BoundResult(1.0, "quantum", "tag", twin, "s")
+        same = BoundResult(1.0, "quantum", "tag", self.QUERY, "s")
+        assert result == same and hash(result) == hash(same)
+        assert result != BoundResult(1.0, "quantum", "tag", twin, "s", True)
+        assert len({twin, self.QUERY, result, same}) == 2
+
+    def test_fields_are_frozen(self):
+        result = BoundResult(1.0, "quantum", "tag", self.QUERY, "s")
+        for record, name in ((self.QUERY, "n"), (self.QUERY, "extra"), (result, "value")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        assert self.QUERY.n == 8 and result.value == 1.0
+
+    def test_pickle_round_trip(self):
+        result = BoundResult(1.0, "quantum", "tag", self.QUERY, "s", True)
+        for record in (self.QUERY, result):
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record and type(copy) is type(record)
+            assert repr(copy) == repr(record)
+
+    def test_replace_runs_the_checks_again(self):
+        assert dataclasses.replace(self.QUERY, n=16) == BoundQuery(
+            "time", n=16, temperature=300.0, success_probability=0.5, power=2.0)
+        with pytest.raises(DomainError, match="n must be finite and > 0"):
+            dataclasses.replace(self.QUERY, n=-1.0)
+        with pytest.raises(DomainError, match="give either work or power"):
+            dataclasses.replace(self.QUERY, work=1.0)
+        with pytest.raises(DomainError, match="field 'time' is the unknown"):
+            dataclasses.replace(self.QUERY, time=1.0)
+        result = BoundResult(1.0, "quantum", "tag", self.QUERY, "s")
+        assert dataclasses.replace(result, offset_regime=True).offset_regime is True
+
+
+_UNKNOWN_RULE = "unknown must be one of ['n', 'psuccess', 'time', 'work']"
+_NAN = math.nan
+
+
+# (fields, message, offending input): every refusal of the BoundQuery
+# constructor, each a DomainError; a query offending twice names the first
+# rule it breaks, in the order unknown, omitted unknown, work with power, n,
+# work, time, power, power * time, temperature, success probability
+QUERY_REFUSALS = [
+    (dict(unknown="mass", work=1.0), _UNKNOWN_RULE, "mass"),
+    (dict(unknown=3), _UNKNOWN_RULE, 3),
+    (dict(unknown="bogus", work=-1.0, power=1.0), _UNKNOWN_RULE, "bogus"),
+    (dict(unknown="work", work=1.0), "field 'work' is the unknown and must be omitted", 1.0),
+    (dict(unknown="time", time=1.0), "field 'time' is the unknown and must be omitted", 1.0),
+    (dict(unknown="psuccess", success_probability=1.0),
+     "field 'psuccess' is the unknown and must be omitted", 1.0),
+    (dict(unknown="n", n=1.0), "field 'n' is the unknown and must be omitted", 1.0),
+    (dict(unknown="work", work=1.0, power=1.0),
+     "field 'work' is the unknown and must be omitted", 1.0),
+    (dict(unknown="psuccess", success_probability=2.0, temperature=-1.0),
+     "field 'psuccess' is the unknown and must be omitted", 2.0),
+    (dict(unknown="time", n=8, work=1.0, power=1.0), "give either work or power, not both",
+     "BoundQuery(unknown='time', n=8, work=1.0, time=None, temperature=None, "
+     "success_probability=None, power=1.0)"),
+    (dict(unknown="time", work=_NAN, power=1.0), "give either work or power, not both",
+     "BoundQuery(unknown='time', n=None, work=nan, time=None, temperature=None, "
+     "success_probability=None, power=1.0)"),
+    *[(dict(unknown="work" if field == "n" else "n", **{field: value}),
+       f"{field} must be finite and > 0", value)
+      for field in ("n", "work", "time", "power") for value in (0.0, -1.0, _NAN, math.inf)],
+    *[(dict(unknown="work" if field == "n" else "n", **{field: "8"}),
+       f"{field} must be a real number", "8") for field in ("n", "work", "time", "power")],
+    *[(dict(unknown="work", temperature=value), "temperature must be finite and >= 0", value)
+      for value in (-1.0, _NAN, math.inf)],
+    (dict(unknown="work", temperature="8"), "temperature must be a real number", "8"),
+    *[(dict(unknown="work", success_probability=value),
+       "success probability must lie in (0, 1]", value)
+      for value in (0.0, -1.0, _NAN, math.inf, 2.0)],
+    (dict(unknown="work", success_probability="8"),
+     "success probability must be a real number", "8"),
+    (dict(unknown="n", power=1e200, time=1e200), "power * time must be finite and > 0",
+     math.inf),
+    (dict(unknown="n", power=1e-200, time=1e-200), "power * time must be finite and > 0", 0.0),
+    (dict(unknown="time", n=-1.0, work=_NAN), "n must be finite and > 0", -1.0),
+    (dict(unknown="n", time=-1.0, power=_NAN), "time must be finite and > 0", -1.0),
+    (dict(unknown="n", power=_NAN, time=1.0, temperature=-1.0),
+     "power must be finite and > 0", _NAN),
+    (dict(unknown="n", power=1e200, time=1e200, temperature=-1.0),
+     "power * time must be finite and > 0", math.inf),
+    (dict(unknown="work", temperature=-1.0, success_probability=2.0),
+     "temperature must be finite and >= 0", -1.0),
+]
+
+
+class TestQueryRefusals:
+    @pytest.mark.parametrize("fields, message, offending", QUERY_REFUSALS,
+                             ids=[repr(row[0]) for row in QUERY_REFUSALS])
+    def test_refusal(self, fields, message, offending):
+        with pytest.raises(QlimitsError) as raised:
+            BoundQuery(**fields)
+        assert type(raised.value) is DomainError
+        assert str(raised.value) == message
+        got = raised.value.offending_input
+        if isinstance(got, BoundQuery):
+            assert repr(got) == offending
+        elif isinstance(offending, float) and math.isnan(offending):
+            assert math.isnan(got)
+        else:
+            assert type(got) is type(offending) and got == offending
+
+    def test_temperature_zero_is_accepted(self):
+        assert BoundQuery("work", temperature=0.0).temperature == 0.0
+
+
 class TestSolvedProbabilityRange:
     @pytest.mark.parametrize("kind", ["quantum", "classical"])
     def test_budget_past_certainty_raises_domain(self, kind):
@@ -641,6 +805,19 @@ class TestSolvedPastDoubleRange:
             classical_bound(BoundQuery(**fields))
         assert exc.value.floor == math.inf
 
+    @pytest.mark.parametrize("fields", [
+        dict(n=2000, power=1.0, temperature=300.0, success_probability=1.0),
+        # log2 A = inf, where log2_add would meet inf - inf
+        dict(n=1e308, power=5e-324, temperature=2.7, success_probability=5e-324),
+    ])
+    def test_classical_power_form_past_double_range_is_infeasible(self, fields):
+        # t = (A + sqrt(A^2 + 4PB)) / (2P) with A past double range
+        query = BoundQuery(unknown="time", **fields)
+        with pytest.raises(InfeasibleError) as exc:
+            classical_bound(query)
+        assert str(exc.value) == "the solved time lies past double range"
+        assert exc.value.floor == math.inf and exc.value.offending_input is query
+
     def test_quantum_time_where_the_work_at_one_second_overflows(self):
         # sqrt(2^2300 - 1) hbar / (1 s) lies past double range, t = that / W does not
         result = quantum_bound(BoundQuery(unknown="time", n=2300, work=1e10,
@@ -742,17 +919,73 @@ def _mp_gate(n, t, p, temp):
     return 2 * n * e_l + max(dynamic, 0)
 
 
-def _assert_value(call, want, context):
+def _assert_value(call, want, context, refuses_underflow=True):
     """call() against a 50-digit value: within 1e-12 relative where ``want``
     is a normal double, InfeasibleError past double range (or where ``want``
-    is None), within the least normal double below it."""
-    if want is None or want > sys.float_info.max:
+    is None), within the least normal double below it.  A solved time or
+    work that rounds to 0.0 is InfeasibleError too; a probability, and the
+    gate-clocked work, read 0.0 there (``refuses_underflow=False``)."""
+    if (want is None or want > sys.float_info.max
+            or refuses_underflow and float(want) == 0.0):
         with pytest.raises(InfeasibleError):
             call()
         return
     tolerance = 1e-12 * want if want >= sys.float_info.min else sys.float_info.min
     got = call()
     assert abs(got - want) <= tolerance, (context, got, float(want))
+
+
+class TestSolvedBelowDoubleRange:
+    """A solved work or time that is positive but below the least double is
+    refused as InfeasibleError, as one past double range is; each of these
+    once returned 0.0."""
+
+    @pytest.mark.parametrize("solve, fields, name", [
+        (quantum_bound, dict(unknown="work", n=10, time=1e308, success_probability=1.0),
+         "solved work"),
+        (quantum_bound, dict(unknown="time", n=10, work=1e308, success_probability=1.0),
+         "solved time"),
+        (classical_bound, dict(unknown="time", n=1, work=1e308, temperature=0.0,
+                               success_probability=1.0), "solved time"),
+        (classical_bound, dict(unknown="work", n=1, time=1e308, temperature=0.0,
+                               success_probability=1.0), "solved work"),
+        # the power form refused this too, but as "past double range"
+        (classical_bound, dict(unknown="time", n=1, power=1e308, temperature=0.0,
+                               success_probability=5e-324), "solved time"),
+    ], ids=["quantum-work", "quantum-time", "classical-time", "classical-work",
+            "classical-power-time"])
+    def test_bound_is_infeasible(self, solve, fields, name):
+        query = BoundQuery(**fields)
+        with pytest.raises(InfeasibleError) as exc:
+            solve(query)
+        assert str(exc.value) == f"the {name} lies below double range"
+        assert exc.value.floor == 0.0 and exc.value.offending_input is query
+
+    def test_ballistic_final_time_is_infeasible(self):
+        with pytest.raises(InfeasibleError, match="^the solved time lies below double range$"):
+            ballistic_deterministic_time(10, 1e308)
+
+    @pytest.mark.parametrize("time", [5e-324, 1e-300, 1.0])
+    def test_ballistic_success_refuses_every_time_past_an_underflowed_final_time(self, time):
+        with pytest.raises(InfeasibleError, match="^the solved time lies below double range$"):
+            ballistic_success(10, 1e308, time)
+
+    def test_ballistic_success_at_zero_time_with_an_underflowed_final_time(self):
+        assert ballistic_success(10, 1e308, 0.0) == 2.0 ** -10
+
+    def test_offset_regime_keeps_zero_work(self):
+        # P_s <= 2^-n: the bound is vacuous, W = 0 is exact and flagged
+        for unknown, given in (("work", "time"), ("time", "work")):
+            result = quantum_bound(BoundQuery(unknown, n=10, success_probability=2.0 ** -11,
+                                              **{given: 1e308}))
+            assert result.value == 0.0 and result.offset_regime
+
+    def test_probabilities_still_read_zero(self):
+        # a success probability below the least double is 0, not an error
+        classical = classical_bound(BoundQuery("psuccess", n=1100, work=1e-300, time=1e-300,
+                                               temperature=0.0))
+        quantum = quantum_bound(BoundQuery("psuccess", n=4000, work=1e-300, time=1e-300))
+        assert classical.value == 0.0 and quantum.value == 0.0
 
 
 class TestAccuracyContract:
@@ -773,7 +1006,7 @@ class TestAccuracyContract:
                     classical_bound(query)
             elif not 1 < want:  # above 1 by less than 2e-9 snaps to 1
                 _assert_value(lambda: classical_bound(query).value,
-                              want if want > 0 else None, query)
+                              want if want > 0 else None, query, refuses_underflow=False)
 
     def test_classical_time(self):
         for n, _, work, p, temp, _ in CONTRACT_CASES:
@@ -805,7 +1038,7 @@ class TestAccuracyContract:
     def test_gate_work(self):
         for n, t, _, p, temp, _ in CONTRACT_CASES:
             _assert_value(lambda: gate_bound(n, p, t, temperature=temp),
-                          _mp_gate(n, t, p, temp), (n, p, t, temp))
+                          _mp_gate(n, t, p, temp), (n, p, t, temp), refuses_underflow=False)
 
     def test_ballistic_final_time(self):
         for n, _, work, _, _, _ in CONTRACT_CASES:

@@ -136,6 +136,19 @@ class TestBoundCommand:
         assert "past double range" in error["message"]
         assert "Infinity" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("quantum", "--solve", "work", "--n", "10", "--time", "1e308s", "--psuccess", "1"),
+        ("ballistic", "--solve", "time", "--n", "10", "--work", "1e308"),
+        # once "time must lie in [0, 0]": t_F underflowed to 0.0
+        ("ballistic", "--solve", "psuccess", "--n", "10", "--time", "1s", "--power", "1e308"),
+    ])
+    def test_solved_value_below_double_range_is_infeasible(self, capsys, argv):
+        code, out, err = run(capsys, "bound", *argv)
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["kind"] == "infeasible"
+        assert error["message"].endswith("lies below double range")
+
     def test_quantum_solve_psuccess_where_work_times_time_overflows(self, capsys):
         payload = run_json(
             capsys, "bound", "quantum", "--solve", "psuccess", "--n", "3000",

@@ -158,6 +158,48 @@ class TestGoldenMin:
         assert abs(golden_min(forms[shape], a, b) - m) <= 0.5e-14 + 8 * math.ulp(20.0)
 
 
+def mp_prefactor(k, n):
+    """prefactor_b at mpmath's working precision."""
+    g = mpmath.mpf(2) ** -n
+    return (1 + k) / (1 + mpmath.sqrt(k * k + g * (1 - k * k))) ** 2
+
+
+def mp_argmax_prefactor(n, hi=mpmath.mpf(1e-2)):
+    """argmax of the prefactor on [0, hi] at 50 digits, by bisection on the
+    sign of its slope, 1 + r - 2 (1+k) k (1 - 2^-n) / r with r the root."""
+    with mpmath.workdps(50):
+        g = mpmath.mpf(2) ** -n
+
+        def rising(k):
+            r = mpmath.sqrt(k * k + g * (1 - k * k))
+            return 1 + r - 2 * (1 + k) * k * (1 - g) / r > 0
+
+        if rising(hi):
+            return hi
+        lo = mpmath.mpf(0)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+        return lo
+
+
+class TestGoldenMinAccuracy:
+    """golden_min stops at a 1e-14 bracket, but where the extremum is flat its
+    comparisons cannot tell points apart over a wider span; what it holds is
+    the extreme value, to a few ulps, more than the argument."""
+
+    def test_optimal_k_against_fifty_digit_argmax(self):
+        # measured: the prefactor within 3.7e-15 relative (n = 1, at the
+        # bracket's edge), k within 9.0e-4 relative (n = 64) and 1.23e-9
+        # absolute (n = 14)
+        for n in range(1, 65):
+            k, k_star = optimal_k(n), mp_argmax_prefactor(n)
+            with mpmath.workdps(50):
+                peak = mp_prefactor(k_star, n)
+                assert abs(mp_prefactor(mpmath.mpf(k), n) / peak - 1) <= 4e-15, n
+                assert abs(k - k_star) <= 1e-3 * k_star and abs(k - k_star) <= 2e-9, n
+
+
 def old_optimal_k(n, bracket=(0.0, 1e-2), tol=1e-14):
     """optimal_k's golden-section loop as it was before the shared helper."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
