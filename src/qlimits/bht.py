@@ -34,7 +34,8 @@ import numpy as np
 
 from ._num import LN2, N_BRACKET, ceil_tol, exp2, golden_min, log2_add, log2_radical, newton
 from .constants import CONSTANTS_VERSION, H, HBAR
-from .errors import CapacityError, DomainError, InfeasibleError, checked, checked_int, in_double_range
+from .errors import (CapacityError, DomainError, InfeasibleError, checked, checked_int,
+                     in_positive_double_range)
 from .bounds import landauer_energy
 from .dynamics.core import MAX_TRACE_SAMPLES
 
@@ -128,7 +129,7 @@ def bht_work(n: float, k: float, t_total: float, temperature: float, p_success: 
     """Work floor for a plan with k classical samples, in joules."""
     log2_k = _check_plan(n, k, t_total, p_success)
     log2_w = _log2_work(n, log2_k, t_total, landauer_energy(temperature), p_success)
-    return in_double_range(exp2(log2_w), "solved work", (n, k))
+    return in_positive_double_range(exp2(log2_w), "solved work", (n, k))
 
 
 def _closed_form_log2(n: float, t_total: float, e_l: float, p_success: float) -> tuple[float, float]:
@@ -170,7 +171,7 @@ def bht_fixed_samples(n: float, k: float, t_total: float, temperature: float,
         "log2_k": log2_k,
         "t_s_s": _quantum_time(n, log2_k, t_total, p_success),
         "t_total_s": t_total,
-        "work_J": in_double_range(exp2(log2_w), "solved work", (n, k)),
+        "work_J": in_positive_double_range(exp2(log2_w), "solved work", (n, k)),
         "log2_work_J": log2_w,
         "constants_version": CONSTANTS_VERSION,
     }
@@ -211,6 +212,7 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
     work = exp2(log2_work)
     if math.inf in (k_cont, work, exp2(log2_w_star)):
         raise InfeasibleError("the plan's k or work lies past double range", math.inf, n)
+    in_positive_double_range(work, "solved work", n)
     return BhtPlan(
         image_bits=n,
         samples=k_cont,

@@ -81,9 +81,10 @@ class BoundQuery:
         self.__dict__.update(unknown=unknown, n=n, work=work, time=time,
                              temperature=temperature,
                              success_probability=success_probability, power=power)
-        if unknown not in _UNITS:
-            raise DomainError(f"unknown must be one of {sorted(_UNITS)}", unknown)
-        given = self.__dict__[_FIELDS[unknown]]
+        try:
+            given = self.__dict__[_FIELDS[unknown]]
+        except (KeyError, TypeError):  # not a name, or unhashable
+            raise DomainError(f"unknown must be one of {sorted(_UNITS)}", unknown) from None
         if given is not None:
             raise DomainError(f"field {unknown!r} is the unknown and must be omitted", given)
         if work is not None and power is not None:
@@ -379,7 +380,9 @@ def gate_bound(
     dynamic = exp2(2.0 * log2_radical(h) + math.log2(HBAR * (math.pi - 2.0 ** (1.0 - n / 2.0)))
                    - math.log2(time))
     landauer = (2.0 * n + corrected_errors) * e_l if e_l > 0.0 else 0.0  # 2n may overflow
-    return in_double_range(landauer + dynamic, "solved work", (n, p_success, time))
+    if temperature == 0.0 and h == 0.0:  # no Landauer term and P_s 2^n <= 1: exactly 0
+        return 0.0
+    return in_positive_double_range(landauer + dynamic, "solved work", (n, p_success, time))
 
 
 def ballistic_deterministic_time(n: float, work: float) -> float:

@@ -426,13 +426,12 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
     phases = np.exp((-1j * mean)[seg] * offsets)
     # the chain of segment start states; a segment's last sample is its end
     last = np.cumsum(counts) - 1
-    starts = np.empty((counts.size, 2), dtype=complex)
+    starts = []
     c1, c2 = state.c1, state.c2
-    for k, (a, b, p) in enumerate(zip(alpha[last].tolist(), beta[last].tolist(),
-                                      phases[last].tolist())):
-        starts[k] = c1, c2
+    for a, b, p in zip(alpha[last].tolist(), beta[last].tolist(), phases[last].tolist()):
+        starts.append((c1, c2))
         c1, c2 = p * (a * c1 - b.conjugate() * c2), p * (b * c1 + a.conjugate() * c2)
-    psi0, psi1 = starts[seg].T
+    psi0, psi1 = np.array(starts, dtype=complex)[seg].T
     c1s = np.concatenate(([state.c1], phases * (alpha * psi0 - beta.conj() * psi1)))
     c2s = np.concatenate(([state.c2], phases * (beta * psi0 + alpha.conj() * psi1)))
     g = state.space.overlap

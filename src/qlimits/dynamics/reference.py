@@ -10,8 +10,10 @@ combination of the same two terms, so one subspace that holds the initial
 state and is closed under both terms is invariant under every segment:
 a block Krylov space over the two terms, found once per call from full
 vectors (each term applied to each basis vector, the result orthogonalised
-twice against the basis).  Its dimension m is discovered, not assumed; a
-space that fails to close within a few vectors raises ConsistencyError.
+twice against the basis).  |s><s| maps a basis vector to a one-hot full
+vector, so that image's norm and first projections are read from its one
+entry.  The space's dimension m is discovered, not assumed; a space that fails to
+close within a few vectors raises ConsistencyError.
 
 With V the basis, the projections A_i = V^H |i><i| V, A_s = V^H |s><s| V
 and the Gram matrix G = V^H V come from full-space inner products.  Segment
@@ -22,18 +24,21 @@ segment
     c(tau) = U exp(-i Lambda tau) U^H c(0)
 
 is the exact exponential -- no step-size error.  The samples are those of
-:func:`qlimits.dynamics.core.evolve`, from the same grid; each segment
-starts from the previous segment's last sample.  <s|psi> and <i|psi> are
-read off the basis' own amplitudes <s|v_j> and <i|v_j>, and |psi|^2 as
-c^H G c, so the norm check measures the full-space basis.  The same
-assembly checks the norms and builds the trace, so the two line up row for
-row.  Memory is O(2^n) for the basis plus O(m) per sample; a hard guard
-rejects n > 14.
+:func:`qlimits.dynamics.core.evolve`, from the same grid.  Each segment's
+start c(0) is the previous segment's whole propagator U exp(-i Lambda d) U^H
+applied to that segment's start; the propagators are formed in one batch
+and chained over lists of m numbers, and the samples are then evaluated
+together, one column of U at a time.  <s|psi> and <i|psi> are read off the basis' own amplitudes <s|v_j>
+and <i|v_j>, and |psi|^2 as c^H G c, so the norm check measures the
+full-space basis.  The same assembly checks the norms and builds the
+trace, so the two line up row for row.  Memory is O(2^n) for the basis
+plus O(m) per sample; a hard guard rejects n > 14.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -57,6 +62,12 @@ def _norm(vec: np.ndarray) -> float:
     return math.sqrt(np.vdot(vec, vec).real)
 
 
+def _subtract_projections(w: np.ndarray, basis: np.ndarray, tmp: np.ndarray) -> None:
+    """One classical Gram-Schmidt pass: w -= sum_j <v_j|w> v_j, in place."""
+    np.matmul([np.vdot(b, w) for b in basis], basis, out=tmp)
+    w -= tmp
+
+
 def _invariant_subspace(uniform: np.ndarray, sol: int) -> np.ndarray:
     """Orthonormal rows v_j spanning the least space that holds |i> and is
     closed under |i><i| and |s><s|, applied as full-space operators.
@@ -77,13 +88,16 @@ def _invariant_subspace(uniform: np.ndarray, sol: int) -> np.ndarray:
         for term in ("|i><i|", "|s><s|"):
             if term == "|i><i|":
                 np.multiply(uniform, np.vdot(uniform, basis[j]), out=w)
+                size = _norm(w)
+                _subtract_projections(w, basis[:m], tmp)
             else:
-                w.fill(0.0)
-                w[sol] = basis[j, sol]
-            size = _norm(w)
-            for _ in range(2):
-                np.matmul([np.vdot(b, w) for b in basis[:m]], basis[:m], out=tmp)
-                w -= tmp
+                # |s><s| v_j is v_j[sol] at entry sol and 0 elsewhere: its norm
+                # and its projections <v_k|s> v_j[sol] are read from that entry
+                entry = basis[j, sol]
+                size = abs(entry)
+                np.matmul(-entry * basis[:m, sol].conj(), basis[:m], out=w)
+                w[sol] += entry
+            _subtract_projections(w, basis[:m], tmp)
             residual = _norm(w)
             if residual > _BREAKDOWN * size:
                 if m == _KRYLOV_MAX:
@@ -95,6 +109,30 @@ def _invariant_subspace(uniform: np.ndarray, sol: int) -> np.ndarray:
                 m += 1
         j += 1
     return basis[:m]
+
+
+def _sample_coordinates(evals, evecs, adjoints, starts, offsets, edges) -> np.ndarray:
+    """Row k: the coordinates U exp(-i Lambda tau) U^H c of sample k, with
+    U, Lambda and the start c of its segment and tau its ``offsets`` entry;
+    row 0 is the first start.  With w = U^H c and u_j column j of U, a
+    sample is sum_j exp(-i lambda_j tau) w_j u_j, summed one column at a
+    time, so no (samples, m, m) array is made.
+    """
+    counts = np.diff(edges)
+    seg = np.repeat(np.arange(counts.size), counts)
+    scaled = evecs * (adjoints @ np.array(starts)[:, :, None]).transpose(0, 2, 1)  # w_j u_j
+    phase = evals[seg]
+    phase *= offsets[1:, None]
+    phase = -1j * phase
+    np.exp(phase, out=phase)
+    coords = np.empty((offsets.size, len(starts[0])), dtype=complex)
+    coords[0] = starts[0]
+    np.multiply(scaled[seg, :, 0], phase[:, :1], out=coords[1:])
+    for j in range(1, coords.shape[1]):
+        term = scaled[seg, :, j]
+        term *= phase[:, j:j + 1]
+        coords[1:] += term
+    return coords
 
 
 def full_space_reference(
@@ -119,20 +157,27 @@ def full_space_reference(
 
     uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     basis = _invariant_subspace(uniform, solution_index)
+    # vdot streams each pair; a 2 x 2 matmul product over 2^n entries costs
+    # twice as much, as BLAS packs both operands first
     i_v = np.array([np.vdot(v, uniform) for v in basis])  # <v_j|i>
     s_v = basis[:, solution_index]  # <s|v_j>
     gram = np.array([[np.vdot(v, w) for w in basis] for v in basis])  # <v_j|v_k>
     hams = (schedule.omega_i[:, None, None] * np.outer(i_v, i_v.conj())
             + schedule.omega_s[:, None, None] * np.outer(s_v.conj(), s_v))
     evals, evecs = np.linalg.eigh(hams)
+    adjoints = evecs.conj().transpose(0, 2, 1)
 
-    coords = np.zeros((t.size, len(basis)), dtype=complex)
-    coords[0, 0] = _norm(uniform)  # the initial state is |uniform| v_0
-    for lo, stop, lam, u in zip(edges, edges[1:], evals, evecs):
-        # rows lo..stop-1: U exp(-i Lambda offset) U^H c, c the segment's start
-        start = coords[lo - 1] @ u.conj()
-        coords[lo:stop] = (np.exp(-1j * np.outer(all_offsets[lo:stop], lam)) * start) @ u.T
+    # every segment's whole propagator U exp(-i Lambda d) U^H, then the chain
+    # of segment starts over lists of m coordinates; the initial state is
+    # |uniform| v_0
+    whole = (evecs * np.exp(-1j * evals * schedule.durations[:, None])[:, None, :]) @ adjoints
+    c = [_norm(uniform), *[0j] * (len(basis) - 1)]
+    starts = [c]
+    for prop in whole[:-1].tolist():
+        c = [sum(map(operator.mul, row, c)) for row in prop]
+        starts.append(c)
 
+    coords = _sample_coordinates(evals, evecs, adjoints, starts, all_offsets, edges)
     norm_sq = np.sum((coords.conj() @ gram) * coords, axis=1).real
     return _sampled_trace(space, schedule, t, edges, coords @ s_v, coords @ i_v.conj(),
                           np.abs(np.sqrt(norm_sq) - 1.0),

@@ -231,7 +231,15 @@ class TestFiftyDigitReference:
             log2_k = min(max(log2_k_star, Decimal(0)), Decimal(n) + _log2(Decimal(p)))
             try:
                 plan = bht_optimal(n, t, temp, p)
-            except InfeasibleError:
+            except InfeasibleError as exc:
+                if exc.floor == 0.0:
+                    # the work lies below double range at the better integer k by k*
+                    k = Decimal(2) ** log2_k
+                    top = Decimal(n) + _log2(Decimal(p))
+                    counts = ([kk for kk in {max(1, math.floor(k)), max(1, math.ceil(k))}
+                               if _log2(Decimal(kk)) <= top] if k < 2 ** 53 else [k])
+                    assert float(min(reference_plan(n, kk, t, temp, p)[0] for kk in counts)) == 0.0
+                    continue
                 # W(k) <= 1.05 W*, so k, W* or the work overflows only where W* nearly does
                 assert max(log2_k, log2_w_star) >= 1023
                 continue
@@ -477,6 +485,33 @@ def test_plans_past_the_normal_range_are_finite_or_infeasible(n, t_total, temp, 
     except InfeasibleError:
         return
     assert all(math.isfinite(v) for v in plan.as_dict().values() if isinstance(v, float))
+
+
+class TestWorkBelowDoubleRange:
+    """A plan's work is positive whatever the inputs (k h/(4 t) > 0), so one
+    below the least double is refused, as one past double range is."""
+
+    MESSAGE = "^the solved work lies below double range$"
+
+    def test_bht_work(self):
+        with pytest.raises(InfeasibleError, match=self.MESSAGE) as exc:
+            bht_work(10, 1.0, 1e308, 0.0, 1.0)
+        assert exc.value.floor == 0.0
+
+    def test_bht_fixed_samples(self):
+        with pytest.raises(InfeasibleError, match=self.MESSAGE):
+            bht_fixed_samples(10, 1.0, 1e308, 0.0, 1.0)
+
+    def test_bht_optimal(self):
+        # log2 W is -1131.5 here
+        with pytest.raises(InfeasibleError, match=self.MESSAGE) as exc:
+            bht_optimal(10, 1e308, 0.0, 1.0)
+        assert exc.value.floor == 0.0
+
+    def test_least_positive_work_is_kept(self):
+        # hbar/t near the least double: W is subnormal, not zero
+        work = bht_work(1.0, 1.0, 1e-3 * HBAR / 5e-324, 0.0, 1.0)
+        assert 0.0 < work < 2.3e-308
 
 
 @pytest.mark.parametrize("n, k, t_total, temp, p, error", [

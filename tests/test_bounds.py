@@ -562,6 +562,7 @@ QUERY_REFUSALS = [
     (dict(unknown="mass", work=1.0), _UNKNOWN_RULE, "mass"),
     (dict(unknown=3), _UNKNOWN_RULE, 3),
     (dict(unknown="bogus", work=-1.0, power=1.0), _UNKNOWN_RULE, "bogus"),
+    (dict(unknown=["work"]), _UNKNOWN_RULE, ["work"]),  # unhashable
     (dict(unknown="work", work=1.0), "field 'work' is the unknown and must be omitted", 1.0),
     (dict(unknown="time", time=1.0), "field 'time' is the unknown and must be omitted", 1.0),
     (dict(unknown="psuccess", success_probability=1.0),
@@ -923,10 +924,11 @@ def _assert_value(call, want, context, refuses_underflow=True):
     """call() against a 50-digit value: within 1e-12 relative where ``want``
     is a normal double, InfeasibleError past double range (or where ``want``
     is None), within the least normal double below it.  A solved time or
-    work that rounds to 0.0 is InfeasibleError too; a probability, and the
-    gate-clocked work, read 0.0 there (``refuses_underflow=False``)."""
+    work that is positive and rounds to 0.0 is InfeasibleError too; a
+    probability reads 0.0 there (``refuses_underflow=False``).  An exact 0
+    reads 0.0."""
     if (want is None or want > sys.float_info.max
-            or refuses_underflow and float(want) == 0.0):
+            or refuses_underflow and want != 0 and float(want) == 0.0):
         with pytest.raises(InfeasibleError):
             call()
         return
@@ -972,6 +974,24 @@ class TestSolvedBelowDoubleRange:
 
     def test_ballistic_success_at_zero_time_with_an_underflowed_final_time(self):
         assert ballistic_success(10, 1e308, 0.0) == 2.0 ** -10
+
+    def test_gate_work_is_infeasible(self):
+        with pytest.raises(InfeasibleError, match="^the solved work lies below double range$"):
+            gate_bound(10, 1.0, 1e308)
+
+    @pytest.mark.parametrize("temperature", [5e-324, 300.0])
+    def test_gate_work_with_a_landauer_term_is_never_zero(self, temperature):
+        # P_s 2^n <= 1 leaves only (2n + K) E_L, positive for T > 0
+        if landauer_energy(temperature) == 0.0:
+            with pytest.raises(InfeasibleError, match="^the solved work lies below"):
+                gate_bound(10, 2.0 ** -11, 1.0, temperature=temperature)
+        else:
+            assert gate_bound(10, 2.0 ** -11, 1.0, temperature=temperature) > 0.0
+
+    @pytest.mark.parametrize("p_success", [2.0 ** -10, 2.0 ** -11])
+    def test_vacuous_gate_work_is_exactly_zero(self, p_success):
+        # zero E_L and P_s 2^n <= 1: W = 0 is exact, not an underflow
+        assert gate_bound(10, p_success, 1e308) == 0.0
 
     def test_offset_regime_keeps_zero_work(self):
         # P_s <= 2^-n: the bound is vacuous, W = 0 is exact and flagged
@@ -1038,7 +1058,7 @@ class TestAccuracyContract:
     def test_gate_work(self):
         for n, t, _, p, temp, _ in CONTRACT_CASES:
             _assert_value(lambda: gate_bound(n, p, t, temperature=temp),
-                          _mp_gate(n, t, p, temp), (n, p, t, temp), refuses_underflow=False)
+                          _mp_gate(n, t, p, temp), (n, p, t, temp))
 
     def test_ballistic_final_time(self):
         for n, _, work, _, _, _ in CONTRACT_CASES:
