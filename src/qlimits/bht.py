@@ -229,7 +229,8 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
 
 
 def bht_work_closed_form(n: float, t_total: float, temperature: float, p_success: float = 1.0) -> float:
-    """Budget-only closed form W*(n), in joules (inf when past float range)."""
+    """Budget-only closed form W*(n), in joules: inf past double range, 0.0
+    where it lies below the least double."""
     checked("image size n", n, ends="[)")
     checked("total time", t_total)
     checked("success probability", p_success, 0.0, 1.0, "(]")

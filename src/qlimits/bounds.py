@@ -189,7 +189,8 @@ def _classical_requirement_log2(n: float, time: float, e_l: float, p_success: fl
 def classical_work_requirement(
     n: float, time: float, temperature: float, p_success: float
 ) -> float:
-    """E_c = 2^n P_s (E_L + h/4t) + 2n E_L in joules (inf on overflow)."""
+    """E_c = 2^n P_s (E_L + h/4t) + 2n E_L in joules (inf past double range,
+    0.0 below the least double)."""
     checked("n", n)
     checked("time", time)
     checked("success probability", p_success, 0.0, 1.0, "(]")
@@ -294,7 +295,8 @@ def _classical_time_from_power(query: BoundQuery, e_l: float) -> float:
 
 
 def quantum_work_requirement(n: float, time: float, p_success: float) -> tuple[float, bool]:
-    """(W, offset_flag): W = sqrt(2^n P_s - 1) hbar / t (inf past double range), 0 if vacuous."""
+    """(W, offset_flag): W = sqrt(2^n P_s - 1) hbar / t, (0.0, True) if vacuous;
+    inf past double range and 0.0 below the least double, flag False."""
     checked("n", n, -math.inf)
     checked("time", time)
     checked("success probability", p_success, 0.0, 1.0, "(]")

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -441,15 +441,24 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
                           "propagator norm drift exceeded tolerance")
 
 
-def _pairwise_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Time-ordered product of the matrices [[a, -b*], [b, a*]] along axis 1.
+@cache
+def _bit_reversed(m: int) -> np.ndarray:
+    """The read-only bit-reversal permutation of range(m), m a power of two."""
+    order = np.arange(m).reshape((2,) * (m.bit_length() - 1)).T.ravel()
+    order.flags.writeable = False
+    return order
 
-    Neighbours are multiplied pairwise, later on the left, halving the axis
-    each round; an odd last matrix waits for the next round.
+
+def _pairwise_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time-ordered product of the matrices [[a, -b*], [b, a*]] along axis 0,
+    whose power-of-two rows stand in bit-reversed time order.
+
+    Each round multiplies row i + m/2 (later, on the left) by row i: the
+    neighbour-pair tree of time order, taken on contiguous halves.
     """
-    while a.shape[1] > 1:
-        m = a.shape[1] // 2 * 2
-        a1, b1, a2, b2 = a[:, 0:m:2], b[:, 0:m:2], a[:, 1:m:2], b[:, 1:m:2]
+    while a.shape[0] > 1:
+        h = a.shape[0] // 2
+        a1, b1, a2, b2 = a[:h], b[:h], a[h:], b[h:]
         # a2 a1 - conj(b2) b1 and b2 a1 + conj(a2) b1 through two scratches;
         # no product is written over its own operand, which at one element
         # takes numpy's unfused scalar loop and moves the last bit
@@ -460,11 +469,14 @@ def _pairwise_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
         np.multiply(np.conj(a2, out=conj), b1, out=tmp)
         pb = b2 * a1
         pb += tmp
-        if m < a.shape[1]:
-            pa = np.concatenate((pa, a[:, m:]), axis=1)
-            pb = np.concatenate((pb, b[:, m:]), axis=1)
         a, b = pa, pb
-    return a[:, 0], b[:, 0]
+    return a[0], b[0]
+
+
+def _block_segments(batch: int) -> int:
+    """Segments in a full :func:`propagate` block: the largest power of two
+    within BLOCK_ELEMENTS // batch, at least 1."""
+    return 1 << (max(1, BLOCK_ELEMENTS // batch).bit_length() - 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -477,10 +489,13 @@ def propagate(
 
     Entry k of each result belongs to the schedule with every duration
     multiplied by ``factors[k]``.  Each segment propagator is the exact
-    exponential exp(-i mean dt) [[alpha, -beta*], [beta, alpha*]].  The SU(2) parts are
-    taken in blocks of at most BLOCK_ELEMENTS // len(factors) segments,
-    reduced pairwise and applied to the whole batch; the phases add up to
-    exp(-i factor * sum(mean * duration)), applied once at the end.  A
+    exponential exp(-i mean dt) [[alpha, -beta*], [beta, alpha*]].  The SU(2)
+    parts are taken in (segments, factors) blocks of the largest power of two
+    of segments within BLOCK_ELEMENTS // len(factors), the last padded to a
+    power of two with a zero-duration, zero-frequency segment's part, exactly
+    alpha = 1, beta = -0j; rows stand in bit-reversed time order, are reduced
+    on contiguous halves and applied to the whole batch.  The phases add up
+    to exp(-i factor * sum(mean * duration)), applied once at the end.  A
     schedule that is not a :class:`ControlSchedule`, or factors that are not
     a non-empty 1-D array of finite positive values, raise :class:`DomainError`
     before any propagation; a norm drift beyond 1e-9 in any row raises
@@ -496,10 +511,20 @@ def propagate(
     mean, x, z = _pauli_components(state.space, omega_i, omega_s)
     c1 = np.full(factors.shape, state.c1, dtype=complex)
     c2 = np.full(factors.shape, state.c2, dtype=complex)
-    block = max(1, BLOCK_ELEMENTS // factors.size)
-    for lo in range(0, durations.size, block):
-        part = slice(lo, lo + block)
-        a, b = _pairwise_product(*_su2(x[part], z[part], factors[:, None] * durations[part]))
+    count, block = durations.size, _block_segments(factors.size)
+    for lo in range(0, count, block):
+        k = min(block, count - lo)
+        m = 1 << (k - 1).bit_length()
+        if k == m:  # the block's (x, z, duration) rows, in bit-reversed order
+            rows = [c[lo:lo + m].take(_bit_reversed(m)) for c in (x, z, durations)]
+        else:  # the last k rows and a zero row; the gather below copies the zero
+            # row's part, exactly the identity, into the pads, which cost no _su2
+            rows = np.zeros((3, k + 1))
+            rows[:, :k] = x[lo:], z[lo:], durations[lo:]
+        a, b = _su2(rows[0][:, None], rows[1][:, None], rows[2][:, None] * factors)
+        if k < m:
+            a, b = (c.take(np.minimum(_bit_reversed(m), k), axis=0) for c in (a, b))
+        a, b = _pairwise_product(a, b)
         c1, c2 = a * c1 - b.conj() * c2, b * c1 + a.conj() * c2
     phase = np.exp(-1j * factors * (mean * durations).sum())
     c1, c2 = phase * c1, phase * c2

@@ -1000,6 +1000,17 @@ class TestSolvedBelowDoubleRange:
                                               **{given: 1e308}))
             assert result.value == 0.0 and result.offset_regime
 
+    # the raw requirements keep their documented flagged values: 0.0 below
+    # the least double, which the solvers above refuse
+    def test_raw_quantum_requirement_reads_zero_unflagged(self):
+        assert quantum_work_requirement(10, 1e308, 1.0) == (0.0, False)
+
+    def test_raw_classical_requirement_reads_zero(self):
+        assert classical_work_requirement(10, 1e308, 0.0, 1.0) == 0.0
+
+    def test_raw_bht_closed_form_reads_zero(self):
+        assert bht_work_closed_form(10, 1e308, 0.0, 1.0) == 0.0
+
     def test_probabilities_still_read_zero(self):
         # a success probability below the least double is 0, not an error
         classical = classical_bound(BoundQuery("psuccess", n=1100, work=1e-300, time=1e-300,

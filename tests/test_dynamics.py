@@ -29,8 +29,8 @@ from qlimits.dynamics import (
     schedule_infidelity,
     standard_grover_iterations,
 )
-from qlimits.dynamics.core import (BLOCK_ELEMENTS, MAX_TRACE_SAMPLES, _pairwise_product,
-                                   _pauli_components, _su2)
+from qlimits.dynamics.core import (BLOCK_ELEMENTS, MAX_TRACE_SAMPLES, _bit_reversed,
+                                   _block_segments, _pairwise_product, _pauli_components, _su2)
 from qlimits.errors import CapacityError, ConsistencyError, DomainError, InfeasibleError
 
 
@@ -423,12 +423,14 @@ def random_state(rng, space):
 
 class TestPropagateKernel:
     FACTORS = np.array([0.125, 0.7, 1.0, 2.5, 4.0])
+    BLOCK = _block_segments(FACTORS.size)
 
     @pytest.mark.parametrize(
         "count",
-        # 1, odd, a pairwise tree with leftovers, and counts that are not a
-        # multiple of the block of a five-factor batch
-        [1, 2, 3, 7, 33, BLOCK_ELEMENTS // 5 + 1, 2 * (BLOCK_ELEMENTS // 5) + 37],
+        # 1, odd, padded last blocks, the edges of a five-factor block (a
+        # last block of one segment after one and after two full blocks) and
+        # a padded last block after one and after three full blocks
+        [1, 2, 3, 7, 33, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 1639, 3313],
     )
     def test_batch_matches_per_segment_product(self, count):
         rng = np.random.default_rng(count)
@@ -441,7 +443,8 @@ class TestPropagateKernel:
             assert abs(c1[k] - ref[0]) <= 1e-12
             assert abs(c2[k] - ref[1]) <= 1e-12
 
-    @pytest.mark.parametrize("count", [1, 5, BLOCK_ELEMENTS + 3])
+    # at one factor, 2^j + 1 segments pad the most; a full block and three more
+    @pytest.mark.parametrize("count", [1, 5, 2 ** 10 + 1, _block_segments(1) + 3])
     def test_final_state_matches_per_segment_product(self, count):
         rng = np.random.default_rng(100 + count)
         space = SearchSpace(7)
@@ -506,17 +509,25 @@ def su2_by_expression(x, z, dt):
 
 
 def pairwise_product_by_expression(a, b):
-    """The pairwise reduction's specification, one expression per product."""
-    while a.shape[1] > 1:
-        m = a.shape[1] // 2 * 2
-        a1, b1, a2, b2 = a[:, 0:m:2], b[:, 0:m:2], a[:, 1:m:2], b[:, 1:m:2]
+    """The neighbour tree in time order, one expression per product: rows
+    2j and 2j + 1 (later, on the left) each round; an odd last row waits."""
+    while a.shape[0] > 1:
+        m = a.shape[0] // 2 * 2
+        a1, b1, a2, b2 = a[0:m:2], b[0:m:2], a[1:m:2], b[1:m:2]
         pa = a2 * a1 - b2.conj() * b1
         pb = b2 * a1 + a2.conj() * b1
-        if m < a.shape[1]:
-            pa = np.concatenate((pa, a[:, m:]), axis=1)
-            pb = np.concatenate((pb, b[:, m:]), axis=1)
-        a, b = pa, pb
-    return a[:, 0], b[:, 0]
+        a, b = np.concatenate((pa, a[m:])), np.concatenate((pb, b[m:]))
+    return a[0], b[0]
+
+
+def halves_product_by_expression(a, b):
+    """The kernel's reduction's specification, one expression per product:
+    row i + m/2 (later, on the left) times row i, halving m each round."""
+    while a.shape[0] > 1:
+        h = a.shape[0] // 2
+        a1, b1, a2, b2 = a[:h], b[:h], a[h:], b[h:]
+        a, b = a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
+    return a[0], b[0]
 
 
 def same_bits(got, want):
@@ -553,6 +564,11 @@ class TestKernelBits:
             dt = rng.uniform(0.125, 16.0, batch)[:, None] * rng.uniform(0.0, 1.0, count)
             for got, want in zip(_su2(x, z, dt), su2_by_expression(x, z, dt)):
                 assert same_bits(got, want)
+            # segment-major, as propagate takes it: (count, 1) columns against
+            # a contiguous (count, batch) time array
+            x, z, dt = x[:, None], z[:, None], np.ascontiguousarray(dt.T)
+            for got, want in zip(_su2(x, z, dt), su2_by_expression(x, z, dt)):
+                assert same_bits(got, want)
 
     def test_su2_signed_zeros_at_rabi_zero(self):
         alpha, beta = _su2(np.zeros(2), np.array([0.0, -0.0]), np.array([0.5, 2.0]))
@@ -560,18 +576,58 @@ class TestKernelBits:
         assert not np.any(np.signbit(alpha.imag))  # +0, as 0 - z sin/rabi
         assert np.all(np.signbit(beta.imag))  # -0, as -(x sin/rabi)
 
+    @staticmethod
+    def segment_major_parts(rng, batch, count):
+        """(alpha, beta) of ``count`` random segments stretched by ``batch``
+        factors, as (m, batch) arrays, m the power of two propagate pads
+        ``count`` to with the parts of zero-duration, zero-frequency rows."""
+        m = 1 << (count - 1).bit_length()
+        x, z = np.zeros((2, m, 1))
+        x[:count, 0], z[:count, 0] = random_pauli_columns(rng, count)
+        dt = np.zeros((m, 1))
+        dt[:count, 0] = rng.uniform(0.0, 1.0, count)
+        return _su2(x, z, dt * rng.uniform(0.125, 16.0, batch))
+
     # one element is the case where a product written over its own operand
-    # would take numpy's unfused scalar loop
+    # would take numpy's unfused scalar loop; counts off a power of two are
+    # padded as propagate's last block is
     @pytest.mark.parametrize("batch", [1, 2, 97])
-    @pytest.mark.parametrize("count", [1, 2, 3, 5, 156, 257])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 64, 156, 256, 257, 8192])
     def test_pairwise_product_is_the_expression(self, batch, count):
-        rng = np.random.default_rng(batch * 1000 + count)
-        for _ in range(20):
-            x, z = random_pauli_columns(rng, count)
-            dt = rng.uniform(0.125, 16.0, batch)[:, None] * rng.uniform(0.0, 1.0, count)
-            a, b = _su2(x, z, dt)
-            for got, want in zip(_pairwise_product(a, b), pairwise_product_by_expression(a, b)):
+        rng = np.random.default_rng(batch * 10000 + count)
+        for _ in range(20 if count <= 257 else 2):
+            a, b = self.segment_major_parts(rng, batch, count)
+            for got, want in zip(_pairwise_product(a, b), halves_product_by_expression(a, b)):
                 assert same_bits(got, want)
+
+    def test_padding_is_an_exact_identity(self):
+        alpha, beta = self.segment_major_parts(np.random.default_rng(0), 3, 5)
+        assert np.all(alpha[5:] == 1.0) and not np.any(np.signbit(alpha[5:].imag))
+        assert np.all(beta[5:] == 0.0) and np.all(np.signbit(beta[5:].imag))
+
+    @pytest.mark.parametrize("batch, count",
+                             [(1, 2), (1, 8), (1, 1024), (1, 8192), (97, 2), (97, 64), (97, 1024)])
+    def test_bit_reversed_halves_are_the_neighbour_tree(self, batch, count):
+        rng = np.random.default_rng(batch * 10000 + count)
+        for _ in range(5):
+            a, b = self.segment_major_parts(rng, batch, count)
+            order = _bit_reversed(count)
+            halves = _pairwise_product(a[order], b[order])
+            for got, want in zip(halves, pairwise_product_by_expression(a, b)):
+                assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", [2 ** j for j in range(14)])
+    def test_bit_reversed_is_a_cached_read_only_permutation(self, m):
+        order = _bit_reversed(m)
+        assert order is _bit_reversed(m)
+        assert not order.flags.writeable
+        with pytest.raises(ValueError):
+            order[0] = 0
+        assert np.array_equal(np.sort(order), np.arange(m))
+        bits = m.bit_length() - 1
+        assert order.tolist() == [int(format(i, f"0{bits}b")[::-1], 2) for i in range(m)]
+        if m > 1:  # row i + m/2 holds the time neighbour after row i's segment
+            assert np.array_equal(order[m // 2:], order[:m // 2] + 1)
 
 
 def stretched_amplitudes(state, arrays, factors):
@@ -601,12 +657,14 @@ def stretched_amplitudes(state, arrays, factors):
 @st.composite
 def stretched_batches(draw):
     """(state, schedule, factors): 1-128 factors in [1/8, 16] and 1 to 3
-    blocks of segments (block edges drawn on purpose), a share of them at
-    zero frequency."""
+    blocks of segments (block edges, a last block of one segment and the
+    most padding, a power of two and one, drawn on purpose), a share of
+    them at zero frequency."""
     batch = draw(st.integers(1, 128))
-    block = BLOCK_ELEMENTS // batch
+    block = _block_segments(batch)
     count = draw(st.integers(1, 3 * block)
-                 | st.sampled_from([block - 1, block, block + 1, 2 * block + 1, 3 * block]))
+                 | st.sampled_from([block - 1, block, block + 1, 2 * block + 1, 3 * block])
+                 | st.integers(0, block.bit_length() - 1).map(lambda j: 2 ** j + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     space = SearchSpace(draw(st.integers(1, 20)))
     durations = rng.uniform(0.05, 1.0, count) * 50.0 / count
@@ -631,7 +689,11 @@ class TestPropagateProperty:
     @given(stretched_batches())
     # one factor and a block plus one segment: the last block is one element
     @example((EffectiveState.initial(SearchSpace(9)),
-              ControlSchedule(np.tile((1e-3, 1.0, 0.0), (BLOCK_ELEMENTS + 1, 1))), np.ones(1)))
+              ControlSchedule(np.tile((1e-3, 1.0, 0.0), (_block_segments(1) + 1, 1))), np.ones(1)))
+    # one factor and half a block plus one: the last block is most padding
+    @example((EffectiveState.initial(SearchSpace(9)),
+              ControlSchedule(np.tile((1e-3, 1.0, 0.0), (_block_segments(1) // 2 + 1, 1))),
+              np.ones(1)))
     def test_batch_matches_per_segment_product(self, batch):
         state, schedule, factors = batch
         c1, c2 = propagate(state, schedule, factors)
