@@ -13,19 +13,23 @@ vectors (each term applied to each basis vector, the result orthogonalised
 twice against the basis).  |s><s| maps a basis vector to a one-hot full
 vector, so that image's norm and first projections are read from its one
 entry.  The space's dimension m is discovered, not assumed; a space that fails to
-close within a few vectors raises ConsistencyError.
+close within a few vectors raises ConsistencyError.  |i> is uniform, |s> is
+one-hot and both terms are real symmetric, so the basis is real: it, its
+projections and the Gram matrix are held in float64, and every full-vector
+pass moves half the bytes of a complex one.  Only the subspace coordinates,
+the propagators and the samples are complex.
 
-With V the basis, the projections A_i = V^H |i><i| V, A_s = V^H |s><s| V
-and the Gram matrix G = V^H V come from full-space inner products.  Segment
-k then evolves coordinates c under omega_i,k A_i + omega_s,k A_s, all
-segments diagonalised in one batch, so for every offset tau inside the
-segment
+With V the basis, the projections A_i = V^T |i><i| V, A_s = V^T |s><s| V
+and the Gram matrix G = V^T V come from full-space inner products.  Segment
+k then evolves coordinates c under omega_i,k A_i + omega_s,k A_s, a real
+symmetric matrix, all segments diagonalised in one batch, so for every
+offset tau inside the segment, with U real orthogonal,
 
-    c(tau) = U exp(-i Lambda tau) U^H c(0)
+    c(tau) = U exp(-i Lambda tau) U^T c(0)
 
 is the exact exponential -- no step-size error.  The samples are those of
 :func:`qlimits.dynamics.core.evolve`, from the same grid.  Each segment's
-start c(0) is the previous segment's whole propagator U exp(-i Lambda d) U^H
+start c(0) is the previous segment's whole propagator U exp(-i Lambda d) U^T
 applied to that segment's start; the propagators are formed in one batch
 and chained over lists of m numbers, and the samples are then evaluated
 together, one column of U at a time.  <s|psi> and <i|psi> are read off the basis' own amplitudes <s|v_j>
@@ -42,7 +46,7 @@ import operator
 
 import numpy as np
 
-from ..errors import CapacityError, ConsistencyError, checked, checked_int
+from ..errors import CapacityError, ConsistencyError, checked_int
 from .core import (
     ControlSchedule,
     SearchSpace,
@@ -58,8 +62,8 @@ _BREAKDOWN = 1e-12
 
 
 def _norm(vec: np.ndarray) -> float:
-    """|vec|, from one complex inner product."""
-    return math.sqrt(np.vdot(vec, vec).real)
+    """|vec|, from one real inner product."""
+    return math.sqrt(np.vdot(vec, vec))
 
 
 def _subtract_projections(w: np.ndarray, basis: np.ndarray, tmp: np.ndarray) -> None:
@@ -69,15 +73,17 @@ def _subtract_projections(w: np.ndarray, basis: np.ndarray, tmp: np.ndarray) -> 
 
 
 def _invariant_subspace(uniform: np.ndarray, sol: int) -> np.ndarray:
-    """Orthonormal rows v_j spanning the least space that holds |i> and is
-    closed under |i><i| and |s><s|, applied as full-space operators.
+    """Orthonormal real rows v_j spanning the least space that holds |i> and
+    is closed under |i><i| and |s><s|, applied as full-space operators.
+    ``uniform`` is the real |i>; both terms are real, so every image and
+    residual is real too.
 
     A term's image of a basis vector joins the basis when its residual,
     after two classical Gram-Schmidt passes, exceeds _BREAKDOWN of the
     image's norm.
     """
     # rows past the closing vector are never written, so never mapped
-    basis = np.empty((_KRYLOV_MAX, uniform.size), dtype=complex)
+    basis = np.empty((_KRYLOV_MAX, uniform.size))
     np.multiply(uniform, 1.0 / _norm(uniform), out=basis[0])
     # scratch vectors, overwritten in place: from n = 13 on, glibc maps every
     # fresh full-vector temporary anew, and faulting it in costs more than
@@ -95,7 +101,7 @@ def _invariant_subspace(uniform: np.ndarray, sol: int) -> np.ndarray:
                 # and its projections <v_k|s> v_j[sol] are read from that entry
                 entry = basis[j, sol]
                 size = abs(entry)
-                np.matmul(-entry * basis[:m, sol].conj(), basis[:m], out=w)
+                np.matmul(-entry * basis[:m, sol], basis[:m], out=w)
                 w[sol] += entry
             _subtract_projections(w, basis[:m], tmp)
             residual = _norm(w)
@@ -112,9 +118,9 @@ def _invariant_subspace(uniform: np.ndarray, sol: int) -> np.ndarray:
 
 
 def _sample_coordinates(evals, evecs, adjoints, starts, offsets, edges) -> np.ndarray:
-    """Row k: the coordinates U exp(-i Lambda tau) U^H c of sample k, with
+    """Row k: the coordinates U exp(-i Lambda tau) U^T c of sample k, with
     U, Lambda and the start c of its segment and tau its ``offsets`` entry;
-    row 0 is the first start.  With w = U^H c and u_j column j of U, a
+    row 0 is the first start.  With w = U^T c and u_j column j of U, a
     sample is sum_j exp(-i lambda_j tau) w_j u_j, summed one column at a
     time, so no (samples, m, m) array is made.
     """
@@ -152,22 +158,22 @@ def full_space_reference(
             f"full-space reference limited to n <= {MAX_FULL_SPACE_BITS}", space.n
         )
     dim = space.dimension
-    checked_int("solution index", solution_index, 0, dim)
+    sol = checked_int("solution index", solution_index, 0, dim)
     t, all_offsets, edges = _sample_grid(schedule, sample_step)
 
-    uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    basis = _invariant_subspace(uniform, solution_index)
+    uniform = np.full(dim, 1.0 / math.sqrt(dim))
+    basis = _invariant_subspace(uniform, sol)
     # vdot streams each pair; a 2 x 2 matmul product over 2^n entries costs
-    # twice as much, as BLAS packs both operands first
+    # half as much again, as BLAS packs both operands first
     i_v = np.array([np.vdot(v, uniform) for v in basis])  # <v_j|i>
-    s_v = basis[:, solution_index]  # <s|v_j>
+    s_v = basis[:, sol]  # <s|v_j>
     gram = np.array([[np.vdot(v, w) for w in basis] for v in basis])  # <v_j|v_k>
-    hams = (schedule.omega_i[:, None, None] * np.outer(i_v, i_v.conj())
-            + schedule.omega_s[:, None, None] * np.outer(s_v.conj(), s_v))
+    hams = (schedule.omega_i[:, None, None] * np.outer(i_v, i_v)
+            + schedule.omega_s[:, None, None] * np.outer(s_v, s_v))
     evals, evecs = np.linalg.eigh(hams)
-    adjoints = evecs.conj().transpose(0, 2, 1)
+    adjoints = evecs.transpose(0, 2, 1)
 
-    # every segment's whole propagator U exp(-i Lambda d) U^H, then the chain
+    # every segment's whole propagator U exp(-i Lambda d) U^T, then the chain
     # of segment starts over lists of m coordinates; the initial state is
     # |uniform| v_0
     whole = (evecs * np.exp(-1j * evals * schedule.durations[:, None])[:, None, :]) @ adjoints
@@ -179,6 +185,6 @@ def full_space_reference(
 
     coords = _sample_coordinates(evals, evecs, adjoints, starts, all_offsets, edges)
     norm_sq = np.sum((coords.conj() @ gram) * coords, axis=1).real
-    return _sampled_trace(space, schedule, t, edges, coords @ s_v, coords @ i_v.conj(),
+    return _sampled_trace(space, schedule, t, edges, coords @ s_v, coords @ i_v,
                           np.abs(np.sqrt(norm_sq) - 1.0),
                           "full-space norm drift exceeded tolerance")

@@ -104,7 +104,7 @@ def first_peak_iterations(
     checked("pulse phase", pulse_phase, 0.0, 2.0 * math.pi, "(]")
     if max_pairs is None:
         max_pairs = int(math.ceil(4.0 * math.pi * 2.0 ** (space.n / 2.0))) + 2
-    checked_int("max_pairs", max_pairs, 0)
+    max_pairs = checked_int("max_pairs", max_pairs, 0)
     g, gg = space.overlap, 2.0 ** -space.n
     root = math.sqrt(1.0 - gg)
     # 1 - e^(-i phase), with 1 - cos(phase) = 2 sin^2(phase/2) exact near phase 0

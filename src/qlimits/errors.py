@@ -72,12 +72,13 @@ def checked(name: str, value, lo: float = 0.0, hi: float = math.inf, ends: str =
     raise DomainError(f"{name} must {rule}", value)
 
 
-def checked_int(name: str, value, lo: float, hi: float = math.inf, ends: str = "[)"):
-    """:func:`checked` for an argument that must be an ``int``; anything else
-    is refused as "<name> must be an integer"."""
+def checked_int(name: str, value, lo: float, hi: float = math.inf, ends: str = "[)") -> int:
+    """:func:`checked` for an argument that must be an ``int``, returned as a
+    plain ``int`` (``True`` as 1, so numpy never reads it as a mask); anything
+    else is refused as "<name> must be an integer"."""
     if not isinstance(value, int):
         raise DomainError(f"{name} must be an integer", value)
-    return checked(name, value, lo, hi, ends)
+    return int(checked(name, value, lo, hi, ends))
 
 
 _OPEN_ABOVE = {(-math.inf, math.inf, "()"): "be finite",

@@ -865,6 +865,13 @@ class TestFirstPeakClosedForm:
         assert pairs == ref_pairs == max_pairs
         assert abs(p_s - ref_p_s) <= 1e-12 and type(p_s) is float
 
+    @pytest.mark.parametrize("cap", [False, True])
+    def test_a_bool_cap_counts_as_its_integer(self, cap):
+        # True once came back as the pair count itself, a bool
+        pairs, p_s = first_peak_iterations(SearchSpace(6), 1e-34, 1.0, max_pairs=cap)
+        assert type(pairs) is int
+        assert (pairs, p_s) == first_peak_iterations(SearchSpace(6), 1e-34, 1.0, int(cap))
+
     def test_refuses_a_fractional_cap(self):
         with pytest.raises(DomainError, match="max_pairs must be an integer"):
             first_peak_iterations(SearchSpace(8), HBAR, math.pi, max_pairs=2.5)
