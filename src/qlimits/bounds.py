@@ -64,7 +64,7 @@ class BoundQuery:
     ``power`` may replace ``work``; the budget is then power * time, and
     solving for time accounts for the budget growing with t.  The
     constructor checks every given field in one pass, and so does
-    ``dataclasses.replace``.
+    ``dataclasses.replace``; the solvers read them without checking again.
     """
 
     unknown: str
@@ -198,21 +198,17 @@ def classical_work_requirement(
 
 
 def classical_bound(query: BoundQuery) -> BoundResult:
-    """Solve the classical search bound for the query's unknown."""
+    """Solve the classical search bound for the query's unknown, reading the
+    fields the query's constructor checked through the unchecked log2 cores."""
     if query.temperature is None:
         raise DomainError("classical bound requires a temperature", query)
-    t_kelvin = query.temperature
-    e_l = landauer_energy(t_kelvin)
+    e_l = landauer_energy(query.temperature)
     unknown = query.unknown
 
     if unknown == "work":
         _require(query, "n", "time", "psuccess")
-        value = in_positive_double_range(
-            classical_work_requirement(
-                query.n, query.time, t_kelvin, query.success_probability
-            ),
-            "solved work", query,
-        )
+        value = in_positive_double_range(exp2(_classical_requirement_log2(
+            query.n, query.time, e_l, query.success_probability)), "solved work", query)
 
     elif unknown == "psuccess":
         _require(query, "n", "time")
@@ -260,9 +256,10 @@ def _classical_n(query: BoundQuery, e_l: float) -> float:
     budget = query.budget()
     budget_log2 = math.log2(budget)
     lo, hi = N_BRACKET
-    if _classical_requirement_log2(lo, time, e_l, p) >= budget_log2:
+    log2_floor = _classical_requirement_log2(lo, time, e_l, p)
+    if log2_floor >= budget_log2:
         raise InfeasibleError("budget is below the requirement already at n = 1",
-                              classical_work_requirement(lo, time, query.temperature, p), query)
+                              exp2(log2_floor), query)
     if _classical_requirement_log2(hi, time, e_l, p) <= budget_log2:
         raise DomainError("budget exceeds the requirement at the n = 4096 bracket", query)
     log2_e_l = math.log2(e_l) if e_l > 0.0 else -math.inf
@@ -318,28 +315,28 @@ def quantum_log2_ratio(work: float, time: float, p_success: float) -> float:
     checked("work", work)
     checked("time", time)
     checked("success probability", p_success, 0.0, 1.0, "(]")
+    return _quantum_log2_ratio(work, time, p_success)
+
+
+def _quantum_log2_ratio(work: float, time: float, p_success: float) -> float:
     log2_x = math.log2(work) + math.log2(time) - math.log2(HBAR)
     return log2_add(2.0 * log2_x, 0.0) - math.log2(p_success)
 
 
 def quantum_bound(query: BoundQuery) -> BoundResult:
-    """Solve the quantum work-time bound for the query's unknown."""
+    """Solve the quantum work-time bound for the query's unknown, reading the
+    fields the query's constructor checked through the unchecked log2 cores."""
     unknown = query.unknown
     offset = False  # set where the bound is vacuous and W = 0 or t = 0 is exact
 
-    if unknown == "work":
-        _require(query, "n", "time", "psuccess")
-        value, offset = quantum_work_requirement(
-            query.n, query.time, query.success_probability
-        )
-        if not offset:
-            value = in_positive_double_range(value, "solved work", query)
-
-    elif unknown == "time":
-        _require(query, "n", "psuccess")
+    if unknown in ("work", "time"):  # W t = sqrt(2^n P_s - 1) hbar
+        _require(query, "n", *(["time"] if unknown == "work" else []), "psuccess")
         log2_action = _quantum_log2_action(query.n, query.success_probability)
         if log2_action is None:
             value, offset = 0.0, True
+        elif unknown == "work":
+            work = exp2(log2_action - math.log2(query.time))
+            value = in_positive_double_range(work, "solved work", query)
         else:
             _require(query, "work")
             if query.power is not None:  # P t^2 = W t
@@ -350,14 +347,12 @@ def quantum_bound(query: BoundQuery) -> BoundResult:
 
     elif unknown == "psuccess":
         _require(query, "n", "time")
-        ratio = quantum_log2_ratio(query.budget(), query.time, 1.0)
+        ratio = _quantum_log2_ratio(query.budget(), query.time, 1.0)
         value = _probability(exp2(ratio - query.n), query)
 
     else:  # "n": largest real n satisfying the bound
-        _require(query, "time")
-        if query.success_probability is None:
-            raise DomainError("success probability is required", query)
-        value = quantum_log2_ratio(query.budget(), query.time, query.success_probability)
+        _require(query, "time", "psuccess")
+        value = _quantum_log2_ratio(query.budget(), query.time, query.success_probability)
     return BoundResult(value, "quantum", _QUANTUM_OFFSET_TAG if offset else QUANTUM_TAG,
                        query, _UNITS[unknown], offset)
 

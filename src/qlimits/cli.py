@@ -40,7 +40,7 @@ from .dynamics import (
     grover_pulsed_schedule,
     standard_grover_iterations,
 )
-from .errors import ParseError, QlimitsError, UsageError, checked
+from .errors import ParseError, QlimitsError, UsageError
 from .keylength import (
     BALLISTIC_TIME_TAG,
     COSMIC_TAG,
@@ -205,16 +205,12 @@ def parse_argv(argv: list[str]) -> argparse.Namespace:
 
 
 def _resolve_budget(args, time: float) -> float:
-    """--work, or --power * --time (the documented equivalence); the
-    budget, the time and the power are each refused unless finite and > 0."""
-    if args.work is not None:
-        checked("work", args.work)
-        checked("time", time)
-        return args.work
-    if args.power is None:
+    """--work, or --power * --time (the documented equivalence), read by
+    :meth:`BoundQuery.budget`: its constructor refuses the work, the time,
+    the power and power * time unless each is finite and > 0."""
+    if args.work is None and args.power is None:
         raise UsageError("a work budget is required (--work or --power with --time)")
-    checked("time", time)
-    return checked("power * time", checked("power", args.power) * time)
+    return BoundQuery("n", work=args.work, time=time, power=args.power).budget()
 
 
 def _cmd_simulate(args):
@@ -325,8 +321,9 @@ def _cmd_keylength(args) -> dict:
         work, time = sc.work, sc.duration
         p_success, temp = sc.success_probability, sc.temperature
     else:
-        if args.time is None or args.psuccess is None:
-            raise UsageError("--time and --psuccess are required without --scenario")
+        if args.time is None or args.psuccess is None and args.mode != "deterministic":
+            flags = "--time is" if args.mode == "deterministic" else "--time and --psuccess are"
+            raise UsageError(f"{flags} required without --scenario")
         time, p_success, temp = args.time, args.psuccess, args.temp
         work = _resolve_budget(args, time)
         sc = None

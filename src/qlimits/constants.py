@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import checked
+from .errors import DomainError, checked
 
 CONSTANTS_VERSION = "codata-2018.qlimits-1"
 
@@ -46,7 +46,7 @@ class PhysicalConstants:
         for name, value in self.as_dict().items():
             checked(f"constant {name}", value)
         if abs(self.h - 2.0 * math.pi * self.hbar) > 1e-12 * self.h:
-            raise ValueError("h and hbar are inconsistent")
+            raise DomainError("h and hbar are inconsistent", (self.h, self.hbar))
 
     def as_dict(self) -> dict:
         return {

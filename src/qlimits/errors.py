@@ -140,3 +140,6 @@ class ScenarioLookupError(QlimitsError, KeyError):
     """Unknown scenario name."""
 
     kind = "lookup"
+
+    def __str__(self) -> str:  # the message itself, not KeyError's repr of it
+        return self.args[0]

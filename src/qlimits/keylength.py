@@ -52,7 +52,7 @@ from .constants import (
     MEGAPARSEC,
     SOLAR_LUMINOSITY,
 )
-from .errors import DomainError, InfeasibleError, checked, in_double_range
+from .errors import DomainError, InfeasibleError, QlimitsError, checked, in_double_range
 from .scenarios import Scenario
 
 BALLISTIC_TIME_TAG = "ballistic-deterministic-time-v1"
@@ -216,7 +216,7 @@ def build_report(scenarios: list[Scenario]) -> list[KeylengthReport]:
                     bounds_used=(QUANTUM_TAG, CLASSICAL_TAG),
                 )
             )
-        except Exception as exc:  # propagate per row, keep the table going
+        except QlimitsError as exc:  # propagate per row, keep the table going
             rows.append(
                 KeylengthReport(
                     scenario=s,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 from .constants import JULIAN_YEAR
 from .errors import ParseError
@@ -56,9 +57,11 @@ def parse_duration(text: str) -> float:
 
 
 def format_duration(seconds: float) -> str:
-    """Format seconds using the largest unit that round-trips exactly."""
-    if seconds < 0.0:
-        raise ParseError(f"duration must be non-negative, got {seconds!r}", seconds)
+    """Format seconds using the largest unit that round-trips exactly; all
+    but a finite real number >= 0 is a :class:`ParseError`."""
+    if not isinstance(seconds, (int, float)) or not 0.0 <= seconds <= sys.float_info.max:
+        raise ParseError(f"duration must be a finite number >= 0, got {seconds!r}", seconds)
+    seconds = float(seconds)  # an int formats as the double it parses back to
     for suffix in ("Ta", "Ga", "a"):
         scale = _SUFFIXES[suffix]
         scaled = seconds / scale

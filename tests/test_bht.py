@@ -522,3 +522,10 @@ class TestWorkBelowDoubleRange:
 def test_fixed_sample_work_is_finite_or_refused(n, k, t_total, temp, p, error):
     with pytest.raises(error):
         bht_work(n, k, t_total, temp, p)
+
+
+def test_optimal_plan_needs_one_admissible_sample():
+    with pytest.raises(DomainError, match="no sample count is admissible") as raised:
+        bht_optimal(1.0, 1.0, 300.0, 0.1)
+    assert raised.value.offending_input == (1.0, 0.1)
+

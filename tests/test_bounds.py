@@ -1111,3 +1111,63 @@ class TestAccuracyContract:
     def test_ballistic_success_at_zero_time_is_two_to_minus_n(self):
         for n in (0.0, 1.0, 10.0, 1074.0, 2100.0):
             assert ballistic_success(n, 1.0, 0.0) == 2.0 ** -n
+
+
+# the BoundQuery field each solver name reads
+_QUERY_FIELD = {"n": "n", "work": "work", "time": "time", "psuccess": "success_probability",
+                "temperature": "temperature"}
+_WORK_REFUSAL = "work (or power) is required"
+_BUDGET_REFUSAL = "work (or power with time) is required"
+
+# (solver, unknown, field left out, refusal): each field a solver reads at each
+# unknown, left out of a query that holds every other; a missing field is
+# named by _require, and a missing budget by _require or BoundQuery.budget
+MISSING_FIELDS = [
+    *[(solver, unknown, field, f"field {field!r} is required")
+      for solver in (quantum_bound, classical_bound)
+      for unknown, fields in (("work", ("n", "time", "psuccess")), ("time", ("n", "psuccess")),
+                              ("psuccess", ("n", "time")), ("n", ("time", "psuccess")))
+      for field in fields],
+    (quantum_bound, "time", "work", _WORK_REFUSAL),
+    (classical_bound, "time", "work", _WORK_REFUSAL),
+    (quantum_bound, "psuccess", "work", _BUDGET_REFUSAL),
+    (classical_bound, "psuccess", "work", _BUDGET_REFUSAL),
+    (quantum_bound, "n", "work", _BUDGET_REFUSAL),
+    (classical_bound, "n", "work", _BUDGET_REFUSAL),
+    *[(classical_bound, unknown, "temperature", "classical bound requires a temperature")
+      for unknown in ("work", "time", "psuccess", "n")],
+]
+
+
+class TestMissingFields:
+    FULL = dict(n=64.0, work=1e-10, time=1.0, temperature=300.0, success_probability=0.5)
+
+    @pytest.mark.parametrize("solver, unknown, missing, message", MISSING_FIELDS,
+                             ids=[f"{row[0].__name__}-{row[1]}-{row[2]}"
+                                  for row in MISSING_FIELDS])
+    def test_refusal(self, solver, unknown, missing, message):
+        left_out = (_QUERY_FIELD[unknown], _QUERY_FIELD[missing])
+        query = BoundQuery(unknown, **{k: v for k, v in self.FULL.items() if k not in left_out})
+        with pytest.raises(QlimitsError) as raised:
+            solver(query)
+        assert type(raised.value) is DomainError
+        assert str(raised.value) == message
+        assert raised.value.offending_input is query
+
+    def test_quantum_time_needs_no_budget_where_the_bound_is_vacuous(self):
+        result = quantum_bound(BoundQuery("time", n=4.0, success_probability=1.0 / 32.0))
+        assert (result.value, result.offset_regime) == (0.0, True)
+
+    def test_budget_without_work_or_power(self):
+        with pytest.raises(DomainError, match=r"work \(or power with time\) is required"):
+            BoundQuery("n", power=1.0).budget()
+
+
+class TestOtherFloors:
+    def test_work_floor_with_every_term_dropped_is_zero(self):
+        # a zero frequency or a zero weight adds nothing to the moment
+        assert work_floor([0.0, 5.0], [1.0, 0.0], 2) == 0.0
+
+    def test_init_readout_work_refuses_an_unknown_mode(self):
+        with pytest.raises(DomainError, match="mode must be 'generic' or 'knownPlaintext'"):
+            init_readout_work(8, 300.0, mode="chosenPlaintext")

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qlimits
 from qlimits.bht import bht_min_image_bits
+from qlimits.bounds import QUANTUM_TAG as QUANTUM_KEY_TAG
 from qlimits.cli import build_parser, main
 from qlimits.constants import HBAR
 from qlimits.keylength import max_deterministic_keylength
@@ -619,3 +624,82 @@ def test_results_past_double_range_are_infeasible(capsys, argv):
     error = json.loads(err, parse_constant=_reject_constant)  # exactly one strict JSON object
     assert error["kind"] == "infeasible"
     assert "past double range" in error["message"]
+
+
+def test_a_lookup_error_prints_its_message_unquoted(capsys):
+    # KeyError.__str__ once printed the message's repr, quotes and all
+    code, out, err = run(capsys, "keylength", "--scenario", "nope")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == (
+        "unknown scenario 'nope'; valid names: ['cosmic', 'datacenter', 'dyson']")
+
+
+def test_deterministic_mode_needs_no_success_probability(capsys):
+    # --psuccess was once required here, though the ballistic time never reads it
+    payload = run_json(capsys, "keylength", "--mode", "deterministic",
+                       "--work", "1e16", "--time", "5a")
+    assert payload["deterministic_bits"] == 385
+    assert "p_success" not in payload
+
+
+def test_recoverable_mode_is_one_below_the_secure_length(capsys):
+    payload = run_json(capsys, "keylength", "--mode", "recoverable", "--work", "1e16",
+                       "--time", "5a", "--psuccess", "1e-2")
+    assert payload["recoverable_bits"] == 393
+    assert payload["formula_tag"] == QUANTUM_KEY_TAG
+
+
+def test_table_row_without_a_scenario(capsys):
+    payload = run_json(capsys, "keylength", "--work", "1e16", "--time", "5a",
+                       "--psuccess", "1e-2", "--temp", "300")
+    assert (payload["scenario"], payload["classical_bits"]) == ("custom", None)
+    assert (payload["quantum_bits"], payload["solved_classical_bits"]) == (394, 129)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["keylength", "--work", "1e16", "--time", "5a", "--psuccess", "1e-2"],
+     "--temp is required for the classical column"),
+    (["keylength", "--mode", "classical", "--work", "1e16", "--time", "5a",
+      "--psuccess", "1e-2"], "--temp is required for the classical solver"),
+    (["keylength", "--mode", "quantum", "--work", "1e16", "--time", "5a"],
+     "--time and --psuccess are required without --scenario"),
+    (["keylength", "--mode", "deterministic", "--work", "1e16"],
+     "--time is required without --scenario"),
+    (["keylength", "--mode", "quantum", "--time", "5a", "--psuccess", "1"],
+     "a work budget is required (--work or --power with --time)"),
+    (["bound", "gate", "--solve", "time", "--n", "8", "--time", "1s", "--psuccess", "1"],
+     "the gate bound only solves for work"),
+    (["bound", "ballistic", "--solve", "n", "--n", "8", "--work", "1"],
+     "the ballistic relation solves time or psuccess, not n"),
+    (["bound", "ballistic", "--work", "1"], "--n is required"),
+    (["bound", "ballistic", "--solve", "time", "--n", "8"], "--work is required"),
+    (["bound", "ballistic", "--solve", "psuccess", "--n", "8", "--work", "1"],
+     "--time is required to evaluate the success probability"),
+    (["scenario", "show"], "scenario show requires a name"),
+    (["keylength", "--config"], "argument --config: expected one argument"),
+])
+def test_missing_flag_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"qlimits {argv[0]}: error: {message}\n")  # after argparse's usage
+
+
+def test_config_file_holding_a_list_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1]")
+    code, out, err = run(capsys, "keylength", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"kind": "parse", "offending_input": str(path),
+                               "message": "config file must contain a JSON object"}
+
+
+def test_module_runs_as_a_program():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.dirname(qlimits.__path__[0]), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "qlimits.cli", "scenario", "show", "dyson"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["work_J"] == 8e43
+    done = subprocess.run([sys.executable, "-m", "qlimits.cli", "scenario", "show"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (done.returncode, done.stdout) == (2, "")

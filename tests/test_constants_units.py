@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qlimits import CODATA2018, constants_table, parse_duration, format_duration, scenario
-from qlimits.errors import ParseError, ScenarioLookupError
+from qlimits.constants import PhysicalConstants
+from qlimits.errors import DomainError, ParseError, ScenarioLookupError
 from qlimits.scenarios import SCENARIOS
 
 YEAR = 3.15576e7
@@ -98,3 +99,33 @@ def test_unknown_scenario_lists_names():
     message = str(err.value)
     for name in SCENARIOS:
         assert name in message
+    # the message itself: KeyError's str once added quotes around it
+    assert isinstance(err.value, KeyError)
+    assert message == "unknown scenario 'moonbase'; valid names: ['cosmic', 'datacenter', 'dyson']"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -math.inf, "5", None, 10**400],
+                         ids=["nan", "inf", "negative", "-inf", "text", "None", "int-past-double"])
+def test_format_refuses_all_but_a_finite_number_at_least_zero(bad):
+    # nan once formatted as 'nans', which cannot be parsed back; inf and "5"
+    # raised a ParseError about 'infTa' and a raw TypeError
+    with pytest.raises(ParseError, match="duration must be a finite number >= 0"):
+        format_duration(bad)
+
+
+@pytest.mark.parametrize("seconds", [0.0, 5, True, 5e-324, 1.7976931348623157e308])
+def test_format_round_trips_at_the_ends(seconds):
+    assert parse_duration(format_duration(seconds)) == seconds
+
+
+def test_parse_refuses_a_number():
+    with pytest.raises(ParseError, match="duration must be a string, got 5"):
+        parse_duration(5)
+
+
+def test_inconsistent_h_and_hbar_is_a_domain_error():
+    with pytest.raises(DomainError, match="h and hbar are inconsistent") as raised:
+        PhysicalConstants(hbar=1e-34).validate()
+    assert isinstance(raised.value, ValueError)
+    assert raised.value.offending_input == (CODATA2018.h, 1e-34)
+

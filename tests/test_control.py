@@ -268,3 +268,8 @@ class TestModulatedDetuning:
         space = SearchSpace(16)
         measured = abs(measure_modulated_suppression(space, 0.1))
         assert measured == pytest.approx(modulated_detuning_suppression(0.1), rel=0.10)
+
+
+def test_optimal_detuning_refuses_an_unknown_regime():
+    with pytest.raises(DomainError, match="regime must be 'boundary' or 'bulk'"):
+        optimal_detuning(0.5 + 0.5j, 20.0, 0.0, 0.5, 0.5, SearchSpace(20), "edge")

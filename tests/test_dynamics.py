@@ -875,3 +875,38 @@ class TestFirstPeakClosedForm:
     def test_refuses_a_fractional_cap(self):
         with pytest.raises(DomainError, match="max_pairs must be an integer"):
             first_peak_iterations(SearchSpace(8), HBAR, math.pi, max_pairs=2.5)
+
+
+class TestRefusalsAndScanEnds:
+    SPACE = SearchSpace(4)
+
+    def test_adiabatic_schedule_refuses_an_unknown_kind(self):
+        with pytest.raises(DomainError, match="kind must be 'local' or 'linear'"):
+            adiabatic_schedule(self.SPACE, 1e-30, 0.1, kind="cubic")
+
+    def test_state_amplitudes_must_be_numbers(self):
+        with pytest.raises(DomainError, match="state amplitudes must be complex numbers"):
+            EffectiveState("1", 0.0, self.SPACE)
+
+    def test_schedule_equals_no_other_type(self):
+        schedule = adiabatic_schedule(self.SPACE, 1e-30, 0.1)
+        assert schedule.__eq__(3) is NotImplemented
+        assert schedule != 3
+
+    def test_runtime_met_at_the_first_grid_point_is_the_shortest_scanned(self):
+        base = adiabatic_schedule(self.SPACE, 1e-30, 0.1).total_duration
+        # the grid's first factor is exp(log 0.125), within rounding of 0.125
+        runtime = runtime_to_infidelity(self.SPACE, 1e-30, 0.1, 1.0)
+        assert runtime == pytest.approx(0.125 * base, rel=1e-14)
+
+    def test_runtime_never_reached_is_refused_with_the_least_envelope(self):
+        with pytest.raises(DomainError, match="not reached within the scanned range") as raised:
+            runtime_to_infidelity(self.SPACE, 1e-30, 0.1, 1e-300)
+        target, least = raised.value.offending_input
+        assert target == 1e-300 and 1e-300 < least < 1.0
+
+    def test_ragged_schedule_rows_are_refused(self):
+        rows = [(1.0, 1.0, 0.5), (1.0, 1.0)]
+        with pytest.raises(DomainError, match="schedule rows must be real numbers") as raised:
+            ControlSchedule(rows)
+        assert raised.value.offending_input is rows

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlimits import keylength
 from qlimits.constants import HBAR
 from qlimits.errors import DomainError
 from qlimits.keylength import (
@@ -197,3 +198,24 @@ class TestReport:
         alt = solar_budget(dyson.duration)
         assert alt == pytest.approx(3.828e26 * 5e9 * YEAR, rel=1e-12)
         assert alt < dyson.work  # tabulated budget is the more generous one
+
+
+def test_cosmic_energy_refuses_an_unknown_form():
+    with pytest.raises(DomainError, match="form must be 'fromOmega' or 'fromDensity'"):
+        cosmic_energy(PLANCK_PARAMS, "fromMass")
+
+
+class TestReportRows:
+    def test_a_qlimits_error_becomes_row_text(self, monkeypatch):
+        def refuse(*_):
+            raise DomainError("refused", None)
+        monkeypatch.setattr(keylength, "classical_keylength", refuse)
+        row = build_report([SCENARIOS["datacenter"]])[0]
+        assert (row.error, row.quantum_secure_bits) == ("DomainError: refused", None)
+
+    def test_a_programming_error_is_not_caught(self, monkeypatch):
+        def broken(*_):
+            raise ZeroDivisionError("a defect, not a refusal")
+        monkeypatch.setattr(keylength, "classical_keylength", broken)
+        with pytest.raises(ZeroDivisionError):
+            build_report([SCENARIOS["datacenter"]])

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlimits import bht, bounds
-from qlimits._num import _NEWTON_STEPS, N_BRACKET, ceil_tol, golden_min, log2_radical, newton
+from qlimits._num import (_NEWTON_STEPS, N_BRACKET, ceil_tol, exp2, golden_min, log2_radical,
+                          newton)
 from qlimits.bht import (
     _closed_form_log2,
     _image_bits_root,
@@ -457,3 +458,9 @@ class TestWholeBracket:
                 else:
                     assert rel_error(root(*case), mp_root(mp_form(*case))) <= 1e-12
         assert all(c <= 8 for c in counts)
+
+
+def test_exp2_at_the_first_power_past_double_range_is_inf():
+    # 2.0 ** 1024.0 raises OverflowError; the cut-over above it does not see it
+    assert exp2(1024.0) == math.inf
+    assert exp2(1023.0) == 2.0 ** 1023

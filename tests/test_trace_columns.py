@@ -690,6 +690,18 @@ def test_rows_reject_non_finite_columns():
             FloatRows(("a", "b"), columns)
 
 
+@pytest.mark.parametrize("template, message", [
+    ("%.17g", "one %.17g slot per column is required"),
+    ("%.17g,%.17g,%.17g", "one %.17g slot per column is required"),
+    ("%.17g\0%.17g", "a row template holds no NUL"),
+])
+def test_rows_refuse_a_template_that_does_not_fit(template, message):
+    rows = FloatRows(("a", "b"), (np.zeros(2), np.ones(2)))
+    with pytest.raises(ConsistencyError) as raised:
+        rows.join(template, "\n")
+    assert str(raised.value) == message and raised.value.offending_input == template
+
+
 def test_rows_read_back_as_the_old_dicts():
     space = SearchSpace(6)
     schedule = ControlSchedule((Segment(0.7, 1.3, -0.0), Segment(0.9, 0.0, 0.0),
