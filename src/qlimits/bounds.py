@@ -248,20 +248,19 @@ def classical_bound(query: BoundQuery) -> BoundResult:
 def _classical_n(query: BoundQuery, e_l: float) -> float:
     """The real n at which the classical requirement meets the budget.
 
-    The bracket ends decide feasibility, then 2^n c + b n = W, with
+    The n = 1 end decides feasibility, then 2^n c + b n = W, with
     c = P_s (E_L + h/4t) and b = 2 E_L, is inverted directly.
     """
     _require(query, "time", "psuccess")
     time, p = query.time, query.success_probability
     budget = query.budget()
     budget_log2 = math.log2(budget)
-    lo, hi = N_BRACKET
-    log2_floor = _classical_requirement_log2(lo, time, e_l, p)
+    # Only the n = 1 end can refuse: at n = 4096 the requirement is at least 2^1885.8 J
+    # (P_s = 5e-324, t the largest double, T = 0), and every budget lies below 2^1024.
+    log2_floor = _classical_requirement_log2(N_BRACKET[0], time, e_l, p)
     if log2_floor >= budget_log2:
         raise InfeasibleError("budget is below the requirement already at n = 1",
                               exp2(log2_floor), query)
-    if _classical_requirement_log2(hi, time, e_l, p) <= budget_log2:
-        raise DomainError("budget exceeds the requirement at the n = 4096 bracket", query)
     log2_e_l = math.log2(e_l) if e_l > 0.0 else -math.inf
     log2_c = math.log2(p) + _log2_per_guess(time, e_l)
     if budget_log2 - 1.0 - log2_e_l >= 60.0:  # or E_L = 0: b n moves n by < 2^-48 relative

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._num import LN2, ceil_tol, exp2, floor_tol
+from ._num import ceil_tol, floor_tol, log2_radical
 from .bounds import (
     BoundQuery,
     CLASSICAL_TAG,
@@ -106,8 +106,7 @@ def max_deterministic_keylength(work: float, time: float) -> int:
     log2_y = 1.0 + math.log2(work) + math.log2(time) - math.log2(math.pi * HBAR)
     if log2_y <= 1.0:  # sqrt(2^n) = y - 1 needs y > 2 for n >= 1
         return 0
-    # log2(y - 1) = log2(y) + log2(1 - 1/y)
-    bits = 2.0 * (log2_y + math.log1p(-exp2(-log2_y)) / LN2)
+    bits = 4.0 * log2_radical(log2_y)  # 2 log2(y - 1) = 4 log2(sqrt(2^log2_y - 1))
     return max(floor_tol(bits), 0)
 
 

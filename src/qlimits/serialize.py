@@ -6,14 +6,15 @@ specified to carry 17 significant digits so reruns are byte-identical and
 consumers can diff files textually.  A small recursive writer keeps full
 control of the float format.  Blocks of float rows under fixed keys
 (traces and schedules) are :class:`FloatRows`, whose cells are formatted to
-the bytes of ``%.17g`` in numpy array passes, for JSON and CSV alike.
+the bytes of ``%.17g`` in numpy array passes and set between the fixed texts
+of a row (a CSV line's commas, or a JSON object's keys), for JSON and CSV
+alike.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from functools import lru_cache
 from typing import Any
 
@@ -80,34 +81,33 @@ class FloatRows:
     def __len__(self) -> int:
         return self.columns[0].size
 
-    def join(self, template: str, sep: str) -> str:
-        """``template % row`` for every row, joined by ``sep``: :meth:`blocks` as one text."""
-        return "".join(self.blocks(template, sep))
-
-    def blocks(self, template: str, sep: str) -> list[str]:
-        """The text of :meth:`join`, BLOCK_ROWS rows a string.  A column whose rows hold
-        one bit pattern is formatted once by ``%.17g`` into the template's text, the
-        others by :func:`_cell_slots`; each block fills one row-major byte buffer, the
-        text broadcast over its rows and each column's used slots transposed in."""
-        literals = _template_literals(template, sep)
-        if len(literals) != len(self.columns) + 1:
-            raise ConsistencyError("one %.17g slot per column is required", template)
-        texts, varying = [literals[0]], []
-        for column, literal in zip(self.columns, literals[1:]):
+    def blocks(self, texts) -> list[str]:
+        """Every row as ``texts[0]``, its first cell, ``texts[1]``, ..., its last cell,
+        ``texts[k]``, each cell the ``%.17g`` of its entry; BLOCK_ROWS rows a string.  A
+        column whose rows hold one bit pattern is formatted once, into the text around
+        it, the others by :func:`_cell_slots`; each block fills one row-major byte
+        buffer, the texts broadcast over its rows and each column's used slots
+        transposed in."""
+        if len(texts) != len(self.columns) + 1:
+            raise ConsistencyError("one text more than columns is required", texts)
+        if any("\0" in text for text in texts):  # NUL marks an unused slot
+            raise ConsistencyError("a row text holds no NUL", texts)
+        merged, varying = [texts[0]], []
+        for column, text in zip(self.columns, texts[1:]):
             bits = column.view(np.uint64)
             if bits.size and (bits == bits[0]).all():
-                texts[-1] += "%.17g" % column[0] + literal
+                merged[-1] += "%.17g" % column[0] + text
             else:
-                texts.append(literal)
+                merged.append(text)
                 varying.append(column)
-        texts = [np.frombuffer(t.encode(), np.uint8) for t in texts]
+        merged = [np.frombuffer(t.encode(), np.uint8) for t in merged]
         blocks = []
         for start in range(0, len(self), BLOCK_ROWS):
             cells = [c[start:start + BLOCK_ROWS] for c in varying]
             rows = min(BLOCK_ROWS, len(self) - start)
             slots = _cell_slots(np.concatenate(cells)).reshape(44, -1, rows) if cells else None
-            pieces = [texts[0]]
-            for j, text in enumerate(texts[1:]):
+            pieces = [merged[0]]
+            for j, text in enumerate(merged[1:]):
                 used = _ORDER[slots[:, j].any(axis=1)[_ORDER]]
                 pieces += [slots[used, j].T, text]
             buf = np.empty((rows, sum(p.shape[-1] for p in pieces)), np.uint8)
@@ -115,24 +115,8 @@ class FloatRows:
             for piece in pieces:
                 buf[:, at:at + piece.shape[-1]] = piece
                 at += piece.shape[-1]
-            text = buf.tobytes().translate(None, b"\0").decode()
-            blocks.append(text if start else text[len(sep):])  # no sep before the first row
+            blocks.append(buf.tobytes().translate(None, b"\0").decode())
         return blocks
-
-
-@lru_cache(maxsize=64)
-def _template_literals(template: str, sep: str) -> tuple:
-    """The text around the ``%.17g`` slots of a row template, ``sep`` first;
-    ``%%`` is a literal ``%``."""
-    literals = [sep]
-    for piece in re.split(r"(%%|%\.17g)", template):
-        if piece == "%.17g":
-            literals.append("")
-        else:
-            literals[-1] += "%" if piece == "%%" else piece
-    if "\0" in template + sep:  # NUL marks an unused slot
-        raise ConsistencyError("a row template holds no NUL", template)
-    return tuple(literals)
 
 
 # Rows per block of FloatRows.blocks (one string each), which bounds its temporaries.
@@ -228,21 +212,20 @@ def _cell_slots(x):
 
 
 @lru_cache(maxsize=64)
-def _json_row_template(keys: tuple[str, ...], indent: int, level: int) -> str:
-    """One row of a JSON array at ``level`` as a %-template."""
+def _json_row_texts(keys: tuple[str, ...], indent: int, level: int) -> tuple[str, ...]:
+    """The text around the cells of one row of a JSON array at ``level``; each row
+    starts with ``",\n"``."""
     pad = " " * (indent * (level + 1))
-    inner = " " * (indent * (level + 2))
-    fields = ",\n".join(f"{inner}{json.dumps(str(k)).replace('%', '%%')}: %.17g" for k in keys)
-    return f"{pad}{{\n{fields}\n{pad}}}"
+    names = [" " * (indent * (level + 2)) + json.dumps(str(k)) + ": " for k in keys]
+    return (f",\n{pad}{{\n{names[0]}", *(",\n" + name for name in names[1:]), f"\n{pad}}}")
 
 
 def _write_rows(rows: FloatRows, out: list[str], indent: int, level: int) -> None:
     if not rows:
         out.append("[]")
         return
-    out.append("[\n")
-    out.extend(rows.blocks(_json_row_template(rows.keys, indent, level), ",\n"))
-    out.append("\n" + " " * (indent * level) + "]")
+    blocks = rows.blocks(_json_row_texts(rows.keys, indent, level))
+    out += ["[\n", blocks[0][2:], *blocks[1:], "\n" + " " * (indent * level) + "]"]
 
 
 def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
@@ -257,45 +240,33 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
     elif isinstance(obj, float):
         out.append(format_float17(obj))
     elif isinstance(obj, complex):
-        _write_dict({"re": obj.real, "im": obj.imag}, out, indent, level)
+        _write({"re": obj.real, "im": obj.imag}, out, indent, level)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, FloatRows):
         _write_rows(obj, out, indent, level)
     elif isinstance(obj, dict):
-        _write_dict(obj, out, indent, level)
+        items = ((json.dumps(str(key)) + ": ", value) for key, value in obj.items())
+        _write_items(items, "{}", out, indent, level)
     elif isinstance(obj, (list, tuple)):
-        _write_list(obj, out, indent, level)
+        _write_items((("", value) for value in obj), "[]", out, indent, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_dict(obj: dict, out: list[str], indent: int, level: int) -> None:
-    if not obj:
-        out.append("{}")
-        return
+def _write_items(items, brackets: str, out: list[str], indent: int, level: int) -> None:
+    """A JSON object or array of (text before the value, value) items; like a row of
+    :func:`_write_rows`, each item starts with ``",\n"``, which the first drops."""
+    first = len(out)
     pad = " " * (indent * (level + 1))
-    out.append("{\n")
-    for key, value in obj.items():
-        out.append(f"{pad}{json.dumps(str(key))}: ")
+    for head, value in items:
+        out.append(f",\n{pad}{head}")
         _write(value, out, indent, level + 1)
-        out.append(",\n")
-    out[-1] = "\n"
-    out.append(" " * (indent * level) + "}")
-
-
-def _write_list(obj, out: list[str], indent: int, level: int) -> None:
-    if not obj:
-        out.append("[]")
-        return
-    pad = " " * (indent * (level + 1))
-    out.append("[\n")
-    for value in obj:
-        out.append(pad)
-        _write(value, out, indent, level + 1)
-        out.append(",\n")
-    out[-1] = "\n"
-    out.append(" " * (indent * level) + "]")
+    if len(out) == first:
+        out.append(brackets)
+    else:
+        out[first] = brackets[0] + out[first][1:]
+        out.append("\n" + " " * (indent * level) + brackets[1])
 
 
 def dumps17(obj: Any, indent: int = 2) -> str:
@@ -309,14 +280,14 @@ _TRACE_FIELDS = ("t_s", "omega_i", "omega_s", "P_s", "P_i", "re_A", "im_A", "alp
                  "norm_error")
 TRACE_CSV_HEADER = ",".join(_TRACE_FIELDS)
 # each row starts its own line, so a trace without rows is the header alone
-_TRACE_CSV_ROW = "\n" + ",".join(["%.17g"] * len(_TRACE_FIELDS))
+_TRACE_CSV_ROW = ("\n", *[","] * (len(_TRACE_FIELDS) - 1), "")
 _SCHEDULE_FIELDS = ("duration_s", "omega_i_radps", "omega_s_radps")
 
 
 def trace_to_csv(trace) -> str:
     """A trace as CSV with the fixed observable column order."""
     rows = FloatRows(_TRACE_FIELDS, trace.columns())
-    return "".join([TRACE_CSV_HEADER, *rows.blocks(_TRACE_CSV_ROW, ""), "\n"])
+    return "".join([TRACE_CSV_HEADER, *rows.blocks(_TRACE_CSV_ROW), "\n"])
 
 
 def trace_to_obj(trace) -> FloatRows:

@@ -14,6 +14,7 @@ from qlimits.bht import bht_work_closed_form, optimal_quantum_time
 from qlimits.bounds import (
     BoundQuery,
     BoundResult,
+    _classical_requirement_log2,
     ballistic_deterministic_time,
     ballistic_success,
     battery_relative_uncertainty,
@@ -727,6 +728,14 @@ class TestLargeBudgetInversions:
         work = classical_work_requirement(2000.0, 1e300, 0.0, 1.0)
         expected = _decimal_classical_requirement(2000.0, 1e300, 0.0, 1.0)
         assert work == pytest.approx(float(expected), rel=1e-12)
+
+    def test_no_budget_reaches_the_classical_requirement_at_n_4096(self):
+        # the most generous valid corner: the least P_s, the longest t and T = 0 K;
+        # every double budget lies below 2^1024
+        big = sys.float_info.max
+        assert _classical_requirement_log2(4096.0, big, 0.0, 5e-324) > 1024.0
+        query = BoundQuery("n", work=big, time=big, temperature=0.0, success_probability=5e-324)
+        assert classical_bound(query).value == pytest.approx(3234.2, abs=0.05)
 
     @pytest.mark.parametrize("n", [20, 50, 300, 1000])
     def test_solve_psuccess_matches_decimal_reference(self, n):

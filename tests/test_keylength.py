@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -104,6 +105,19 @@ class TestRecoverableAndDeterministic:
     def test_deterministic_never_exceeds_recoverable(self):
         for w, t in [(1e-6, 1.0), (1e3, 1e7), (4.62e69, 1e14 * YEAR)]:
             assert max_deterministic_keylength(w, t) <= max_recoverable_keylength(w, t, 1.0)
+
+    # log2 y = log2(2 W t / (pi hbar)) from just above 1, where y - 1 is near 1, to 2000
+    @pytest.mark.parametrize("log2_y", [1.0 + 2.0 ** -40, 1.0 + 1e-6, 1.001, 1.1, 1.5, 2.0,
+                                        10.0, 60.0, 400.0, 2000.0])
+    def test_deterministic_bits_equal_mpmath(self, monkeypatch, log2_y):
+        # the real bits before rounding down, against 2 log2(y - 1) at 50 digits
+        monkeypatch.setattr(keylength, "floor_tol", lambda bits: bits)
+        work, time = math.pi * HBAR / 2.0 * 2.0 ** (log2_y / 2.0), 2.0 ** (log2_y / 2.0)
+        bits = max_deterministic_keylength(work, time)
+        with mpmath.workdps(50):
+            y = 2 * mpmath.mpf(work) * mpmath.mpf(time) / (mpmath.pi * mpmath.mpf(HBAR))
+            exact = float(2 * mpmath.log(y - 1, 2))
+        assert abs(bits - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
 class TestClassicalKeylength:

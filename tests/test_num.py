@@ -451,10 +451,10 @@ class TestWholeBracket:
                         classical_bound(query)
                 elif form is image_excess and f_lo > 0.0:
                     assert bht_min_image_bits(*case) == 1
-                elif f_hi <= 0.0:
+                elif f_hi <= 0.0:  # no budget meets the classical requirement at n = 4096
+                    assert form is image_excess
                     with pytest.raises(DomainError, match="at the n = 4096 bracket"):
-                        (classical_bound(query) if form is classical_excess
-                         else bht_min_image_bits(*case))
+                        bht_min_image_bits(*case)
                 else:
                     assert rel_error(root(*case), mp_root(mp_form(*case))) <= 1e-12
         assert all(c <= 8 for c in counts)

@@ -11,10 +11,10 @@ the total Rabi angle and K the segment count.
 The grid and the text are still compared exactly with the code they
 replaced: ``_old_offsets`` is the per-segment grid of the per-sample
 ``evolve``, and the other ``_old_*`` functions are copies of the per-cell
-writers and the per-row dicts that the row-template writer
-(:class:`FloatRows`) replaced.  That writer formats cells in numpy array
-passes, so it is also held to ``"%.17g" %`` cell for cell on bit patterns
-drawn from all of float64.
+writers and the per-row dicts that the row writer (:class:`FloatRows`)
+replaced.  That writer formats cells in numpy array passes, so it is also
+held to ``template % row`` cell for cell, with ``%.17g`` between the texts
+of a row, on bit patterns drawn from all of float64.
 """
 
 import json
@@ -51,7 +51,7 @@ from qlimits.errors import CapacityError, ConsistencyError, DomainError
 from qlimits.serialize import (
     _TRACE_CSV_ROW,
     FloatRows,
-    _json_row_template,
+    _json_row_texts,
     dumps17,
     schedule_from_obj,
     schedule_to_obj,
@@ -168,9 +168,14 @@ def _old_dumps17(obj, indent=2):
     return "".join(out)
 
 
-def _old_join(rows, template, sep):
-    """FloatRows.join with ``%.17g`` in every slot: each cell formatted."""
-    return sep.join(map(template.__mod__, zip(*(c.tolist() for c in rows.columns))))
+def _template(texts):
+    """The ``%``-template of a row: ``%.17g`` between its texts."""
+    return "%.17g".join(t.replace("%", "%%") for t in texts)
+
+
+def _old_join(rows, texts):
+    """The text of ``FloatRows.blocks(texts)`` as one string, each row ``template % row``."""
+    return "".join(map(_template(texts).__mod__, zip(*(c.tolist() for c in rows.columns))))
 
 
 # ------------------------------------------------------------- strategies
@@ -444,7 +449,7 @@ def test_dumps17_rejects_unknown_types():
         dumps17({"x": object()})
 
 
-# ------------------------------------------------- the row-template writer
+# ---------------------------------------------------------- the row writer
 
 _energy = st.floats(0.1, 10.0)
 
@@ -555,14 +560,11 @@ def _row_columns(draw):
 @settings(max_examples=200, deadline=None)
 @given(_row_columns(), st.integers(0, 3), st.integers(0, 4))
 def test_distinct_values_format_as_every_cell(columns, level, indent):
-    # keys that hold "%" and a whole "%.17g" must stay text in the template
+    # keys that hold "%" and a whole "%.17g" must stay text between the cells
     keys = ("%.17g", *(f"k%{i}" for i in range(1, len(columns))))
     rows = FloatRows(keys, columns)
-    csv_row = "\n" + ",".join(["%.17g"] * len(columns))
-    json_row = _json_row_template(keys, indent, level)
-    assert rows.join(csv_row, "").split("\n") == _old_join(rows, csv_row, "").split("\n")
-    assert rows.join(json_row, ",\n").split("\n") == \
-        _old_join(rows, json_row, ",\n").split("\n")
+    for texts in (("\n", *[","] * (len(columns) - 1), ""), _json_row_texts(keys, indent, level)):
+        assert "".join(rows.blocks(texts)).split("\n") == _old_join(rows, texts).split("\n")
 
 
 def _from_bits(bits):
@@ -593,20 +595,20 @@ _G_SWITCHES = _with_neighbours((1e-5, 1e-4, 1e16, 1e17))
 @example([_G_SWITCHES, [-v for v in _G_SWITCHES]])
 def test_writer_equals_percent_17g_on_any_bit_pattern(columns):
     rows = FloatRows(tuple(f"c{i}" for i in range(len(columns))), columns)
-    template = "\n" + ",".join(["%.17g"] * len(columns))
-    assert rows.join(template, "").split("\n") == \
-        "".join(template % row for row in zip(*columns)).split("\n")
+    texts = ("\n", *[","] * (len(columns) - 1), "")
+    assert "".join(rows.blocks(texts)).split("\n") == \
+        "".join(_template(texts) % row for row in zip(*columns)).split("\n")
 
 
 def test_rows_split_into_blocks_join_as_one(monkeypatch):
-    # a block boundary falls between rows; only the first row has no separator before it
+    # a block boundary falls between rows, and each row starts with its own text
     monkeypatch.setattr(serialize, "BLOCK_ROWS", 4)
     trace = evolve(EffectiveState.initial(SearchSpace(6)),
                    ControlSchedule((Segment(0.7, 1.3, -0.0), Segment(0.9, 0.0, 2.5))), 0.1)
     rows = trace_to_obj(trace)
     assert len(rows) > 3 * serialize.BLOCK_ROWS
-    for template, sep in ((_TRACE_CSV_ROW, ""), (_json_row_template(rows.keys, 2, 1), ",\n")):
-        assert rows.join(template, sep).split("\n") == _old_join(rows, template, sep).split("\n")
+    for texts in (_TRACE_CSV_ROW, _json_row_texts(rows.keys, 2, 1)):
+        assert "".join(rows.blocks(texts)).split("\n") == _old_join(rows, texts).split("\n")
 
 
 _RAMP = [0.5, 1.0 / 3.0, -2.0, 7.25, 1e-300, 3e20, -0.0, 0.0, 1e-5, 123456.0]
@@ -627,16 +629,17 @@ def _constant_columns():
 @pytest.mark.parametrize("columns", _constant_columns())
 @pytest.mark.parametrize("block_rows", [4096, 4], ids=["one-block", "block-edges"])
 def test_constant_columns_format_as_every_cell(monkeypatch, columns, block_rows):
-    # a constant column is formatted once and joins the template's text; with
-    # four rows a block, the ten-row columns cross two block edges
+    # a constant column is formatted once into the text around it; with four
+    # rows a block, the ten-row columns cross two block edges.  The keys hold
+    # what JSON escapes (NUL, a quote, a backslash, a newline, non-ASCII) and "%".
     monkeypatch.setattr(serialize, "BLOCK_ROWS", block_rows)
-    keys = ("%.17g", *(f"k%{i}" for i in range(1, len(columns))))
+    keys = ("%.17g", 'q"\\\n', "\0\u00e9%", *(f"k%{i}" for i in range(3, len(columns))))
     rows = FloatRows(keys, columns)
-    for template, sep in (("\n" + ",".join(["%.17g"] * len(columns)), ""),
-                          (_json_row_template(keys, 2, 1), ",\n")):
-        expected = sep.join(template % row for row in zip(*columns))
-        assert rows.join(template, sep) == expected == _old_join(rows, template, sep)
-        assert len(rows.blocks(template, sep)) == -(-len(rows) // block_rows)
+    for texts in (("\n", *[","] * (len(columns) - 1), ""), _json_row_texts(keys, 2, 1)):
+        blocks = rows.blocks(texts)
+        expected = "".join(_template(texts) % row for row in zip(*columns))
+        assert "".join(blocks) == expected == _old_join(rows, texts)
+        assert len(blocks) == -(-len(rows) // block_rows)
     assert dumps17({"x": rows}) == _old_dumps17({"x": [dict(zip(keys, row))
                                                        for row in zip(*columns)]})
 
@@ -658,9 +661,8 @@ def test_a_one_segment_trace_formats_its_constant_columns_once(monkeypatch):
     rows = trace_to_obj(trace)
     csv = trace_to_csv(trace)
     assert sizes == [7 * len(rows)]
-    assert csv == serialize.TRACE_CSV_HEADER + _old_join(rows, _TRACE_CSV_ROW, "") + "\n"
-    json_row = _json_row_template(rows.keys, 2, 0)
-    assert dumps17(rows) == "[\n" + _old_join(rows, json_row, ",\n") + "\n]"
+    assert csv == serialize.TRACE_CSV_HEADER + _old_join(rows, _TRACE_CSV_ROW) + "\n"
+    assert dumps17(rows) == "[\n" + _old_join(rows, _json_row_texts(rows.keys, 2, 0))[2:] + "\n]"
     assert sizes == [7 * len(rows)] * 2
 
 
@@ -690,16 +692,17 @@ def test_rows_reject_non_finite_columns():
             FloatRows(("a", "b"), columns)
 
 
-@pytest.mark.parametrize("template, message", [
-    ("%.17g", "one %.17g slot per column is required"),
-    ("%.17g,%.17g,%.17g", "one %.17g slot per column is required"),
-    ("%.17g\0%.17g", "a row template holds no NUL"),
+@pytest.mark.parametrize("texts, message", [
+    pytest.param(("", ""), "one text more than columns is required", id="too-few-texts"),
+    pytest.param(("", ",", ",", ""), "one text more than columns is required",
+                 id="too-many-texts"),
+    pytest.param(("", "\0", ""), "a row text holds no NUL", id="a-nul-in-a-text"),
 ])
-def test_rows_refuse_a_template_that_does_not_fit(template, message):
+def test_rows_refuse_texts_that_do_not_fit(texts, message):
     rows = FloatRows(("a", "b"), (np.zeros(2), np.ones(2)))
     with pytest.raises(ConsistencyError) as raised:
-        rows.join(template, "\n")
-    assert str(raised.value) == message and raised.value.offending_input == template
+        rows.blocks(texts)
+    assert str(raised.value) == message and raised.value.offending_input == texts
 
 
 def test_rows_read_back_as_the_old_dicts():
