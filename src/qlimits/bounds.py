@@ -211,7 +211,7 @@ def classical_bound(query: BoundQuery) -> BoundResult:
             query.n, query.time, e_l, query.success_probability)), "solved work", query)
 
     elif unknown == "psuccess":
-        _require(query, "n", "time")
+        _require(query, "n", "time", "work")
         budget = query.budget()
         floor = 2.0 * query.n * e_l if e_l > 0.0 else 0.0  # 2n may overflow
         if budget <= floor:
@@ -251,7 +251,7 @@ def _classical_n(query: BoundQuery, e_l: float) -> float:
     The n = 1 end decides feasibility, then 2^n c + b n = W, with
     c = P_s (E_L + h/4t) and b = 2 E_L, is inverted directly.
     """
-    _require(query, "time", "psuccess")
+    _require(query, "time", "psuccess", "work")
     time, p = query.time, query.success_probability
     budget = query.budget()
     budget_log2 = math.log2(budget)
@@ -345,12 +345,12 @@ def quantum_bound(query: BoundQuery) -> BoundResult:
             value = in_positive_double_range(time, "solved time", query)
 
     elif unknown == "psuccess":
-        _require(query, "n", "time")
+        _require(query, "n", "time", "work")
         ratio = _quantum_log2_ratio(query.budget(), query.time, 1.0)
         value = _probability(exp2(ratio - query.n), query)
 
     else:  # "n": largest real n satisfying the bound
-        _require(query, "time", "psuccess")
+        _require(query, "time", "psuccess", "work")
         value = _quantum_log2_ratio(query.budget(), query.time, query.success_probability)
     return BoundResult(value, "quantum", _QUANTUM_OFFSET_TAG if offset else QUANTUM_TAG,
                        query, _UNITS[unknown], offset)

@@ -37,8 +37,6 @@ from .schedules import _check_segment_count
 # Half width at half maximum of a boxcar moving average, in units of 1/window.
 HWHM_FACTOR = 3.79
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 def analytic_rates(p_s, p_i, a, omega_i: float, omega_s: float, space: SearchSpace):
     """Closed-form (dP_s/dt, dA/dt) at P_s, P_i and A = <psi|s><i|psi>.
@@ -210,5 +208,7 @@ def measure_modulated_suppression(
     trace = evolve(state, schedule, tau / 4.0)
     t = trace.t
     a = trace.a()
-    mean_a = complex(_trapezoid(a, t) / (t[-1] - t[0]))
+    # numpy's trapezoid rule, written out: np.trapz is gone from numpy 2.4 and
+    # np.trapezoid is new in 2.0
+    mean_a = complex((np.diff(t) * (a[1:] + a[:-1]) / 2.0).sum() / (t[-1] - t[0]))
     return mean_a / a[0]

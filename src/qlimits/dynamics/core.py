@@ -327,13 +327,14 @@ def _checked_schedule(schedule) -> ControlSchedule:
 # an infinite step puts 0 * inf among the candidates, which the filter drops
 @np.errstate(invalid="ignore")
 def _sample_grid(schedule: ControlSchedule, step: float):
-    """(t, offsets, edges) of a trace: the initial sample at t = 0, then
+    """(t, offsets, seg) of a trace: the initial sample at t = 0, then
     every multiple of ``step`` strictly inside a segment and each segment's
-    end.  ``offsets`` count from each sample's segment start; segment k owns
-    samples edges[k]:edges[k + 1] (``edges`` is a list).  A segment holds
-    at most duration/step + 2 samples, so a trace past MAX_TRACE_SAMPLES
-    raises :class:`CapacityError` before any array is made.  A schedule that
-    is not a :class:`ControlSchedule` raises :class:`DomainError`.
+    end, with ``offsets`` from its segment's start and ``seg`` that segment
+    as intp (0 for the initial sample), so ``column[seg]`` gathers a segment
+    column per sample.  A segment holds at most duration/step + 2 samples,
+    so a trace past MAX_TRACE_SAMPLES raises :class:`CapacityError` before
+    any array is made.  A schedule that is not a :class:`ControlSchedule`
+    raises :class:`DomainError`.
     """
     durations = _checked_schedule(schedule).durations
     checked("sample_step", step, 0.0, math.inf, "(]")
@@ -354,8 +355,8 @@ def _sample_grid(schedule: ControlSchedule, step: float):
     keep = (1e-12 * np.maximum(duration, step) < offsets) & (offsets < duration * (1.0 - 1e-12))
     offsets[tail], keep[tail] = durations, True
     offsets = np.concatenate(([0.0], offsets[keep]))
-    t = np.concatenate(([0.0], starts[segment[keep]] + offsets[1:]))
-    return t, offsets, [1, *(np.cumsum(keep)[tail] + 1).tolist()]
+    seg = np.concatenate(([0], segment[keep]))
+    return starts[seg] + offsets, offsets, seg
 
 
 def _abs2(z):
@@ -363,24 +364,23 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def _sampled_trace(space: SearchSpace, schedule: ControlSchedule, t: np.ndarray, edges,
-                   s_amp: np.ndarray, i_amp: np.ndarray, norm_error: np.ndarray,
-                   message: str) -> Trace:
+def _sampled_trace(space: SearchSpace, schedule: ControlSchedule, t: np.ndarray,
+                   seg: np.ndarray, s_amp: np.ndarray, i_amp: np.ndarray,
+                   norm_error: np.ndarray, message: str) -> Trace:
     """The :class:`Trace` of the amplitudes ``s_amp`` = <s|psi> and
-    ``i_amp`` = <i|psi> at the times ``t`` and segment ``edges`` of
-    :func:`_sample_grid`, the initial sample under the first segment's
-    frequencies.  A = conj(<s|psi>) <i|psi>; P_s and P_i are clipped to
-    [0, 1], which rounding can pass by an ulp.  The first ``norm_error``
-    beyond NORM_TOLERANCE (or not finite) raises :class:`ConsistencyError`
-    with ``message`` and that sample's (t, error).
+    ``i_amp`` = <i|psi> at the times ``t`` and segments ``seg`` of
+    :func:`_sample_grid`, each sample under its segment's frequencies.
+    A = conj(<s|psi>) <i|psi>; P_s and P_i are clipped to [0, 1], which
+    rounding can pass by an ulp.  The first ``norm_error`` beyond
+    NORM_TOLERANCE (or not finite) raises :class:`ConsistencyError` with
+    ``message`` and that sample's (t, error).
     """
     bad = ~(norm_error <= NORM_TOLERANCE)
     if bad.any():
         k = int(np.argmax(bad))
         raise ConsistencyError(message, (float(t[k]), float(norm_error[k])))
     a = s_amp.conj() * i_amp
-    counts = np.diff(edges[1:], prepend=0)
-    return Trace(t, np.repeat(schedule.omega_i, counts), np.repeat(schedule.omega_s, counts),
+    return Trace(t, schedule.omega_i[seg], schedule.omega_s[seg],
                  np.minimum(_abs2(s_amp), 1.0), np.minimum(_abs2(i_amp), 1.0),
                  a.real, a.imag, np.angle(a), norm_error, space)
 
@@ -417,27 +417,26 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
     propagation; a norm drift beyond 1e-9 (or a non-finite norm) raises
     :class:`ConsistencyError`.
     """
-    t, offsets, edges = _sample_grid(schedule, sample_step)
-    counts = np.diff(edges)
-    seg = np.repeat(np.arange(counts.size), counts)
-    offsets = offsets[1:]
+    t, offsets, seg = _sample_grid(schedule, sample_step)
+    owner, offsets = seg[1:], offsets[1:]  # past the initial sample
     mean, x, z = _pauli_components(state.space, schedule.omega_i, schedule.omega_s)
-    alpha, beta = _su2(x[seg], z[seg], offsets)
-    phases = np.exp((-1j * mean)[seg] * offsets)
-    # the chain of segment start states; a segment's last sample is its end
-    last = np.cumsum(counts) - 1
+    alpha, beta = _su2(x[owner], z[owner], offsets)
+    phases = np.exp((-1j * mean)[owner] * offsets)
+    # the chain of segment start states; a segment's last sample is its end,
+    # the one whose successor lies in another segment
+    last = np.flatnonzero(np.diff(owner, append=-1))
     starts = []
     c1, c2 = state.c1, state.c2
     for a, b, p in zip(alpha[last].tolist(), beta[last].tolist(), phases[last].tolist()):
         starts.append((c1, c2))
         c1, c2 = p * (a * c1 - b.conjugate() * c2), p * (b * c1 + a.conjugate() * c2)
-    psi0, psi1 = np.array(starts, dtype=complex)[seg].T
+    psi0, psi1 = np.array(starts, dtype=complex)[owner].T
     c1s = np.concatenate(([state.c1], phases * (alpha * psi0 - beta.conj() * psi1)))
     c2s = np.concatenate(([state.c2], phases * (beta * psi0 + alpha.conj() * psi1)))
     g = state.space.overlap
     s_amp = g * c1s + math.sqrt(1.0 - g * g) * c2s  # <s|psi>
     norm_error = np.abs(np.sqrt(_abs2(c1s) + _abs2(c2s)) - 1.0)
-    return _sampled_trace(state.space, schedule, t, edges, s_amp, c1s, norm_error,
+    return _sampled_trace(state.space, schedule, t, seg, s_amp, c1s, norm_error,
                           "propagator norm drift exceeded tolerance")
 
 

@@ -117,15 +117,15 @@ def _invariant_subspace(uniform: np.ndarray, sol: int) -> np.ndarray:
     return basis[:m]
 
 
-def _sample_coordinates(evals, evecs, adjoints, starts, offsets, edges) -> np.ndarray:
+def _sample_coordinates(evals, evecs, adjoints, starts, offsets, seg) -> np.ndarray:
     """Row k: the coordinates U exp(-i Lambda tau) U^T c of sample k, with
-    U, Lambda and the start c of its segment and tau its ``offsets`` entry;
-    row 0 is the first start.  With w = U^T c and u_j column j of U, a
-    sample is sum_j exp(-i lambda_j tau) w_j u_j, summed one column at a
-    time, so no (samples, m, m) array is made.
+    U, Lambda and the start c of its segment ``seg[k]`` and tau its
+    ``offsets`` entry, both from :func:`_sample_grid`; row 0 is the first
+    start.  With w = U^T c and u_j column j of U, a sample is
+    sum_j exp(-i lambda_j tau) w_j u_j, summed one column at a time, so no
+    (samples, m, m) array is made.
     """
-    counts = np.diff(edges)
-    seg = np.repeat(np.arange(counts.size), counts)
+    seg = seg[1:]
     scaled = evecs * (adjoints @ np.array(starts)[:, :, None]).transpose(0, 2, 1)  # w_j u_j
     phase = evals[seg]
     phase *= offsets[1:, None]
@@ -159,7 +159,7 @@ def full_space_reference(
         )
     dim = space.dimension
     sol = checked_int("solution index", solution_index, 0, dim)
-    t, all_offsets, edges = _sample_grid(schedule, sample_step)
+    t, all_offsets, seg = _sample_grid(schedule, sample_step)
 
     uniform = np.full(dim, 1.0 / math.sqrt(dim))
     basis = _invariant_subspace(uniform, sol)
@@ -183,8 +183,8 @@ def full_space_reference(
         c = [sum(map(operator.mul, row, c)) for row in prop]
         starts.append(c)
 
-    coords = _sample_coordinates(evals, evecs, adjoints, starts, all_offsets, edges)
+    coords = _sample_coordinates(evals, evecs, adjoints, starts, all_offsets, seg)
     norm_sq = np.sum((coords.conj() @ gram) * coords, axis=1).real
-    return _sampled_trace(space, schedule, t, edges, coords @ s_v, coords @ i_v,
+    return _sampled_trace(space, schedule, t, seg, coords @ s_v, coords @ i_v,
                           np.abs(np.sqrt(norm_sq) - 1.0),
                           "full-space norm drift exceeded tolerance")

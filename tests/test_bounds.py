@@ -1126,23 +1126,18 @@ class TestAccuracyContract:
 _QUERY_FIELD = {"n": "n", "work": "work", "time": "time", "psuccess": "success_probability",
                 "temperature": "temperature"}
 _WORK_REFUSAL = "work (or power) is required"
-_BUDGET_REFUSAL = "work (or power with time) is required"
 
 # (solver, unknown, field left out, refusal): each field a solver reads at each
-# unknown, left out of a query that holds every other; a missing field is
-# named by _require, and a missing budget by _require or BoundQuery.budget
+# unknown, left out of a query that holds every other; _require names each
+# missing field, a missing budget with one wording for every solver
 MISSING_FIELDS = [
     *[(solver, unknown, field, f"field {field!r} is required")
       for solver in (quantum_bound, classical_bound)
       for unknown, fields in (("work", ("n", "time", "psuccess")), ("time", ("n", "psuccess")),
                               ("psuccess", ("n", "time")), ("n", ("time", "psuccess")))
       for field in fields],
-    (quantum_bound, "time", "work", _WORK_REFUSAL),
-    (classical_bound, "time", "work", _WORK_REFUSAL),
-    (quantum_bound, "psuccess", "work", _BUDGET_REFUSAL),
-    (classical_bound, "psuccess", "work", _BUDGET_REFUSAL),
-    (quantum_bound, "n", "work", _BUDGET_REFUSAL),
-    (classical_bound, "n", "work", _BUDGET_REFUSAL),
+    *[(solver, unknown, "work", _WORK_REFUSAL) for solver in (quantum_bound, classical_bound)
+      for unknown in ("time", "psuccess", "n")],
     *[(classical_bound, unknown, "temperature", "classical bound requires a temperature")
       for unknown in ("work", "time", "psuccess", "n")],
 ]

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 import qlimits
 from qlimits.bht import bht_min_image_bits
 from qlimits.bounds import QUANTUM_TAG as QUANTUM_KEY_TAG
+from qlimits import cli
 from qlimits.cli import build_parser, main
 from qlimits.constants import HBAR
 from qlimits.keylength import max_deterministic_keylength
@@ -677,6 +679,8 @@ def test_table_row_without_a_scenario(capsys):
      "--time is required to evaluate the success probability"),
     (["scenario", "show"], "scenario show requires a name"),
     (["keylength", "--config"], "argument --config: expected one argument"),
+    (["simulate", "--protocol", "custom", "--n", "8"],
+     "--protocol custom requires --schedule-file"),
 ])
 def test_missing_flag_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -703,3 +707,22 @@ def test_module_runs_as_a_program():
     done = subprocess.run([sys.executable, "-m", "qlimits.cli", "scenario", "show"],
                           capture_output=True, text=True, env=env, check=False)
     assert (done.returncode, done.stdout) == (2, "")
+
+
+def _run_main_guard():
+    # runpy warns that it runs a fresh copy of a module the suite has imported
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        runpy.run_module("qlimits.cli", run_name="__main__")
+
+
+@pytest.mark.parametrize("start", [cli.entry, _run_main_guard], ids=["entry", "main-guard"])
+def test_program_exits_with_the_code_and_bytes_of_main(capsys, monkeypatch, start):
+    # the same two starts as test_module_runs_as_a_program, in process
+    argv = ["scenario", "show", "dyson"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["qlimits", *argv])
+    with pytest.raises(SystemExit) as exited:
+        start()
+    assert exited.value.code == 0
+    assert capsys.readouterr() == expected and expected.err == ""

@@ -18,8 +18,11 @@ from qlimits.dynamics import (
     modulated_detuning_suppression,
     optimal_detuning,
 )
+from qlimits.dynamics import control
 from qlimits.errors import DomainError
 from reduced_state import observables_of
+
+trapezoid = getattr(np, "trapezoid", None) or np.trapz  # np.trapezoid is new in numpy 2.0
 
 
 def observables_after(space, omega_i, omega_s, t):
@@ -150,7 +153,6 @@ class TestAveragedOverlap:
         )
         ts = np.linspace(0.0, window, 20001)
         vals = sol.sol(ts)
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz
         oracle = trapezoid(vals[0] + 1j * vals[1], ts) / window
         mine = averaged_overlap(a0, delta, omega, p_i - p_s, window, space)
         assert abs(mine - oracle) <= 1e-6 * abs(oracle)
@@ -268,6 +270,20 @@ class TestModulatedDetuning:
         space = SearchSpace(16)
         measured = abs(measure_modulated_suppression(space, 0.1))
         assert measured == pytest.approx(modulated_detuning_suppression(0.1), rel=0.10)
+
+    def test_window_average_is_numpys_trapezoid_rule(self, monkeypatch):
+        traces = []
+
+        def recording_evolve(*args):
+            traces.append(evolve(*args))
+            return traces[-1]
+
+        monkeypatch.setattr(control, "evolve", recording_evolve)
+        measured = measure_modulated_suppression(SearchSpace(16), 0.15, cycles=3)
+        t, a = traces[0].t, traces[0].a()
+        assert a.dtype == complex and len(set(np.diff(t).tolist())) > 1
+        expected = complex(trapezoid(a, t) / (t[-1] - t[0])) / a[0]
+        assert (measured.real, measured.imag) == (expected.real, expected.imag)
 
 
 def test_optimal_detuning_refuses_an_unknown_regime():

@@ -317,7 +317,9 @@ def test_krylov_basis_contract(n):
 
 def per_segment_reference(space, schedule, step, sol):
     """The trace columns P_s, P_i, Re A, Im A and norm error, by the chain."""
-    t, all_offsets, edges = _sample_grid(schedule, step)
+    t, all_offsets, seg = _sample_grid(schedule, step)
+    # segment k owns rows edges[k]:edges[k + 1]
+    edges = [1, *np.searchsorted(seg, np.arange(1, schedule.durations.size + 1)).tolist()]
     uniform = np.full(space.dimension, 1.0 / math.sqrt(space.dimension))
     basis = reference._invariant_subspace(uniform, sol)
     i_v = np.array([np.vdot(v, uniform) for v in basis])

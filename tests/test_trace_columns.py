@@ -225,7 +225,9 @@ def _reference_errors(trace, n, schedule, step, stride=1):
     ("alpha_arc"); the norm drift of an exact evolution is 0.
     """
     mp = _MP
-    _, offsets, edges = _sample_grid(schedule, step)
+    _, offsets, seg = _sample_grid(schedule, step)
+    # segment k owns rows edges[k]:edges[k + 1]
+    edges = [1, *np.searchsorted(seg, np.arange(1, schedule.durations.size + 1)).tolist()]
     checked = np.zeros(offsets.size, dtype=bool)
     checked[::stride] = checked[-1] = True
     offsets = offsets.tolist()
@@ -755,6 +757,23 @@ def test_sample_capacity_is_checked_before_allocation():
     assert peak < 1 << 20
     # a step just inside the bound still runs
     assert evolve(state, ControlSchedule((Segment(1.0, 1.0, 0.5),)), 1e-4).t.size == 10001
+
+
+def test_sample_layout_keeps_three_words_a_sample():
+    # 10^5 unit segments under a unit step: each segment's end is its only
+    # sample, so a per-segment layout would cost as much as the samples
+    count = 10 ** 5
+    schedule = ControlSchedule(np.column_stack((np.ones(count), np.ones(count),
+                                                np.zeros(count))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t, offsets, seg = _sample_grid(schedule, 1.0)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert t.size == count + 1 and t[-1] == count
+    assert kept <= 3 * 8 * t.size + 4096  # t, offsets and seg, no per-sample objects
 
 
 def test_duration_overflow_is_a_domain_error():
