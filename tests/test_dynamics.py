@@ -31,6 +31,7 @@ from qlimits.dynamics import (
 )
 from qlimits.dynamics.core import (BLOCK_ELEMENTS, MAX_TRACE_SAMPLES, _bit_reversed,
                                    _block_segments, _pairwise_product, _pauli_components, _su2)
+from qlimits.dynamics.schedules import _mirrored_sweep_infidelity
 from qlimits.errors import CapacityError, ConsistencyError, DomainError, InfeasibleError
 
 
@@ -727,13 +728,43 @@ def runtime_to_infidelity_by_loop(space, energy_scale, error_budget, target_infi
 
 
 class TestBatchedRuntimeScan:
-    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10, 11])
     def test_matches_loop_over_stretched_schedules(self, n):
         space = SearchSpace(n)
         for eps in (0.08, 0.12, 0.2):
             got = runtime_to_infidelity(space, 1.0, eps, eps * eps)
             ref = runtime_to_infidelity_by_loop(space, 1.0, eps, eps * eps)
             assert got == pytest.approx(ref, rel=1e-9)
+
+
+class TestMirroredSweep:
+    """The runtime scan propagates half the local sweep and takes the rest
+    from its |i> <-> |s> mirror image; these hold that shortcut's premises
+    and its result against the whole schedule."""
+
+    FACTORS = np.exp(np.linspace(math.log(0.125), math.log(16.0), 97))  # the scan's default grid
+
+    @pytest.mark.parametrize("kind", ["local", "linear"])
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_second_half_mirrors_the_first(self, kind, n):
+        for energy in (1e-30, 1.0, 3.7):
+            for eps in (0.05, 0.1, 0.2):
+                schedule = adiabatic_schedule(SearchSpace(n), energy, eps, kind=kind)
+                assert schedule.durations.size % 2 == 0
+                assert np.all(schedule.durations == schedule.durations[0])
+                swap = np.abs(schedule.omega_i[::-1] - schedule.omega_s).max()
+                assert swap <= 2e-15 * 2.0 ** (n / 2) * energy / HBAR
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_half_sweep_matches_the_whole_schedule(self, n):
+        space = SearchSpace(n)
+        g = space.overlap
+        for eps in (0.05, 0.1, 0.2):
+            base = adiabatic_schedule(space, 1.0, eps, kind="local")
+            c1, c2 = propagate(EffectiveState.initial(space), base, self.FACTORS)
+            whole = 1.0 - np.abs(g * c1 + math.sqrt(1.0 - g * g) * c2) ** 2
+            half = _mirrored_sweep_infidelity(space, base, self.FACTORS)
+            assert np.abs(half - whole).max() <= 1e-13
 
 
 def scalar_segment_unitary(space, seg):
