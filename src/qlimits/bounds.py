@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._num import LN2, N_BRACKET, exp2, golden_min, log2_add, log2_radical, newton
+from ._num import LN2, N_BRACKET, exp2, log2_add, log2_radical, newton
 from .constants import CONSTANTS_VERSION, H, HBAR, K_B
 from .errors import (DomainError, InfeasibleError, checked, checked_int, in_double_range,
                      in_positive_double_range)
@@ -154,7 +154,12 @@ class BoundResult:
 
 def landauer_energy(temperature: float) -> float:
     """k_B T ln2, the minimum work per irreversible bit reset."""
-    return K_B * checked("temperature", temperature, ends="[)") * LN2
+    return _landauer(checked("temperature", temperature, ends="[)"))
+
+
+def _landauer(temperature: float) -> float:
+    """landauer_energy of a temperature already checked."""
+    return K_B * temperature * LN2
 
 
 def margolus_levitin_energy(orthogonalization_time: float) -> float:
@@ -202,7 +207,7 @@ def classical_bound(query: BoundQuery) -> BoundResult:
     fields the query's constructor checked through the unchecked log2 cores."""
     if query.temperature is None:
         raise DomainError("classical bound requires a temperature", query)
-    e_l = landauer_energy(query.temperature)
+    e_l = _landauer(query.temperature)
     unknown = query.unknown
 
     if unknown == "work":
@@ -421,15 +426,21 @@ def prefactor_b(k: float, n: float) -> float:
 
 
 def optimal_k(n: float) -> float:
-    """argmax of the envelope prefactor via golden-section search.
+    """argmax of the envelope prefactor on [0, 1e-2], near 1/sqrt(3*2^n): the root
+    of d ln B/dk = 0, G(x) = 2hx + s(hx^2 - 1) - sqrt(hx^2 + 1) in x = k/s ~ 0.58,
+    s = 2^(-n/2), h = 1 - s^2.  While the root lies in the bracket (n > 11.741),
+    G is concave and increasing on [0, root], so Newton steps from 0 near it from
+    below.  Past the edge, G(1e-2/s) < 0, k is 1e-2; once s underflows, 0.0."""
+    s = exp2(-0.5 * checked("n", n, ends="[)"))
+    h = 1.0 - s * s
 
-    The maximum sits near 1/sqrt(3*2^n); the search is confined to
-    [0, 1e-2], where that holds for n >= 14, and clamps to the edge below.
-    For n = 1..64 the prefactor at the result is within 4e-15 relative of
-    its 50-digit maximum on [0, 1e-2]; the maximum is flat, so k itself is
-    within 1e-3 relative and 2e-9 absolute of the argmax.
-    """
-    return golden_min(lambda k: -prefactor_b(k, n), 0.0, 1e-2)
+    def g(x: float) -> tuple[float, float]:
+        r = math.sqrt(h * x * x + 1.0)
+        return 2.0 * h * x + s * (h * x * x - 1.0) - r, 2.0 * h * (1.0 + s * x) - h * x / r
+
+    if s > 1e-2 and g(1e-2 / s)[0] < 0.0:  # s <= 1e-2: G(1) > 0, and h x^2 may overflow
+        return 1e-2
+    return s * newton(g, 0.0)
 
 
 def work_floor(spectrum: list[float], overlaps: list[complex], m: int) -> float:

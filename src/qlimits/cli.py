@@ -262,6 +262,14 @@ def _cmd_simulate(args):
 
 def _cmd_bound(args) -> dict:
     if args.kind in ("classical", "quantum"):
+        classical = args.kind == "classical"
+        for name in ("n", "time", "psuccess", "temp") if classical else ("n", "time", "psuccess"):
+            if name != args.solve and getattr(args, name) is None:
+                raise UsageError(f"--{name} is required")
+        # a quantum time needs no budget where the bound is vacuous: the library decides
+        budgeted = ("time", "psuccess", "n") if classical else ("psuccess", "n")
+        if args.solve in budgeted and args.work is None and args.power is None:
+            raise UsageError("a work budget is required (--work or --power)")
         query = BoundQuery(
             args.solve,
             n=args.n,
@@ -271,8 +279,7 @@ def _cmd_bound(args) -> dict:
             success_probability=args.psuccess,
             power=args.power,
         )
-        bound = classical_bound if args.kind == "classical" else quantum_bound
-        return bound(query).as_dict()
+        return (classical_bound if classical else quantum_bound)(query).as_dict()
 
     if args.kind == "gate":
         if args.solve != "work":
@@ -385,6 +392,8 @@ def _cmd_bht(args) -> dict:
 
 
 def _cmd_cosmic(args) -> dict:
+    if args.form == "fromDensity" and args.rho_m is None:
+        raise UsageError("--form fromDensity requires --rho-m")
     params = CosmologyParams.from_km_s_mpc(args.h0, args.omega_lambda, args.rho_m)
     return {
         "work_J": cosmic_energy(params, args.form),

@@ -681,11 +681,30 @@ def test_table_row_without_a_scenario(capsys):
     (["keylength", "--config"], "argument --config: expected one argument"),
     (["simulate", "--protocol", "custom", "--n", "8"],
      "--protocol custom requires --schedule-file"),
+    (["bound", "quantum", "--solve", "work", "--time", "1s", "--psuccess", "1"],
+     "--n is required"),
+    (["bound", "quantum", "--solve", "n", "--work", "1", "--time", "1s"],
+     "--psuccess is required"),
+    (["bound", "classical", "--n", "8", "--time", "1s", "--psuccess", "1"],
+     "--temp is required"),
+    (["bound", "classical", "--solve", "time", "--n", "8", "--psuccess", "1", "--temp", "3"],
+     "a work budget is required (--work or --power)"),
+    (["bound", "quantum", "--solve", "psuccess", "--n", "8", "--time", "1s"],
+     "a work budget is required (--work or --power)"),
+    (["cosmic", "--h0", "67.4", "--omega-lambda", "0.685", "--form", "fromDensity"],
+     "--form fromDensity requires --rho-m"),
 ])
 def test_missing_flag_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith(f"qlimits {argv[0]}: error: {message}\n")  # after argparse's usage
+
+
+def test_vacuous_quantum_time_needs_no_budget(capsys):
+    # P_s <= 2^-n: the library answers t = 0 without a work or a power
+    payload = run_json(capsys, "bound", "quantum", "--solve", "time", "--n", "8",
+                       "--psuccess", "1e-3")
+    assert (payload["value"], payload["offset_regime"]) == (0.0, True)
 
 
 def test_config_file_holding_a_list_is_a_parse_error(capsys, tmp_path):

@@ -24,7 +24,6 @@ from qlimits.bounds import (
     classical_bound,
     landauer_energy,
     optimal_k,
-    prefactor_b,
 )
 from qlimits.constants import H, HBAR, K_B
 from qlimits.errors import DomainError, InfeasibleError
@@ -166,10 +165,12 @@ def mp_prefactor(k, n):
 
 
 def mp_argmax_prefactor(n, hi=mpmath.mpf(1e-2)):
-    """argmax of the prefactor on [0, hi] at 50 digits, by bisection on the
-    sign of its slope, 1 + r - 2 (1+k) k (1 - 2^-n) / r with r the root."""
-    with mpmath.workdps(50):
-        g = mpmath.mpf(2) ** -n
+    """argmax of the prefactor on [0, hi] at 60 digits, by bisection on the
+    sign of its slope, 1 + r - 2 (1+k) k (1 - 2^-n) / r with r the root.  The
+    bisection is geometric, from [hi 2^-n, hi] around k* ~ 2^(-n/2), so it
+    narrows k relative to its size even where k* is 1e-300."""
+    with mpmath.workdps(60):
+        g = mpmath.mpf(2) ** -mpmath.mpf(n)
 
         def rising(k):
             r = mpmath.sqrt(k * k + g * (1 - k * k))
@@ -177,47 +178,30 @@ def mp_argmax_prefactor(n, hi=mpmath.mpf(1e-2)):
 
         if rising(hi):
             return hi
-        lo = mpmath.mpf(0)
-        for _ in range(200):
-            mid = (lo + hi) / 2
+        lo = hi * g
+        for _ in range(120):  # to 1e-33 relative at n = 2000
+            mid = mpmath.sqrt(lo * hi)
             lo, hi = (mid, hi) if rising(mid) else (lo, mid)
         return lo
 
 
-class TestGoldenMinAccuracy:
-    """golden_min stops at a 1e-14 bracket, but where the extremum is flat its
-    comparisons cannot tell points apart over a wider span; what it holds is
-    the extreme value, to a few ulps, more than the argument."""
+class TestOptimalKAccuracy:
+    """optimal_k solves d ln B/dk = 0 by Newton steps in x = k 2^(n/2) ~ 0.58,
+    so k holds to a few ulps, and the flat maximum with it."""
 
     def test_optimal_k_against_fifty_digit_argmax(self):
-        # measured: the prefactor within 3.7e-15 relative (n = 1, at the
-        # bracket's edge), k within 9.0e-4 relative (n = 64) and 1.23e-9
-        # absolute (n = 14)
-        for n in range(1, 65):
+        # measured: k within 4.2e-16 relative (n = 49.5)
+        for n in [0.5 * i for i in range(321)] + [200, 256, 512, 1000, 1022, 1024, 2000]:
             k, k_star = optimal_k(n), mp_argmax_prefactor(n)
-            with mpmath.workdps(50):
-                peak = mp_prefactor(k_star, n)
-                assert abs(mp_prefactor(mpmath.mpf(k), n) / peak - 1) <= 4e-15, n
-                assert abs(k - k_star) <= 1e-3 * k_star and abs(k - k_star) <= 2e-9, n
-
-
-def old_optimal_k(n, bracket=(0.0, 1e-2), tol=1e-14):
-    """optimal_k's golden-section loop as it was before the shared helper."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = bracket
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = prefactor_b(c, n), prefactor_b(d, n)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = prefactor_b(c, n)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = prefactor_b(d, n)
-    return 0.5 * (a + b)
+            with mpmath.workdps(60):
+                assert abs(mpmath.mpf(k) / k_star - 1) <= 1e-14, n
+                if n in range(1, 65):
+                    peak = mp_prefactor(k_star, n)
+                    assert abs(mp_prefactor(mpmath.mpf(k), n) / peak - 1) <= 4e-15, n
+            if n <= 11.5:  # the argmax lies past the bracket
+                assert k == 1e-2, n
+        for n in (2200.0, 4096.0, 1e308):  # k* ~ 2^(-n/2) lies below the least double
+            assert optimal_k(n) == 0.0, n
 
 
 def old_bisect(f, lo, hi):
@@ -353,10 +337,6 @@ SOLVES = [
 
 
 class TestCallersMatchOldLoops:
-    def test_optimal_k_is_unchanged(self):
-        for n in [0.5 * i for i in range(1, 161)]:
-            assert optimal_k(n) == old_optimal_k(n)
-
     def test_min_image_bits_is_unchanged(self):
         rng = random.Random(7)
         cases = [(1e16, 1.6e8, 300.0, 1e-2), (1.2e44, 3.2e17, 2.7, 1e-6)]
