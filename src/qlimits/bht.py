@@ -291,14 +291,13 @@ def bht_sweep_minimum(
     Independent check of the closed-form optimizer.  The grid only locates
     the cell of the minimum; the search then runs on the cells either side
     of it, and the better of its result and the two bracket ends is kept.
-    W_min is ``bht_work`` at k_min.
+    W_min is ``bht_work`` at k_min, bit for bit.
     """
     checked("sweep oracle n", n, -math.inf, 48.0, "(]")
     checked_int("sweep points", points, 2)
     if points > MAX_TRACE_SAMPLES:
         raise CapacityError(f"a sweep is limited to {MAX_TRACE_SAMPLES} points", points)
-    # the grid starts at k = 1: bht_work there checks every argument
-    bht_work(n, 1.0, t_total, temperature, p_success)
+    _check_plan(n, 1.0, t_total, p_success)  # the grid starts at k = 1
     e_l = landauer_energy(temperature)
     top = n + math.log2(p_success)
     log2_ks = np.linspace(0.0, top, points)
@@ -315,4 +314,4 @@ def bht_sweep_minimum(
     k_min = exp2(min((golden_min(f, lo, hi), lo, hi), key=f))
     while math.log2(k_min) > top:  # exp2 can round one ulp past 2^n P_s
         k_min = math.nextafter(k_min, 0.0)
-    return k_min, bht_work(n, k_min, t_total, temperature, p_success)
+    return k_min, in_positive_double_range(exp2(f(math.log2(k_min))), "solved work", (n, k_min))

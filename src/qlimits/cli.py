@@ -29,6 +29,7 @@ from .bounds import (
     classical_bound,
     gate_bound,
     quantum_bound,
+    quantum_work_requirement,
 )
 from .constants import CONSTANTS_VERSION, HBAR
 from .dynamics import (
@@ -266,10 +267,6 @@ def _cmd_bound(args) -> dict:
         for name in ("n", "time", "psuccess", "temp") if classical else ("n", "time", "psuccess"):
             if name != args.solve and getattr(args, name) is None:
                 raise UsageError(f"--{name} is required")
-        # a quantum time needs no budget where the bound is vacuous: the library decides
-        budgeted = ("time", "psuccess", "n") if classical else ("psuccess", "n")
-        if args.solve in budgeted and args.work is None and args.power is None:
-            raise UsageError("a work budget is required (--work or --power)")
         query = BoundQuery(
             args.solve,
             n=args.n,
@@ -279,6 +276,11 @@ def _cmd_bound(args) -> dict:
             success_probability=args.psuccess,
             power=args.power,
         )
+        # every solve but work needs a budget, bar a quantum time where the bound is vacuous
+        vacuous = not classical and args.solve == "time" and quantum_work_requirement(
+            query.n, 1.0, query.success_probability)[1]  # the offset flag, whatever the time
+        if args.solve != "work" and not vacuous and query.work is None and query.power is None:
+            raise UsageError("a work budget is required (--work or --power)")
         return (classical_bound if classical else quantum_bound)(query).as_dict()
 
     if args.kind == "gate":

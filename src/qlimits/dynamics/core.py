@@ -287,6 +287,11 @@ def effective_hamiltonian(space: SearchSpace, omega_i: float, omega_s: float) ->
     )
 
 
+def _splitting(g: float, omega: float, delta_omega: float) -> float:
+    """Omega = sqrt(delta^2 (1-g^2) + omega^2 g^2) as a hypot, which cannot cancel or overflow."""
+    return math.hypot(delta_omega * math.sqrt(1.0 - g * g), omega * g)
+
+
 def eigenenergies(space: SearchSpace, omega: float, delta_omega: float) -> tuple[float, float]:
     """Closed-form eigenenergies (E_plus, E_minus) in joules.
 
@@ -295,7 +300,7 @@ def eigenenergies(space: SearchSpace, omega: float, delta_omega: float) -> tuple
     checked("omega", omega, ends="[)")
     checked("delta_omega", delta_omega, -omega, omega, "[]")  # no negative frequency
     g = space.overlap
-    split = math.hypot(delta_omega * math.sqrt(1.0 - g * g), omega * g)
+    split = _splitting(g, omega, delta_omega)
     upper = in_double_range(omega + split, "upper eigenfrequency", (omega, delta_omega))
     # omega - split as (omega^2 - split^2) / upper = (omega^2 - delta^2)(1 - g^2) / upper,
     # which rounding cannot take below zero

@@ -17,6 +17,7 @@ from .core import (
     ControlSchedule,
     EffectiveState,
     SearchSpace,
+    _splitting,
     propagate,
 )
 
@@ -129,11 +130,10 @@ def first_peak_iterations(
 
 
 def adiabatic_gap(space: SearchSpace, energy_scale: float, c: float) -> float:
-    """Spectral gap E*sqrt(1 - 4c(1-c)(1 - 1/2^n)) of the interpolated H."""
+    """Spectral gap E*hypot((1-2c) sqrt(1-g^2), g) of the interpolated H, E*g at c = 1/2."""
     checked("energy scale", energy_scale)
     checked("sweep position c", c, 0.0, 1.0, "[]")
-    gg = space.overlap ** 2
-    return energy_scale * math.sqrt(1.0 - 4.0 * c * (1.0 - c) * (1.0 - gg))
+    return energy_scale * _splitting(space.overlap, 1.0, 1.0 - 2.0 * c)
 
 
 def adiabatic_total_time(space: SearchSpace, energy_scale: float, error_budget: float) -> float:
@@ -200,7 +200,7 @@ def schedule_infidelity(space: SearchSpace, schedule: ControlSchedule) -> float:
     from .core import final_state
 
     st = final_state(EffectiveState.initial(space), schedule)
-    return 1.0 - abs(st.solution_amplitude()) ** 2
+    return 1.0 - min(abs(st.solution_amplitude()) ** 2, 1.0)  # P_s capped as a trace's is
 
 
 def _mirrored_sweep_infidelity(space: SearchSpace, sweep: ControlSchedule,

@@ -693,6 +693,8 @@ def test_table_row_without_a_scenario(capsys):
      "a work budget is required (--work or --power)"),
     (["cosmic", "--h0", "67.4", "--omega-lambda", "0.685", "--form", "fromDensity"],
      "--form fromDensity requires --rho-m"),
+    (["bound", "quantum", "--solve", "time", "--n", "8", "--psuccess", "1"],
+     "a work budget is required (--work or --power)"),
 ])
 def test_missing_flag_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -351,6 +351,24 @@ class TestAdiabatic:
             oracle = (evals[1] - evals[0]) * HBAR
             assert adiabatic_gap(space, energy, c) == pytest.approx(oracle, rel=1e-12)
 
+    def test_gap_against_sixty_digits(self):
+        # E sqrt((1-2c)^2 (1-2^-n) + 2^-n) with the double c taken exactly; the
+        # form 1 - 4c(1-c)(1-2^-n) once cancelled to 0.0 at c = 1/2 for n >= 54
+        cs = (0.0, 1e-300, 0.25, 0.3, 0.5 - 2.0 ** -30, 0.5, 0.5 + 2.0 ** -30, 0.75, 1.0)
+        worst = 0.0
+        with mpmath.workdps(60):
+            for n in range(1, 1025):
+                space = SearchSpace(n)
+                p0 = mpmath.mpf(2) ** -n
+                for energy in (1.0, 2.5, 1e-30):
+                    assert adiabatic_gap(space, energy, 0.5) == energy * space.overlap
+                    for c in cs:
+                        exact = mpmath.mpf(energy) * mpmath.sqrt(
+                            (1 - 2 * mpmath.mpf(c)) ** 2 * (1 - p0) + p0)
+                        got = adiabatic_gap(space, energy, c)
+                        worst = max(worst, float(abs(got - exact) / exact))
+        assert worst <= 5e-16
+
     def test_total_time_scales_as_sqrt_dimension(self):
         t6 = adiabatic_total_time(SearchSpace(6), 1.0, 0.1)
         t14 = adiabatic_total_time(SearchSpace(14), 1.0, 0.1)

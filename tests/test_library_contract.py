@@ -406,6 +406,7 @@ def calls(draw):
 @example(("init_readout_work", (1e308, 300.0)))
 @example(("eigenenergies", (4, 1e300, 0.0)))  # omega^2 overflows; E+ does not
 @example(("eigenenergies", (5, 300.0, 300.0)))  # E- once rounded to -6e-48 J
+@example(("schedule_infidelity", (5, ballistic_schedule(SearchSpace(5), 1.0))))  # once -4.4e-16
 # arguments that are not real numbers once ended in a raw TypeError or ValueError
 @example(("bht_optimal", ("40", 1.0, 300.0, 1.0)))
 @example(("evolve", (4, 1.0, "0.1")))
