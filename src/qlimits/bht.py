@@ -104,19 +104,19 @@ def _check_plan(n: float, k: float, t_total: float, p_success: float) -> float:
     return log2_k
 
 
-def _log2_costs(n: float, t_total: float, e_l: float) -> tuple[float, float]:
+def _log2_costs(n: float, t_total: float, e_l: float,
+                p_success: float) -> tuple[float, float, float]:
     """log2 of the cost per sample, (n+1) E_L + h/(4 t_T), and of the
-    quantum scale hbar/t_T."""
+    quantum scale hbar/t_T, and top = n + log2 P_s: W(k)'s terms fixed by a plan."""
     log2_t = math.log2(t_total)
     landauer = math.log2(n + 1.0) + math.log2(e_l) if e_l > 0.0 else -math.inf
-    return log2_add(landauer, _LOG2_H_4 - log2_t), _LOG2_HBAR - log2_t
+    return log2_add(landauer, _LOG2_H_4 - log2_t), _LOG2_HBAR - log2_t, n + math.log2(p_success)
 
 
-def _log2_work(n: float, log2_k: float, t_total: float, e_l: float, p_success: float) -> float:
-    """log2 W(k), every term in log2 space; 0 <= log2 k <= n + log2 P_s."""
-    per_sample, quantum = _log2_costs(n, t_total, e_l)
-    root = log2_radical(n + math.log2(p_success) - log2_k)
-    return log2_add(log2_k + per_sample, root + quantum)
+def _log2_work(costs: tuple[float, float, float], log2_k: float) -> float:
+    """log2 W(k) from :func:`_log2_costs`, every term in log2 space; 0 <= log2 k <= top."""
+    per_sample, quantum, top = costs
+    return log2_add(log2_k + per_sample, log2_radical(top - log2_k) + quantum)
 
 
 def _quantum_time(n: float, log2_k: float, t_total: float, p_success: float) -> float:
@@ -128,7 +128,7 @@ def _quantum_time(n: float, log2_k: float, t_total: float, p_success: float) -> 
 def bht_work(n: float, k: float, t_total: float, temperature: float, p_success: float) -> float:
     """Work floor for a plan with k classical samples, in joules."""
     log2_k = _check_plan(n, k, t_total, p_success)
-    log2_w = _log2_work(n, log2_k, t_total, landauer_energy(temperature), p_success)
+    log2_w = _log2_work(_log2_costs(n, t_total, landauer_energy(temperature), p_success), log2_k)
     return in_positive_double_range(exp2(log2_w), "solved work", (n, k))
 
 
@@ -164,7 +164,7 @@ def bht_fixed_samples(n: float, k: float, t_total: float, temperature: float,
                       p_success: float = 1.0) -> dict:
     """The plan at a given sample count k: time split and work floor."""
     log2_k = _check_plan(n, k, t_total, p_success)
-    log2_w = _log2_work(n, log2_k, t_total, landauer_energy(temperature), p_success)
+    log2_w = _log2_work(_log2_costs(n, t_total, landauer_energy(temperature), p_success), log2_k)
     return {
         "n": n,
         "k": k,
@@ -195,19 +195,20 @@ def bht_optimal(n: float, t_total: float, temperature: float, p_success: float =
             "2^n * P_s < 1: no sample count is admissible", (n, p_success)
         )
     log2_k_star, log2_w_star = _closed_form_log2(n, t_total, e_l, p_success)
+    costs = _log2_costs(n, t_total, e_l, p_success)
     log2_k = min(max(log2_k_star, 0.0), log2_k_max)
     k_cont = exp2(log2_k)
     if k_cont < 2**53:
         # the better of the two integer counts around k that stay admissible
         log2_work, k_round = min(
-            (_log2_work(n, math.log2(kk), t_total, e_l, p_success), kk)
+            (_log2_work(costs, math.log2(kk)), kk)
             for kk in {max(1, math.floor(k_cont)), max(1, math.ceil(k_cont))}
             if math.log2(kk) <= log2_k_max
         )
         log2_k_split = math.log2(k_round)
     else:
         k_round = -1  # beyond integer representation; report the continuous plan
-        log2_work = _log2_work(n, log2_k, t_total, e_l, p_success)
+        log2_work = _log2_work(costs, log2_k)
         log2_k_split = log2_k
     work = exp2(log2_work)
     if math.inf in (k_cont, work, exp2(log2_w_star)):
@@ -287,6 +288,8 @@ def bht_sweep_minimum(
 ) -> tuple[float, float]:
     """Brute-force (k_min, W_min) over a grid of ``points`` >= 2 values
     even in log2 k on [0, n + log2 P_s], refined by golden-section search.
+    The grid is clipped to [0, n + log2 P_s], as linspace can round its
+    interior points past a subnormal end.
 
     Independent check of the closed-form optimizer.  The grid only locates
     the cell of the minimum; the search then runs on the cells either side
@@ -299,9 +302,9 @@ def bht_sweep_minimum(
         raise CapacityError(f"a sweep is limited to {MAX_TRACE_SAMPLES} points", points)
     _check_plan(n, 1.0, t_total, p_success)  # the grid starts at k = 1
     e_l = landauer_energy(temperature)
-    top = n + math.log2(p_success)
-    log2_ks = np.linspace(0.0, top, points)
-    per_sample, quantum = _log2_costs(n, t_total, e_l)
+    costs = _log2_costs(n, t_total, e_l, p_success)
+    per_sample, quantum, top = costs
+    log2_ks = np.minimum(np.linspace(0.0, top, points), top)
     r = top - log2_ks
     with np.errstate(divide="ignore"):  # log2 0 at the top, where the root vanishes
         roots = 0.5 * (r + np.log2(-np.expm1(-r * LN2)))
@@ -309,7 +312,7 @@ def bht_sweep_minimum(
     lo, hi = float(log2_ks[max(j - 1, 0)]), float(log2_ks[min(j + 1, points - 1)])
 
     def f(u: float) -> float:
-        return _log2_work(n, u, t_total, e_l, p_success)
+        return _log2_work(costs, u)
 
     k_min = exp2(min((golden_min(f, lo, hi), lo, hi), key=f))
     while math.log2(k_min) > top:  # exp2 can round one ulp past 2^n P_s

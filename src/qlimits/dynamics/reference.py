@@ -9,11 +9,12 @@ is applied as an operator on full vectors.  Every segment's H is a
 combination of the same two terms, so one subspace that holds the initial
 state and is closed under both terms is invariant under every segment:
 a block Krylov space over the two terms, found once per call from full
-vectors (each term applied to each basis vector, the result orthogonalised
-twice against the basis).  |s><s| maps a basis vector to a one-hot full
-vector, so that image's norm and first projections are read from its one
-entry.  The space's dimension m is discovered, not assumed; a space that fails to
-close within a few vectors raises ConsistencyError.  |i> is uniform, |s> is
+vectors.  Its first row is |i>, onto which |i><i| maps every vector, so
+only the |s><s| images are applied and orthogonalised: each is a one-hot
+full vector whose norm and first projections are read from its one entry,
+then one Gram-Schmidt pass follows.  The space's dimension m is discovered
+from those images and checked: a space that fails to close within a few
+vectors raises ConsistencyError.  |i> is uniform, |s> is
 one-hot and both terms are real symmetric, so the basis is real: it, its
 projections and the Gram matrix are held in float64, and every full-vector
 pass moves half the bytes of a complex one.  Only the subspace coordinates,
@@ -74,13 +75,12 @@ def _subtract_projections(w: np.ndarray, basis: np.ndarray, tmp: np.ndarray) -> 
 
 def _invariant_subspace(uniform: np.ndarray, sol: int) -> np.ndarray:
     """Orthonormal real rows v_j spanning the least space that holds |i> and
-    is closed under |i><i| and |s><s|, applied as full-space operators.
-    ``uniform`` is the real |i>; both terms are real, so every image and
-    residual is real too.
+    is closed under |i><i| and |s><s|.  ``uniform`` is the real |i>.
 
-    A term's image of a basis vector joins the basis when its residual,
-    after two classical Gram-Schmidt passes, exceeds _BREAKDOWN of the
-    image's norm.
+    Row 0 is |i>/||i>|, so |i><i| v_j = <i|v_j> |i> lies along it and the
+    space is closed under |i><i| by construction: only |s><s| is applied.
+    Its image of a basis vector joins the basis when the residual, after
+    two classical Gram-Schmidt passes, exceeds _BREAKDOWN of its norm.
     """
     # rows past the closing vector are never written, so never mapped
     basis = np.empty((_KRYLOV_MAX, uniform.size))
@@ -91,28 +91,21 @@ def _invariant_subspace(uniform: np.ndarray, sol: int) -> np.ndarray:
     w, tmp = np.empty_like(uniform), np.empty_like(uniform)
     m, j = 1, 0
     while j < m:
-        for term in ("|i><i|", "|s><s|"):
-            if term == "|i><i|":
-                np.multiply(uniform, np.vdot(uniform, basis[j]), out=w)
-                size = _norm(w)
-                _subtract_projections(w, basis[:m], tmp)
-            else:
-                # |s><s| v_j is v_j[sol] at entry sol and 0 elsewhere: its norm
-                # and its projections <v_k|s> v_j[sol] are read from that entry
-                entry = basis[j, sol]
-                size = abs(entry)
-                np.matmul(-entry * basis[:m, sol], basis[:m], out=w)
-                w[sol] += entry
-            _subtract_projections(w, basis[:m], tmp)
-            residual = _norm(w)
-            if residual > _BREAKDOWN * size:
-                if m == _KRYLOV_MAX:
-                    raise ConsistencyError(
-                        "invariant subspace failed to close; Hamiltonian structure violated",
-                        _KRYLOV_MAX,
-                    )
-                np.multiply(w, 1.0 / residual, out=basis[m])
-                m += 1
+        # |s><s| v_j is v_j[sol] at entry sol and 0 elsewhere: its norm and its
+        # projections <v_k|s> v_j[sol] are read from that entry
+        entry = basis[j, sol]
+        np.matmul(-entry * basis[:m, sol], basis[:m], out=w)
+        w[sol] += entry
+        _subtract_projections(w, basis[:m], tmp)
+        residual = _norm(w)
+        if residual > _BREAKDOWN * abs(entry):
+            if m == _KRYLOV_MAX:
+                raise ConsistencyError(
+                    "invariant subspace failed to close; Hamiltonian structure violated",
+                    _KRYLOV_MAX,
+                )
+            np.multiply(w, 1.0 / residual, out=basis[m])
+            m += 1
         j += 1
     return basis[:m]
 

@@ -168,6 +168,14 @@ def adiabatic_schedule(
     midpoint; the default count grows as 2^(n/2) so each segment sees only
     a small rotation of the instantaneous eigenbasis.
     """
+    return ControlSchedule(_adiabatic_rows(space, energy_scale, error_budget, kind, segments))
+
+
+def _adiabatic_rows(space: SearchSpace, energy_scale: float, error_budget: float, kind: str,
+                    segments: int | None, half: bool = False) -> np.ndarray:
+    """:func:`adiabatic_schedule`'s (duration, omega_i, omega_s) rows, or only
+    the first half of its even default count when ``half``: each row is
+    formed from its own index, so a half's rows are the whole's bit for bit."""
     checked("energy scale", energy_scale)
     checked("error budget", error_budget, 0.0, 1.0)
     if kind not in ("local", "linear"):
@@ -179,7 +187,8 @@ def adiabatic_schedule(
 
     total = adiabatic_total_time(space, energy_scale, error_budget)
     h = total / segments
-    t_mid = (np.arange(segments) + 0.5) * h
+    built = segments // 2 if half else segments
+    t_mid = (np.arange(built) + 0.5) * h
     if kind == "local":  # c(t) inverts the pacing; libm's tan, as numpy's SIMD tan varies by host
         g = space.overlap
         root = math.sqrt(1.0 - g * g)
@@ -187,12 +196,12 @@ def adiabatic_schedule(
         rate = 2.0 * g * root * error_budget * energy_scale / HBAR
         with np.errstate(invalid="ignore"):  # inf rate * 0 = NaN: ControlSchedule refuses it
             theta = np.clip(rate * t_mid - theta0, -theta0, theta0)
-        c = 0.5 * (1.0 + (g / root) * np.fromiter(map(math.tan, theta.tolist()), float, segments))
+        c = 0.5 * (1.0 + (g / root) * np.fromiter(map(math.tan, theta.tolist()), float, built))
     else:
         c = t_mid / total
     with np.errstate(over="ignore"):  # ControlSchedule refuses an overflowed E/hbar
         omegas = ((1.0 - c) * energy_scale / HBAR, c * energy_scale / HBAR)
-    return ControlSchedule(np.column_stack((np.full(segments, h), *omegas)))
+    return np.column_stack((np.full(built, h), *omegas))
 
 
 def schedule_infidelity(space: SearchSpace, schedule: ControlSchedule) -> float:
@@ -203,13 +212,12 @@ def schedule_infidelity(space: SearchSpace, schedule: ControlSchedule) -> float:
     return 1.0 - min(abs(st.solution_amplitude()) ** 2, 1.0)  # P_s capped as a trace's is
 
 
-def _mirrored_sweep_infidelity(space: SearchSpace, sweep: ControlSchedule,
+def _mirrored_sweep_infidelity(space: SearchSpace, half: ControlSchedule,
                                factors: np.ndarray) -> np.ndarray:
-    """1 - P_s after ``sweep`` stretched by each factor, from |i>, for a sweep
-    of an even number of segments whose second half mirrors its first with
-    omega_i and omega_s swapped: only the first half is propagated, and
-    <s|U|i> = phi^T R phi as derived in :func:`runtime_to_infidelity`."""
-    half = ControlSchedule(np.column_stack(sweep.arrays())[:sweep.durations.size // 2])
+    """1 - P_s after a sweep stretched by each factor, from |i>, for a sweep
+    whose second half mirrors its first, ``half``, with omega_i and omega_s
+    swapped: only ``half`` is propagated, and <s|U|i> = phi^T R phi as
+    derived in :func:`runtime_to_infidelity`."""
     c1, c2 = propagate(EffectiveState.initial(space), half, factors)
     g = space.overlap
     amplitude = g * (c1 * c1 - c2 * c2) + 2.0 * math.sqrt(1.0 - g * g) * (c1 * c2)
@@ -257,9 +265,11 @@ def runtime_to_infidelity(
     checked_int("grid points", grid_points, 1)
     if grid_points > MAX_TRACE_SAMPLES:
         raise CapacityError(f"a scan is limited to {MAX_TRACE_SAMPLES} grid points", grid_points)
-    base = adiabatic_schedule(space, energy_scale, error_budget, kind="local")
+    half = ControlSchedule(_adiabatic_rows(space, energy_scale, error_budget, "local", None, True))
+    # the whole sweep's fsum: doubling is exact, the segment cap keeping it below 1e296
+    t_total = 2.0 * half.total_duration
     factors = np.exp(np.linspace(math.log(start), math.log(end), grid_points))
-    infidelity = _mirrored_sweep_infidelity(space, base, factors)
+    infidelity = _mirrored_sweep_infidelity(space, half, factors)
     envelope = np.maximum.accumulate(infidelity[::-1])[::-1]
     below = np.nonzero(envelope <= target_infidelity)[0]
     if len(below) == 0:
@@ -268,7 +278,6 @@ def runtime_to_infidelity(
             (target_infidelity, float(envelope.min())),
         )
     k = int(below[0])
-    t_total = base.total_duration
     if k == 0:
         return float(factors[0]) * t_total
     # log-linear interpolation between the bracketing grid points

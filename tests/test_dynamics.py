@@ -31,7 +31,7 @@ from qlimits.dynamics import (
 )
 from qlimits.dynamics.core import (BLOCK_ELEMENTS, MAX_TRACE_SAMPLES, _bit_reversed,
                                    _block_segments, _pairwise_product, _pauli_components, _su2)
-from qlimits.dynamics.schedules import _mirrored_sweep_infidelity
+from qlimits.dynamics.schedules import _adiabatic_rows, _mirrored_sweep_infidelity
 from qlimits.errors import CapacityError, ConsistencyError, DomainError, InfeasibleError
 
 
@@ -781,8 +781,22 @@ class TestMirroredSweep:
             base = adiabatic_schedule(space, 1.0, eps, kind="local")
             c1, c2 = propagate(EffectiveState.initial(space), base, self.FACTORS)
             whole = 1.0 - np.abs(g * c1 + math.sqrt(1.0 - g * g) * c2) ** 2
-            half = _mirrored_sweep_infidelity(space, base, self.FACTORS)
+            first = ControlSchedule(np.column_stack(base.arrays())[:base.durations.size // 2])
+            half = _mirrored_sweep_infidelity(space, first, self.FACTORS)
             assert np.abs(half - whole).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_scan_builds_the_first_half_bit_for_bit(self, n):
+        # the scan builds only the rows it propagates, and takes the whole
+        # sweep's runtime as twice the half's
+        space = SearchSpace(n)
+        for energy in (1e-30, 1.0, 3.7):
+            for eps in (0.05, 0.1, 0.2):
+                whole = adiabatic_schedule(space, energy, eps, kind="local")
+                rows = _adiabatic_rows(space, energy, eps, "local", None, True)
+                assert np.array_equal(rows, np.column_stack(whole.arrays())[:len(rows)])
+                assert 2 * len(rows) == whole.durations.size
+                assert 2.0 * ControlSchedule(rows).total_duration == whole.total_duration
 
 
 def scalar_segment_unitary(space, seg):

@@ -407,6 +407,8 @@ def calls(draw):
 @example(("eigenenergies", (4, 1e300, 0.0)))  # omega^2 overflows; E+ does not
 @example(("eigenenergies", (5, 300.0, 300.0)))  # E- once rounded to -6e-48 J
 @example(("schedule_infidelity", (5, ballistic_schedule(SearchSpace(5), 1.0))))  # once -4.4e-16
+# linspace once rounded the grid past a subnormal n + log2 P_s: log2 of a negative radicand
+@example(("bht_sweep_minimum", (50 * 5e-324, 1.0, 300.0, 1.0)))
 # arguments that are not real numbers once ended in a raw TypeError or ValueError
 @example(("bht_optimal", ("40", 1.0, 300.0, 1.0)))
 @example(("evolve", (4, 1.0, "0.1")))

@@ -310,6 +310,22 @@ def test_krylov_basis_contract(n):
             assert np.linalg.norm(residual) <= 1e-14, (sol, vec is uniform)
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_krylov_basis_takes_one_pass_per_vector(n, monkeypatch):
+    # |i><i| maps every vector onto row 0 = |i>, so only the |s><s| image of
+    # each basis vector is orthogonalised: one Gram-Schmidt pass per vector
+    passes = []
+    subtract = reference._subtract_projections
+    monkeypatch.setattr(reference, "_subtract_projections",
+                        lambda *args: passes.append(args) or subtract(*args))
+    dim = 2 ** n
+    uniform = np.full(dim, 1.0 / math.sqrt(dim))
+    for sol in {0, dim - 1, int(np.random.default_rng(n).integers(dim))}:
+        passes.clear()
+        basis = reference._invariant_subspace(uniform, sol)
+        assert len(passes) == len(basis) == 2, sol
+
+
 # --------------------------------------------------------------------------
 # Whole-segment propagators against the per-segment chain they replace:
 # there, each segment's samples are U exp(-i Lambda tau) U^H applied to the
