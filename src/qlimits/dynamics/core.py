@@ -83,7 +83,8 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class EffectiveState:
-    """Amplitudes on |i> and |s_perp>."""
+    """Amplitudes on |i> and |s_perp>, of a unit vector: a norm drift
+    |sqrt(|c1|^2 + |c2|^2) - 1| beyond NORM_TOLERANCE is a :class:`DomainError`."""
 
     c1: complex
     c2: complex
@@ -91,11 +92,11 @@ class EffectiveState:
 
     def __post_init__(self):
         try:
-            norm = _abs2(self.c1) + _abs2(self.c2)
+            drift = _norm_drift(_abs2(self.c1) + _abs2(self.c2))
         except (AttributeError, TypeError):  # text, None, a list, a Decimal
             raise DomainError("state amplitudes must be complex numbers",
                               (self.c1, self.c2)) from None
-        checked("squared state norm", norm, 1.0 - 1e-6, 1.0 + 1e-6, "[]")
+        checked("state norm drift", drift, 0.0, NORM_TOLERANCE, "[]")  # refuses an array too
 
     @classmethod
     def initial(cls, space: SearchSpace) -> "EffectiveState":
@@ -369,17 +370,25 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
+def _norm_drift(norm_sq):
+    """|sqrt(norm_sq) - 1|, elementwise: how far a state of squared norm
+    ``norm_sq`` lies from a unit vector.  Every two-level state keeps it
+    within NORM_TOLERANCE."""
+    return abs(np.sqrt(norm_sq) - 1.0)
+
+
 def _sampled_trace(space: SearchSpace, schedule: ControlSchedule, t: np.ndarray,
                    seg: np.ndarray, s_amp: np.ndarray, i_amp: np.ndarray,
-                   norm_error: np.ndarray, message: str) -> Trace:
+                   norm_sq: np.ndarray, message: str) -> Trace:
     """The :class:`Trace` of the amplitudes ``s_amp`` = <s|psi> and
-    ``i_amp`` = <i|psi> at the times ``t`` and segments ``seg`` of
-    :func:`_sample_grid`, each sample under its segment's frequencies.
-    A = conj(<s|psi>) <i|psi>; P_s and P_i are clipped to [0, 1], which
-    rounding can pass by an ulp.  The first ``norm_error`` beyond
-    NORM_TOLERANCE (or not finite) raises :class:`ConsistencyError` with
-    ``message`` and that sample's (t, error).
+    ``i_amp`` = <i|psi>, of squared norm ``norm_sq``, at the times ``t``
+    and segments ``seg`` of :func:`_sample_grid`, each sample under its
+    segment's frequencies.  A = conj(<s|psi>) <i|psi>; P_s and P_i are
+    clipped to [0, 1], which rounding can pass by an ulp.  The first norm
+    drift beyond NORM_TOLERANCE (or not finite) raises
+    :class:`ConsistencyError` with ``message`` and that sample's (t, drift).
     """
+    norm_error = _norm_drift(norm_sq)
     bad = ~(norm_error <= NORM_TOLERANCE)
     if bad.any():
         k = int(np.argmax(bad))
@@ -440,8 +449,7 @@ def evolve(state: EffectiveState, schedule: ControlSchedule, sample_step: float)
     c2s = np.concatenate(([state.c2], phases * (beta * psi0 + alpha.conj() * psi1)))
     g = state.space.overlap
     s_amp = g * c1s + math.sqrt(1.0 - g * g) * c2s  # <s|psi>
-    norm_error = np.abs(np.sqrt(_abs2(c1s) + _abs2(c2s)) - 1.0)
-    return _sampled_trace(state.space, schedule, t, seg, s_amp, c1s, norm_error,
+    return _sampled_trace(state.space, schedule, t, seg, s_amp, c1s, _abs2(c1s) + _abs2(c2s),
                           "propagator norm drift exceeded tolerance")
 
 
@@ -532,7 +540,7 @@ def propagate(
         c1, c2 = a * c1 - b.conj() * c2, b * c1 + a.conj() * c2
     phase = np.exp(-1j * factors * (mean * durations).sum())
     c1, c2 = phase * c1, phase * c2
-    drift = float(np.max(np.abs(np.sqrt(np.abs(c1) ** 2 + np.abs(c2) ** 2) - 1.0)))
+    drift = float(np.max(_norm_drift(_abs2(c1) + _abs2(c2))))
     if not drift <= NORM_TOLERANCE:
         raise ConsistencyError("propagator norm drift exceeded tolerance", drift)
     return c1, c2

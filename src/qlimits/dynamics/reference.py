@@ -178,6 +178,5 @@ def full_space_reference(
 
     coords = _sample_coordinates(evals, evecs, adjoints, starts, all_offsets, seg)
     norm_sq = np.sum((coords.conj() @ gram) * coords, axis=1).real
-    return _sampled_trace(space, schedule, t, seg, coords @ s_v, coords @ i_v,
-                          np.abs(np.sqrt(norm_sq) - 1.0),
+    return _sampled_trace(space, schedule, t, seg, coords @ s_v, coords @ i_v, norm_sq,
                           "full-space norm drift exceeded tolerance")

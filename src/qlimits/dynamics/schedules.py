@@ -205,7 +205,13 @@ def _adiabatic_rows(space: SearchSpace, energy_scale: float, error_budget: float
 
 
 def schedule_infidelity(space: SearchSpace, schedule: ControlSchedule) -> float:
-    """1 - P_s at the end of a schedule started from |i>."""
+    """1 - P_s at the end of a schedule started from |i>.
+
+    It is formed as 1 - P_s once every segment is propagated, so it carries
+    the propagation's absolute rounding, about 1e-14, and a small value is
+    not good to a relative figure: n = 22 Grover at 1,608 pulse pairs reads
+    2.0367485e-11, against 2.0402143e-11 at 60 digits.
+    """
     from .core import final_state
 
     st = final_state(EffectiveState.initial(space), schedule)

@@ -205,25 +205,21 @@ def build_report(scenarios: list[Scenario]) -> list[KeylengthReport]:
             match = None
             if s.classical_key_bits is not None:
                 match = abs(solved_classical - s.classical_key_bits) <= 1
-            rows.append(
-                KeylengthReport(
-                    scenario=s,
-                    classical_bits=s.classical_key_bits,
-                    quantum_secure_bits=quantum_bits,
-                    solved_classical_bits=solved_classical,
-                    classical_match=match,
-                    bounds_used=(QUANTUM_TAG, CLASSICAL_TAG),
-                )
-            )
+            bounds_used, error = (QUANTUM_TAG, CLASSICAL_TAG), None
         except QlimitsError as exc:  # propagate per row, keep the table going
-            rows.append(
-                KeylengthReport(
-                    scenario=s,
-                    classical_bits=s.classical_key_bits,
-                    quantum_secure_bits=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            quantum_bits = solved_classical = match = None
+            bounds_used, error = (), f"{type(exc).__name__}: {exc}"
+        rows.append(
+            KeylengthReport(
+                scenario=s,
+                classical_bits=s.classical_key_bits,
+                quantum_secure_bits=quantum_bits,
+                solved_classical_bits=solved_classical,
+                classical_match=match,
+                bounds_used=bounds_used,
+                error=error,
             )
+        )
     return rows
 
 

@@ -29,8 +29,10 @@ from qlimits.dynamics import (
     schedule_infidelity,
     standard_grover_iterations,
 )
-from qlimits.dynamics.core import (BLOCK_ELEMENTS, MAX_TRACE_SAMPLES, _bit_reversed,
-                                   _block_segments, _pairwise_product, _pauli_components, _su2)
+from qlimits.dynamics import core
+from qlimits.dynamics.core import (BLOCK_ELEMENTS, MAX_TRACE_SAMPLES, NORM_TOLERANCE,
+                                   _bit_reversed, _block_segments, _pairwise_product,
+                                   _pauli_components, _su2)
 from qlimits.dynamics.schedules import _adiabatic_rows, _mirrored_sweep_infidelity
 from qlimits.errors import CapacityError, ConsistencyError, DomainError, InfeasibleError
 
@@ -498,14 +500,24 @@ class TestPropagateKernel:
         assert peak < 6 * 8 * count + 16 * 16 * BLOCK_ELEMENTS
         assert peak < 16 * batch * count / 10
 
-    def test_norm_drift_raises(self):
+    def test_norm_drift_raises(self, monkeypatch):
         space = SearchSpace(4)
-        state = EffectiveState(1.0 + 1e-7 + 0.0j, 0.0j, space)  # within 1e-6, beyond 1e-9
+        with pytest.raises(DomainError, match="state norm drift"):
+            EffectiveState(1.0 + 1e-7 + 0.0j, 0.0j, space)  # refused where it enters
+
+        def long_alpha(x, z, dt):  # a defective kernel, which loses the norm on the way
+            alpha, beta = _su2(x, z, dt)
+            return alpha * (1.0 + 1e-7), beta
+
+        monkeypatch.setattr(core, "_su2", long_alpha)
+        state = EffectiveState.initial(space)
         schedule = ControlSchedule((Segment(1.0, 1.0, 0.5),))
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="propagator norm drift"):
             propagate(state, schedule, self.FACTORS)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="propagator norm drift"):
             final_state(state, schedule)
+        with pytest.raises(ConsistencyError, match="propagator norm drift"):
+            evolve(state, schedule, 0.25)
 
     def test_rejects_nonpositive_factor(self):
         schedule = ControlSchedule((Segment(1.0, 1.0, 0.5),))
@@ -719,6 +731,19 @@ class TestPropagateProperty:
         ref = stretched_amplitudes(state, schedule.arrays(), factors)
         assert np.abs(c1 - ref[0]).max() <= 1e-12
         assert np.abs(c2 - ref[1]).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(stretched_batches(), st.sampled_from([0.0, 5e-10, -9e-10, 9e-10]))
+    def test_every_propagated_row_is_a_state(self, batch, off):
+        """One norm rule on entry and on exit: a state off the unit sphere by
+        up to 9e-10 builds, every row propagate returns builds a state, and
+        final_state never refuses the state it computed."""
+        state, schedule, factors = batch
+        state = EffectiveState(state.c1 * (1.0 + off), state.c2 * (1.0 + off), state.space)
+        c1, c2 = propagate(state, schedule, factors)
+        for a, b in zip(c1.tolist(), c2.tolist()):
+            EffectiveState(a, b, state.space)
+        final_state(state, schedule)
 
 
 def runtime_to_infidelity_by_loop(space, energy_scale, error_budget, target_infidelity,
@@ -950,6 +975,15 @@ class TestRefusalsAndScanEnds:
     def test_state_amplitudes_must_be_numbers(self):
         with pytest.raises(DomainError, match="state amplitudes must be complex numbers"):
             EffectiveState("1", 0.0, self.SPACE)
+
+    def test_state_off_the_unit_sphere_is_refused_on_entry(self):
+        with pytest.raises(DomainError, match="state norm drift") as refused:
+            EffectiveState(1.0000004 + 0j, 0j, SearchSpace(8))  # drift 4e-7
+        assert refused.value.kind == "domain"
+        assert refused.value.offending_input == pytest.approx(4e-7, rel=1e-6)
+        for drift in (0.5 * NORM_TOLERANCE, 0.9 * NORM_TOLERANCE):
+            EffectiveState(1.0 + drift + 0j, 0j, SearchSpace(8))
+            EffectiveState(complex(0.6, 0.0), complex(0.0, 0.8 * (1.0 + drift)), SearchSpace(8))
 
     def test_schedule_equals_no_other_type(self):
         schedule = adiabatic_schedule(self.SPACE, 1e-30, 0.1)

@@ -14,6 +14,7 @@ import mpmath
 import pytest
 
 from qlimits.bht import bht_min_image_bits
+from qlimits.bounds import quantum_work_requirement
 from qlimits.constants import H, HBAR, K_B
 from qlimits.keylength import (
     classical_keylength,
@@ -141,6 +142,10 @@ def test_integer_is_the_snapped_sixty_digit_n(name):
             args, exact = case(rng)
             offsets.append(float(exact - mpmath.nint(exact)))
             assert solver(*args) == snapped(exact, rounding), (args, float(exact))
+            k = mpmath.nint(exact)
+            if name == "equivalent_quantum_keylength" and 0 < exact - k <= SNAP:
+                # it reads k where the exact ceiling is k + 1: k bits fit in W
+                assert quantum_work_requirement(float(k), *args[1:])[0] <= args[0], args
     # the cases reach both sides of the integer, inside and outside the snap band
     bands = {(d > 0.0, abs(d) <= 1e-9) for d in offsets}
     assert len(bands) == 4 and all(1e-14 <= abs(d) <= 2e-7 for d in offsets)
